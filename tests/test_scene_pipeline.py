@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,39 @@ class TestRunPipeline:
         for a, b in zip(one.frames, four.frames):
             assert a.pcd_path.read_bytes() == b.pcd_path.read_bytes()
         assert one.report_csv.read_bytes() == four.report_csv.read_bytes()
+
+
+# sha256 of every output of the 20-frame reference scene (gen_scene seed 0,
+# 30% noise, k=3, k-means seed 0).  Any change to projection, box membership,
+# k-means, PCD writing or the report shows up here byte for byte.
+GOLDEN_SHA256 = {
+    "labeled_000000.pcd": "d8ca06bc8db0b938cbdd687190e3d97c5a7531e2049ff3480989a1a29331373d",
+    "labeled_000001.pcd": "034b295d46748e4231f83d00d3ac263868d5b7fb61db78fbf0bd1949325eea90",
+    "labeled_000002.pcd": "198d0db9f0af6bf6a9bafe0a357145aedd4bbe396f5fb7a5b9e25d1ced9e8de1",
+    "labeled_000003.pcd": "08318860c8f9db7aea1563cf9edc85b535df68609b1f815c2d2afe958d73f95a",
+    "labeled_000004.pcd": "3db5fe062618a9a93bc827115242642315d4c97b3b22d7b5ec39e2d24b94694e",
+    "labeled_000005.pcd": "b7e5e848aedebe524bf5bb52c15e34cd5a4d680748f07ad642621a72fab075c1",
+    "labeled_000006.pcd": "65704312930e65491a2e32167314a6ddd9cf357645128f48d8458e4008a1aab0",
+    "labeled_000007.pcd": "a994c819ca1cf6cb36b617d64abefdfd1f6da05b9b74b258f6d25b4189603e5e",
+    "labeled_000008.pcd": "3f287867650ec0dfd44bf0484c350da1cb660e70f92854858c5d0a0bbff73f1e",
+    "labeled_000009.pcd": "0027f87b7858e727f9c56eb471d9f660966ac0cc4a18f836238e2cf3cad1a7ad",
+    "labeled_000010.pcd": "e263bc4a07088f377ad9cba8d5f5657dabb6d1ef46c29f15d49c83d3e2ddf607",
+    "labeled_000011.pcd": "6942a4a712da2c06e755a8a1ac202c3be46c33e6d4b90832cf7620126c22bd1c",
+    "labeled_000012.pcd": "603f08bccb71775072673b4f4d80750326d98e0798c0d44969287814e81dc022",
+    "labeled_000013.pcd": "ac1c5a41d46bffe06e0564536b9a699286018fcf68df47dc4493abea9d1c6cc2",
+    "labeled_000014.pcd": "a5ece55e95e9717cd1ffe58f988c3924e56a91492bfb61b7087bccabde00122d",
+    "labeled_000015.pcd": "ee2e2005e07d575bc1bafaa11ea08e036318ebc950611a38014050453c39ae27",
+    "labeled_000016.pcd": "51c9ee453839483eb24d88c95008ac9b77e45bfdca56cf67a0afd40c57a0312b",
+    "labeled_000017.pcd": "c17485dd903965a687bb9bea1859921529fcf4f17bfa13dd4633dd7e5c23577d",
+    "labeled_000018.pcd": "41df8c8bef1718fc11f909808fee41dc2793cc735fc43ba2d5d0fdcc13d5836a",
+    "labeled_000019.pcd": "b2d78378d253f5bc8afdab3aad887fdb9d4e35d6415befed9e02f70b8cab0390",
+    "report.csv": "5e9f4bf675c5c7550fae17c19e1e9d253fe70cd9319f37095af40ebcb5eeb8f9",
+}
+
+
+def test_reference_scene_outputs_match_golden_digests(tmp_path):
+    scene = gen_scene(tmp_path / "scene", frames=20, objects=3, noise_fraction=0.30, seed=0)
+    result = run_pipeline(_pipeline_cfg(scene, tmp_path / "out", kmeans=KMeansConfig(k=3, seed=0)))
+    outputs = [fr.pcd_path for fr in result.frames] + [result.report_csv]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}
+    assert digests == GOLDEN_SHA256
