@@ -13,17 +13,14 @@ from .calib import (
     Intrinsics,
     distort_normalized,
     load_rig,
-    project,
     project_points,
     undistort_normalized,
-    world_to_camera,
 )
 from .cloud_io import (
     FrameBundle,
     FrameIndex,
     IndexEntry,
     PcdError,
-    Point3,
     PointCloudFrame,
     match_frames,
     read_manifest,
@@ -41,7 +38,7 @@ from .detect_ingest import (
     load_detections,
     restrict_classes,
 )
-from .fusion import LabeledCloud, PointLabel, class_point_counts, label_frame, point_in_box
+from .fusion import LabeledCloud, label_frame
 from .pipeline import PipelineConfig, PipelineError, PipelineResult, run_pipeline
 from .scene import ScenePaths, default_rig, gen_scene, read_ground_truth, save_rig
 from .segment import (

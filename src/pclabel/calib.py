@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -178,9 +177,6 @@ def _parse_camera(entry: object, position: int) -> CameraModel:
     translation = _number_list(entry, "translation", 3, where)
     try:
         pose = ExtrinsicPose(np.array(rotation).reshape(3, 3), np.array(translation))
-    except CalibrationError as e:
-        raise CalibrationError(f"{where}: {e}") from e
-    try:
         return CameraModel(id=cam_id, intrinsics=intr, distortion=dist, pose=pose)
     except CalibrationError as e:
         raise CalibrationError(f"{where}: {e}") from e
@@ -218,12 +214,6 @@ def load_rig(path: str | Path) -> list[CameraModel]:
         seen.add(model.id)
         models.append(model)
     return models
-
-
-def world_to_camera(pose: ExtrinsicPose, p: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Transform one LIDAR-frame point into the camera frame."""
-    v = np.asarray(p, dtype=np.float64).reshape(3)
-    return pose.rotation @ v + pose.translation
 
 
 def distort_normalized(d: DistortionCoeffs, xn, yn):
@@ -316,22 +306,3 @@ def project_points(
     uv = np.stack([u, v], axis=1)
     uv[~in_front] = np.nan
     return uv, in_front
-
-
-def project(
-    cam: CameraModel,
-    p_lidar: Sequence[float] | np.ndarray,
-    use_distortion: bool = False,
-    z_min: float = DEFAULT_Z_MIN,
-) -> tuple[float, float] | None:
-    """Project a single LIDAR point; None when it is at or behind the camera."""
-    pts = np.asarray(p_lidar, dtype=np.float64).reshape(1, 3)
-    uv, in_front = project_points(cam, pts, use_distortion=use_distortion, z_min=z_min)
-    if not in_front[0]:
-        return None
-    return float(uv[0, 0]), float(uv[0, 1])
-
-
-def in_image_bounds(intr: Intrinsics, u, v):
-    """Half-open containment test against [0, width) x [0, height)."""
-    return (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)

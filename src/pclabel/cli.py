@@ -6,28 +6,33 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import scene, segment
 from .detect_ingest import CLASS_NAME_TO_ID
 from .pipeline import PipelineConfig, PipelineError, run_pipeline
 
-_RUN_DEFAULTS = {
-    "tol": 0.05,
-    "conf": 0.0,
-    "classes": [],
-    "k": 3,
-    "max_iter": 100,
-    "seed": 0,
-    "denoise": True,
-    "distortion": False,
-    "workers": 1,
+# Run settings by config-file key: the PipelineConfig field ("kmeans.<field>"
+# for KMeansConfig) and the JSON type.  A key's flag is --<key> with '-' for
+# '_' (--no-denoise for "denoise").  Defaults live in those dataclasses only:
+# the CLI passes on just the values that a flag or the config file sets.
+_SETTINGS = {
+    "calib": ("calibration", str), "clouds": ("cloud_manifest", str),
+    "dets": ("detection_manifest", str), "out": ("out_dir", str),
+    "tol": ("tolerance", float), "conf": ("confidence", float), "classes": ("classes", list),
+    "k": ("kmeans.k", int), "max_iter": ("kmeans.max_iter", int), "seed": ("kmeans.seed", int),
+    "denoise": ("denoise", bool), "distortion": ("distortion", bool), "workers": ("workers", int),
 }
+_REQUIRED = ("calib", "clouds", "dets", "out")
 
 
-def _parse_classes(tokens) -> frozenset[int]:
+def _parse_classes(value) -> frozenset[int]:
+    """Class ids from ids or names: one comma-separated string, or a list of them."""
+    if not isinstance(value, (str, list)):
+        raise ValueError(f"classes must be a string or a list, got {value!r}")
     ids = set()
-    for token in tokens:
+    for token in [value] if isinstance(value, str) else value:
         for part in str(token).split(","):
             part = part.strip()
             if not part:
@@ -37,7 +42,7 @@ def _parse_classes(tokens) -> frozenset[int]:
             elif part in CLASS_NAME_TO_ID:
                 ids.add(CLASS_NAME_TO_ID[part])
             else:
-                raise argparse.ArgumentTypeError(f"unknown class '{part}'")
+                raise ValueError(f"unknown class '{part}'")
     return frozenset(ids)
 
 
@@ -61,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", type=int, default=None, help="k-means cluster count")
     run.add_argument("--max-iter", type=int, default=None, help="k-means iteration cap")
     run.add_argument("--seed", type=int, default=None, help="k-means RNG seed")
-    run.add_argument("--no-denoise", action="store_true", default=None, help="skip clustering")
+    run.add_argument("--no-denoise", dest="denoise", action="store_false", default=None,
+                     help="skip clustering")
     run.add_argument("--distortion", action="store_true", default=None,
                      help="apply lens distortion when projecting (raw-image boxes)")
     run.add_argument("--workers", type=int, default=None, help="worker thread count")
@@ -81,55 +87,75 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_run_value(file_cfg: dict, key: str, arg_value):
-    if arg_value is not None:
-        return arg_value
-    if key in file_cfg:
-        return file_cfg[key]
-    return _RUN_DEFAULTS.get(key)
+def _load_config(path: str) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ValueError(f"{path}: {e.strerror or e}") from e
+    except ValueError as e:
+        raise ValueError(f"{path}: not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(_SETTINGS))
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {unknown}")
+    return raw
+
+
+def _convert(key: str, value):
+    """``value`` as the setting's type; a JSON int passes for a float, a bool only for a bool."""
+    kind = _SETTINGS[key][1]
+    if kind is list:
+        return _parse_classes(value)
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _with(cfg: PipelineConfig, field: str, value) -> PipelineConfig:
+    """A copy of ``cfg`` with one field set; the dataclasses validate it."""
+    if field.startswith("kmeans."):
+        return replace(cfg, kmeans=replace(cfg.kmeans, **{field.removeprefix("kmeans."): value}))
+    return replace(cfg, **{field: value})
+
+
+def _pipeline_config(args) -> PipelineConfig:
+    """The run's config from its flags and config file.
+
+    Flags win over the file.  A bad value raises ValueError naming its
+    source: the config file or the flag.
+    """
+    given = {}  # key -> (value, source)
+    if args.config:
+        given = {key: (value, args.config) for key, value in _load_config(args.config).items()}
+    for key in _SETTINGS:
+        if getattr(args, key) is not None:
+            flag = "--no-denoise" if key == "denoise" else "--" + key.replace("_", "-")
+            given[key] = (getattr(args, key), flag)
+
+    def checked(key: str, build):
+        if key not in given:
+            raise ValueError(f"--{key} is required (flag or config file)")
+        value, source = given[key]
+        try:
+            return build(_convert(key, value))
+        except ValueError as e:
+            raise ValueError(f"{source}: {e}") from e
+
+    cfg = PipelineConfig(**{_SETTINGS[key][0]: checked(key, Path) for key in _REQUIRED})
+    for key, (field, _kind) in _SETTINGS.items():
+        if key in given and key not in _REQUIRED:
+            cfg = checked(key, lambda value: _with(cfg, field, value))
+    return cfg
 
 
 def _run_command(args) -> int:
-    file_cfg = {}
-    if args.config:
-        file_cfg = json.loads(Path(args.config).read_text())
-        unknown = set(file_cfg) - {"calib", "clouds", "dets", "out", *_RUN_DEFAULTS}
-        if unknown:
-            print(f"error: unknown config keys {sorted(unknown)}", file=sys.stderr)
-            return 2
-    required = {}
-    for key, arg in (("calib", args.calib), ("clouds", args.clouds),
-                     ("dets", args.dets), ("out", args.out)):
-        value = arg if arg is not None else file_cfg.get(key)
-        if value is None:
-            print(f"error: --{key} is required (flag or config file)", file=sys.stderr)
-            return 2
-        required[key] = value
-
-    denoise = _merged_run_value(file_cfg, "denoise", None if args.no_denoise is None else False)
-    classes_raw = _merged_run_value(file_cfg, "classes", args.classes)
     try:
-        classes = _parse_classes([classes_raw] if isinstance(classes_raw, str) else classes_raw)
-    except argparse.ArgumentTypeError as e:
+        cfg = _pipeline_config(args)
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    cfg = PipelineConfig(
-        calibration=Path(required["calib"]),
-        cloud_manifest=Path(required["clouds"]),
-        detection_manifest=Path(required["dets"]),
-        out_dir=Path(required["out"]),
-        tolerance=float(_merged_run_value(file_cfg, "tol", args.tol)),
-        confidence=float(_merged_run_value(file_cfg, "conf", args.conf)),
-        classes=classes,
-        kmeans=segment.KMeansConfig(
-            k=int(_merged_run_value(file_cfg, "k", args.k)),
-            max_iter=int(_merged_run_value(file_cfg, "max_iter", args.max_iter)),
-            seed=int(_merged_run_value(file_cfg, "seed", args.seed)),
-        ),
-        distortion=bool(_merged_run_value(file_cfg, "distortion", args.distortion)),
-        denoise=bool(denoise),
-        workers=int(_merged_run_value(file_cfg, "workers", args.workers)),
-    )
     try:
         result = run_pipeline(cfg)
     except (PipelineError, ValueError, OSError) as e:
@@ -173,17 +199,13 @@ def _gen_scene_command(args) -> int:
 def _stats_command(args) -> int:
     try:
         reports = segment.read_report_csv(args.csv)
+        other = segment.read_report_csv(args.compare) if args.compare else None
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     summary = segment.aggregate_reports(reports)
     print(summary.render())
-    if args.compare:
-        try:
-            other = segment.read_report_csv(args.compare)
-        except (OSError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
+    if other is not None:
         by_frame = {r.frame_id: r for r in other}
         print(f"\ncomparison against {args.compare}:")
         print("frame  labeled_a  kept_a  labeled_b  kept_b  kept_delta")

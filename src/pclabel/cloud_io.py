@@ -8,9 +8,10 @@ digits, which also round-trips float32 exactly.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -40,16 +41,6 @@ _KNOWN_FIELDS = {
 
 class PcdError(ValueError):
     """A PCD file violates the supported format subset."""
-
-
-@dataclass(frozen=True)
-class Point3:
-    """One LIDAR return in meters, with optional reflectance."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float | None = None
 
 
 @dataclass(frozen=True)
@@ -85,28 +76,6 @@ class PointCloudFrame:
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
-
-    def point(self, i: int) -> Point3:
-        inten = float(self.intensity[i]) if self.intensity is not None else None
-        return Point3(float(self.xyz[i, 0]), float(self.xyz[i, 1]), float(self.xyz[i, 2]), inten)
-
-    @property
-    def points(self) -> list[Point3]:
-        return [self.point(i) for i in range(len(self))]
-
-    @classmethod
-    def from_points(
-        cls, frame_id: int, timestamp: float, points: Sequence[Point3]
-    ) -> "PointCloudFrame":
-        xyz = np.array([[p.x, p.y, p.z] for p in points], dtype=np.float32).reshape(-1, 3)
-        has_intensity = any(p.intensity is not None for p in points)
-        inten = None
-        if has_intensity:
-            inten = np.array(
-                [p.intensity if p.intensity is not None else 0.0 for p in points],
-                dtype=np.float32,
-            )
-        return cls(frame_id=frame_id, timestamp=timestamp, xyz=xyz, intensity=inten)
 
 
 def _parse_header(fh) -> dict[str, list[str]]:
@@ -396,11 +365,13 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
 
     Relative paths are resolved against the manifest's directory.  Lines
     starting with '#' and blank lines are skipped.  Returns one FrameIndex
-    per stream, entries in file order.
+    per stream, entries in file order.  A malformed line, a non-finite
+    timestamp or a frame id repeated within a stream raises ValueError
+    naming the file and line.
     """
     p = Path(path)
     base = p.parent
-    streams: dict[str, list[IndexEntry]] = {}
+    streams: dict[str, dict[int, IndexEntry]] = {}  # per stream, frame id -> entry, file order
     for lineno, line in enumerate(p.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -414,11 +385,16 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
             ts = float(ts_s)
         except ValueError as e:
             raise ValueError(f"{p}:{lineno}: {e}") from e
+        if not math.isfinite(ts):
+            raise ValueError(f"{p}:{lineno}: timestamp must be finite, got {ts_s}")
+        entries = streams.setdefault(stream, {})
+        if fid in entries:
+            raise ValueError(f"{p}:{lineno}: duplicate frame id {fid} in stream '{stream}'")
         entry_path = Path(rel)
         if not entry_path.is_absolute():
             entry_path = base / entry_path
-        streams.setdefault(stream, []).append(IndexEntry(fid, ts, entry_path))
-    return {name: FrameIndex(name, tuple(entries)) for name, entries in streams.items()}
+        entries[fid] = IndexEntry(fid, ts, entry_path)
+    return {name: FrameIndex(name, tuple(entries.values())) for name, entries in streams.items()}
 
 
 def write_manifest(path: str | Path, rows: Iterable[tuple[str, int, float, str]]) -> None:
@@ -438,8 +414,8 @@ def match_frames(
     omitted from that bundle; ties pick the earlier entry.  Bundles with no
     cameras are still emitted, flagged via ``is_empty``.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if not cloud_index.entries:
         raise ValueError("cloud index is empty")
     cloud_ts = cloud_index.timestamps()

@@ -37,7 +37,7 @@ CLASS_NAME_TO_ID = {name: i for i, name in enumerate(COCO_CLASSES)}
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box in pixels; membership is half-open ([min, max))."""
+    """Axis-aligned box in pixels; fusion tests membership half-open ([min, max))."""
 
     x_min: float
     y_min: float
@@ -64,9 +64,6 @@ class BBox:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    def contains(self, u: float, v: float) -> bool:
-        return self.x_min <= u < self.x_max and self.y_min <= v < self.y_max
 
 
 @dataclass(frozen=True)

@@ -15,24 +15,7 @@ import numpy as np
 
 from .calib import DEFAULT_Z_MIN, CameraModel, project_points
 from .cloud_io import PointCloudFrame
-from .detect_ingest import Detection
-
-
-@dataclass(frozen=True)
-class PointLabel:
-    """Label state of one point (view of a LabeledCloud row)."""
-
-    point_index: int
-    class_id: int | None
-    detection_ref: tuple[int, int] | None
-    cluster_id: int | None
-    kept: bool
-
-    def __post_init__(self) -> None:
-        if (self.class_id is None) != (self.detection_ref is None):
-            raise ValueError("class_id and detection_ref must be present together")
-        if self.cluster_id is not None and self.class_id is None:
-            raise ValueError("cluster_id requires a class label")
+from .detect_ingest import BBox, Detection
 
 
 @dataclass
@@ -65,42 +48,13 @@ class LabeledCloud:
     def __len__(self) -> int:
         return len(self.class_id)
 
-    def validate(self) -> None:
-        n = len(self.class_id)
-        for name in ("camera_id", "det_index", "cluster_id", "kept"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column '{name}' length differs from class_id")
-        labeled = self.class_id >= 0
-        if not np.array_equal(labeled, self.camera_id >= 0) or not np.array_equal(
-            labeled, self.det_index >= 0
-        ):
-            raise ValueError("class_id and detection reference must be present together")
-        if np.any((self.cluster_id >= 0) & ~labeled):
-            raise ValueError("cluster_id requires a class label")
-        if np.any(self.kept & ~labeled):
-            raise ValueError("kept is only meaningful for labeled points")
-
     @property
     def labeled_mask(self) -> np.ndarray:
         return self.class_id >= 0
 
     @property
     def n_labeled(self) -> int:
-        return int(np.count_nonzero(self.class_id >= 0))
-
-    def label(self, i: int) -> PointLabel:
-        labeled = self.class_id[i] >= 0
-        return PointLabel(
-            point_index=i,
-            class_id=int(self.class_id[i]) if labeled else None,
-            detection_ref=(int(self.camera_id[i]), int(self.det_index[i])) if labeled else None,
-            cluster_id=int(self.cluster_id[i]) if self.cluster_id[i] >= 0 else None,
-            kept=bool(self.kept[i]),
-        )
-
-    @property
-    def labels(self) -> list[PointLabel]:
-        return [self.label(i) for i in range(len(self))]
+        return int(np.count_nonzero(self.labeled_mask))
 
     def copy(self) -> "LabeledCloud":
         return LabeledCloud(
@@ -113,10 +67,9 @@ class LabeledCloud:
         )
 
 
-def point_in_box(pixel: tuple[float, float], box) -> bool:
-    """Half-open box membership: [x_min, x_max) x [y_min, y_max)."""
-    u, v = pixel
-    return bool(box.x_min <= u < box.x_max and box.y_min <= v < box.y_max)
+def _inside(u: np.ndarray, v: np.ndarray, box: BBox) -> np.ndarray:
+    """The membership rule: half-open [x_min, x_max) x [y_min, y_max); NaN is outside."""
+    return (u >= box.x_min) & (u < box.x_max) & (v >= box.y_min) & (v < box.y_max)
 
 
 def label_frame(
@@ -140,9 +93,6 @@ def label_frame(
         raise ValueError(f"detections reference camera ids {unknown} absent from rig")
     n = len(frame)
     lc = LabeledCloud.empty(frame.frame_id, n)
-    if n == 0:
-        return lc
-
     candidates = []
     for cam_id in sorted(detections):
         dets = detections[cam_id]
@@ -156,23 +106,15 @@ def label_frame(
             )
         uv, in_front = project_points(cam, frame.xyz, use_distortion=distortion_mode, z_min=z_min)
         u, v = uv[:, 0], uv[:, 1]
-        intr = cam.intrinsics
-        visible = in_front & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
+        image = BBox(0, 0, cam.intrinsics.width, cam.intrinsics.height)
+        visible = in_front & _inside(u, v, image)
         for det_idx, det in enumerate(dets):
             candidates.append((det.box.area, cam_id, det_idx, det, u, v, visible))
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     unassigned = np.ones(n, dtype=bool)
     for _area, cam_id, det_idx, det, u, v, visible in candidates:
-        box = det.box
-        hit = (
-            unassigned
-            & visible
-            & (u >= box.x_min)
-            & (u < box.x_max)
-            & (v >= box.y_min)
-            & (v < box.y_max)
-        )
+        hit = unassigned & visible & _inside(u, v, det.box)
         if not hit.any():
             continue
         lc.class_id[hit] = det.class_id
@@ -182,9 +124,3 @@ def label_frame(
         unassigned &= ~hit
     return lc
 
-
-def class_point_counts(lc: LabeledCloud) -> dict[int, int]:
-    """Count labeled points per class id; unlabeled points are excluded."""
-    labeled = lc.class_id[lc.class_id >= 0]
-    ids, counts = np.unique(labeled, return_counts=True)
-    return {int(i): int(c) for i, c in zip(ids, counts)}

@@ -141,7 +141,7 @@ def denoise_detection(
     Labels of other detections are untouched.  Mutates and returns ``lc``.
     """
     cam_id, det_idx = detection_ref
-    member = (lc.camera_id == cam_id) & (lc.det_index == det_idx) & (lc.class_id >= 0)
+    member = (lc.camera_id == cam_id) & (lc.det_index == det_idx) & lc.labeled_mask
     idx = np.flatnonzero(member)
     if idx.size == 0:
         raise ValueError(f"detection (camera {cam_id}, index {det_idx}) has no labeled points")
@@ -181,7 +181,7 @@ def _class_counts(class_ids: np.ndarray) -> dict[int, int]:
 
 def frame_report(frame: PointCloudFrame, lc: LabeledCloud) -> FrameReport:
     """Build a report from the current label state of a frame."""
-    labeled = lc.class_id >= 0
+    labeled = lc.labeled_mask
     kept = labeled & lc.kept
     labeled_before = int(labeled.sum())
     kept_after = int(kept.sum())
@@ -209,7 +209,7 @@ def denoise_frame(
     camera_id, detection index), so any parallel schedule over detections
     or frames reproduces the sequential result.
     """
-    labeled = lc.class_id >= 0
+    labeled = lc.labeled_mask
     if labeled.any():
         pairs = np.unique(
             np.stack([lc.camera_id[labeled], lc.det_index[labeled]], axis=1), axis=0

@@ -6,7 +6,17 @@ from itertools import product
 
 import numpy as np
 
-from pclabel import BBox, CameraModel, Detection, DistortionCoeffs, ExtrinsicPose, Intrinsics
+from pclabel import (
+    BBox,
+    CameraModel,
+    Detection,
+    DistortionCoeffs,
+    ExtrinsicPose,
+    Intrinsics,
+    LabeledCloud,
+    PointCloudFrame,
+    label_frame,
+)
 
 
 def simple_camera(
@@ -31,6 +41,32 @@ def simple_camera(
 def detection(cam_id: int, box: tuple[float, float, float, float],
               class_id: int = 2, frame_id: int = 0, confidence: float = 0.9) -> Detection:
     return Detection.make(cam_id, frame_id, class_id, confidence, BBox(*box))
+
+
+def box_hits(box: tuple[float, float, float, float], pixels, width: int = 1000,
+             height: int = 1000) -> list[bool]:
+    """Which pixels label_frame puts inside ``box``.
+
+    Uses a unit camera (fx = fy = 1, principal point at the origin), so the
+    point (u, v, 1) lands exactly on pixel (u, v) for integer u and v.
+    """
+    cam = simple_camera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=width, height=height)
+    xyz = np.array([(u, v, 1.0) for u, v in pixels], dtype=np.float32)
+    frame = PointCloudFrame(frame_id=0, timestamp=0.0, xyz=xyz)
+    return label_frame(frame, [cam], {0: [detection(0, box)]}).labeled_mask.tolist()
+
+
+def assert_label_invariants(lc: LabeledCloud) -> None:
+    """Columns of equal length; class and detection reference set together;
+    cluster ids and kept flags only on labeled points."""
+    n = len(lc.class_id)
+    for name in ("camera_id", "det_index", "cluster_id", "kept"):
+        assert len(getattr(lc, name)) == n, f"column '{name}' length differs from class_id"
+    labeled = lc.class_id >= 0
+    assert np.array_equal(labeled, lc.camera_id >= 0)
+    assert np.array_equal(labeled, lc.det_index >= 0)
+    assert not np.any((lc.cluster_id >= 0) & ~labeled)
+    assert not np.any(lc.kept & ~labeled)
 
 
 def partition_inertia(pts: np.ndarray, assign: np.ndarray, k: int) -> float:

@@ -26,8 +26,6 @@ from pclabel import (
     label_frame,
     load_rig,
     match_frames,
-    point_in_box,
-    project,
     project_points,
     read_ground_truth,
     read_manifest,
@@ -172,7 +170,7 @@ def test_criterion_4_kmeans_matches_enumeration_oracle():
 
 
 def test_criterion_5_fusion_self_consistency(scene_run):
-    """Labeled points re-project into their assigned boxes on every frame."""
+    """Labeled points re-project in front of their camera and into their assigned boxes."""
     scene, _result, _elapsed = scene_run
     rig = load_rig(scene.calibration)
     cloud_index = read_manifest(scene.cloud_manifest)["cloud"]
@@ -186,12 +184,24 @@ def test_criterion_5_fusion_self_consistency(scene_run):
         dets = load_bundle_detections(bundle, rig)
         lc = label_frame(frame, rig, dets)
         assert len(lc) == len(frame)
-        for i in np.flatnonzero(lc.labeled_mask):
-            cam_id, det_idx = int(lc.camera_id[i]), int(lc.det_index[i])
-            pixel = project(cams[cam_id], frame.xyz[i])
-            assert pixel is not None
-            assert point_in_box(pixel, dets[cam_id][det_idx].box)
-            checked += 1
+        checked_in_frame = 0
+        for cam_id, cam_dets in dets.items():
+            mine = np.flatnonzero(lc.camera_id == cam_id)
+            if mine.size == 0:
+                continue
+            det_index = lc.det_index[mine]
+            assert det_index.min() >= 0 and det_index.max() < len(cam_dets)
+            uv, in_front = project_points(cams[cam_id], frame.xyz[mine])
+            assert in_front.all()
+            boxes = np.array([[d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max] for d in cam_dets])
+            x_min, y_min, x_max, y_max = boxes[det_index].T
+            u, v = uv[:, 0], uv[:, 1]
+            # the half-open rule, [min, max) on both axes
+            assert np.all((x_min <= u) & (u < x_max) & (y_min <= v) & (v < y_max))
+            checked_in_frame += mine.size
+        # every labeled point belongs to one of this frame's cameras
+        assert checked_in_frame == lc.n_labeled
+        checked += checked_in_frame
         # an empty detection set labels nothing
         empty = label_frame(frame, rig, {})
         assert empty.n_labeled == 0

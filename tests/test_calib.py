@@ -13,10 +13,8 @@ from pclabel import (
     Intrinsics,
     distort_normalized,
     load_rig,
-    project,
     project_points,
     undistort_normalized,
-    world_to_camera,
 )
 from helpers import random_rotation, simple_camera
 
@@ -148,18 +146,27 @@ class TestExtrinsicPose:
 
 
 class TestWorldToCamera:
+    """The LIDAR-to-camera transform, seen through the pixels of posed cameras."""
+
     def test_identity(self):
-        pose = ExtrinsicPose.identity()
-        assert np.allclose(world_to_camera(pose, (1, 2, 3)), (1, 2, 3))
+        cam = simple_camera(pose=ExtrinsicPose.identity())
+        uv, in_front = project_points(cam, np.array([[1.0, 2.0, 4.0]]))
+        assert in_front.tolist() == [True]
+        assert uv.tolist() == [[75.0, 100.0]]  # camera point (1, 2, 4)
 
     def test_rotation_90_about_z(self):
         r = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        pose = ExtrinsicPose(r, np.zeros(3))
-        assert np.allclose(world_to_camera(pose, (1, 0, 0)), (0, 1, 0))
+        cam = simple_camera(pose=ExtrinsicPose(r, np.zeros(3)))
+        uv, in_front = project_points(cam, np.array([[1.0, 0.0, 2.0]]))
+        assert in_front.tolist() == [True]
+        assert uv.tolist() == [[50.0, 100.0]]  # camera point (0, 1, 2)
 
     def test_translation_cancels(self):
-        pose = ExtrinsicPose(np.eye(3), np.array([0.0, 0.0, 5.0]))
-        assert np.allclose(world_to_camera(pose, (0, 0, -5)), (0, 0, 0))
+        cam = simple_camera(pose=ExtrinsicPose(np.eye(3), np.array([0.0, 0.0, 5.0])))
+        uv, in_front = project_points(cam, np.array([[0.0, 0.0, -4.0], [0.0, 0.0, -5.0]]))
+        assert in_front.tolist() == [True, False]  # camera points (0, 0, 1) and (0, 0, 0)
+        assert uv[0].tolist() == [50.0, 50.0]
+        assert np.isnan(uv[1]).all()
 
 
 class TestDistortion:
@@ -229,27 +236,36 @@ class TestDistortion:
         assert abs(yr - yn) < 1e-8
 
 
+def _project_one(cam, p, **kwargs):
+    """project_points on a single (1, 3) row: the pixel (u, v) and whether it is in front."""
+    uv, in_front = project_points(cam, np.array([p], dtype=np.float64), **kwargs)
+    return tuple(uv[0].tolist()), bool(in_front[0])
+
+
 class TestProject:
     def test_optical_axis(self):
         cam = simple_camera()
-        assert project(cam, (0, 0, 1)) == (50.0, 50.0)
+        assert _project_one(cam, (0, 0, 1)) == ((50.0, 50.0), True)
 
     def test_hand_value(self):
         cam = simple_camera()
-        assert project(cam, (0.5, 0, 1)) == (100.0, 50.0)
+        assert _project_one(cam, (0.5, 0, 1)) == ((100.0, 50.0), True)
 
     def test_behind_camera_absent(self):
         cam = simple_camera()
-        assert project(cam, (0, 0, -1)) is None
+        (u, v), in_front = _project_one(cam, (0, 0, -1))
+        assert not in_front
+        assert math.isnan(u) and math.isnan(v)
 
     def test_z_min_cutoff(self):
         cam = simple_camera()
-        assert project(cam, (0, 0, 1e-6)) is None
-        assert project(cam, (0, 0, 2e-6)) is not None
+        assert _project_one(cam, (0, 0, 1e-6))[1] is False
+        assert _project_one(cam, (0, 0, 2e-6))[1] is True
 
     def test_out_of_bounds_pixel_still_returned(self):
         cam = simple_camera()
-        u, v = project(cam, (5.0, 0.0, 1.0))
+        (u, _v), in_front = _project_one(cam, (5.0, 0.0, 1.0))
+        assert in_front
         assert u == 550.0
 
     def test_scale_invariance_identity_pose(self):
@@ -259,25 +275,24 @@ class TestProject:
             p = rng.uniform(-1, 1, 3)
             p[2] = rng.uniform(0.5, 10.0)
             s = rng.uniform(0.1, 10.0)
-            base = project(cam, p, use_distortion=True)
-            scaled = project(cam, s * p, use_distortion=True)
-            assert base is not None and scaled is not None
+            base, base_front = _project_one(cam, p, use_distortion=True)
+            scaled, scaled_front = _project_one(cam, s * p, use_distortion=True)
+            assert base_front and scaled_front
             assert abs(base[0] - scaled[0]) < 1e-9
             assert abs(base[1] - scaled[1]) < 1e-9
 
     def test_project_points_matches_scalar(self):
+        # projecting all rows at once equals projecting each row alone
         rng = np.random.default_rng(11)
         pose = ExtrinsicPose(random_rotation(rng), rng.normal(size=3))
         cam = simple_camera(dist=DistortionCoeffs(k1=0.1, k2=-0.02, p1=0.003, p2=-0.001), pose=pose)
         pts = rng.uniform(-20, 20, size=(200, 3))
         uv, in_front = project_points(cam, pts, use_distortion=True)
+        assert 0 < in_front.sum() < len(pts)
         for i in range(len(pts)):
-            single = project(cam, pts[i], use_distortion=True)
-            if single is None:
-                assert not in_front[i]
-            else:
-                assert in_front[i]
-                assert single == (uv[i, 0], uv[i, 1])
+            uv_i, in_front_i = project_points(cam, pts[i : i + 1], use_distortion=True)
+            assert in_front_i[0] == in_front[i]
+            assert np.array_equal(uv_i[0], uv[i], equal_nan=True)
 
     def test_behind_camera_mask_vectorized(self):
         cam = simple_camera()

@@ -144,3 +144,81 @@ def test_workers_flag(tmp_path):
     assert main(_run_args(scene, out1)) == 0
     assert main(_run_args(scene, out4, extra=("--workers", "4"))) == 0
     assert (out1 / "report.csv").read_bytes() == (out4 / "report.csv").read_bytes()
+
+
+def _config(tmp_path, text):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    return config
+
+
+def test_config_invalid_json_exits_cleanly(tmp_path, capsys):
+    config = _config(tmp_path, "{not json")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ")
+    assert "Traceback" not in err
+
+
+def test_config_top_level_list_rejected(tmp_path, capsys):
+    config = _config(tmp_path, "[1, 2]")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ")
+    assert "object" in err and "unknown config keys" not in err
+
+
+def test_config_missing_file_exits_cleanly(tmp_path, capsys):
+    config = tmp_path / "absent.json"
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: ")
+
+
+def test_config_wrongly_typed_value_names_file_and_key(tmp_path, capsys):
+    scene = _gen(tmp_path)
+    config = _config(tmp_path, json.dumps({"k": "three"}))
+    assert main(_run_args(scene, tmp_path / "out", extra=("--config", str(config)))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: k ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_bool_is_not_read_from_a_string(tmp_path, capsys):
+    # "false" is a non-empty string; it must not silently turn denoising on
+    scene = _gen(tmp_path)
+    config = _config(tmp_path, json.dumps({"denoise": "false"}))
+    assert main(_run_args(scene, tmp_path / "out", extra=("--config", str(config)))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: denoise ")
+
+
+def test_config_out_of_range_value_names_file(tmp_path, capsys):
+    scene = _gen(tmp_path)
+    config = _config(tmp_path, json.dumps({"workers": 0}))
+    assert main(_run_args(scene, tmp_path / "out", extra=("--config", str(config)))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: workers must be >= 1")
+
+
+def test_zero_k_flag_names_the_flag(tmp_path, capsys):
+    scene = _gen(tmp_path)
+    assert main(_run_args(scene, tmp_path / "out", extra=("--k", "0"))) == 2
+    assert capsys.readouterr().err.startswith("error: --k: k must be >= 1")
+
+
+def test_zero_workers_flag_names_the_flag(tmp_path, capsys):
+    scene = _gen(tmp_path)
+    assert main(_run_args(scene, tmp_path / "out", extra=("--workers", "0"))) == 2
+    assert capsys.readouterr().err.startswith("error: --workers: workers must be >= 1")
+
+
+def test_flag_value_overrides_bad_config_value(tmp_path):
+    scene = _gen(tmp_path)
+    config = _config(tmp_path, json.dumps({"k": 0}))
+    extra = ("--config", str(config), "--k", "2")
+    assert main(_run_args(scene, tmp_path / "out", extra=extra)) == 0
+
+
+def test_unknown_class_names_its_source(tmp_path, capsys):
+    scene = _gen(tmp_path)
+    config = _config(tmp_path, json.dumps({"classes": ["car", "dragon"]}))
+    assert main(_run_args(scene, tmp_path / "out", extra=("--config", str(config)))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: unknown class 'dragon'")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from pclabel import (
     IndexEntry,
     LabeledCloud,
     PcdError,
-    Point3,
     PointCloudFrame,
     match_frames,
     read_manifest,
@@ -43,7 +44,8 @@ class TestReadPcd:
         path.write_text(MINIMAL_PCD)
         frame = read_pcd(path)
         assert len(frame) == 3
-        assert frame.points == [Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0)]
+        assert frame.xyz.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        assert frame.intensity is None
         assert frame.dropped_non_finite == 0
 
     def test_point_count_mismatch(self, tmp_path):
@@ -94,7 +96,8 @@ class TestReadPcd:
         path = tmp_path / "a.pcd"
         path.write_text(text)
         frame = read_pcd(path)
-        assert frame.points == [Point3(1, 2, 3)]
+        assert frame.xyz.tolist() == [[1, 2, 3]]
+        assert frame.intensity is None
 
     def test_wrong_type_for_known_field(self, tmp_path):
         path = tmp_path / "a.pcd"
@@ -215,12 +218,6 @@ class TestFrameTypes:
         with pytest.raises(ValueError):
             frame.xyz[0, 0] = 1.0
 
-    def test_from_points(self):
-        frame = PointCloudFrame.from_points(3, 1.5, [Point3(1, 2, 3, 0.5), Point3(4, 5, 6)])
-        assert frame.frame_id == 3
-        assert len(frame) == 2
-        assert frame.point(0) == Point3(1, 2, 3, 0.5)
-
     def test_index_strictly_increasing(self):
         entries = [IndexEntry(0, 1.0, None), IndexEntry(1, 1.0, None)]
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -252,6 +249,24 @@ class TestManifest:
         manifest.write_text("cloud 0 1.0 a.pcd\ncloud 1 0.5 b.pcd\n")
         with pytest.raises(ValueError, match="strictly increasing"):
             read_manifest(manifest)
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_rejected(self, tmp_path, stamp):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(f"cloud 0 0.0 a.pcd\ncloud 1 {stamp} b.pcd\n")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:2: ") + ".*finite"):
+            read_manifest(manifest)
+
+    def test_duplicate_frame_id_in_stream_rejected(self, tmp_path):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text("cloud 0 0.0 a.pcd\ncam0 0 0.0 a.txt\ncloud 0 0.1 b.pcd\n")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:3: ") + "duplicate frame id 0"):
+            read_manifest(manifest)
+
+    def test_same_frame_id_in_different_streams_accepted(self, tmp_path):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text("cloud 0 0.0 a.pcd\ncam0 0 0.0 a.txt\ncam1 0 0.0 b.txt\n")
+        assert set(read_manifest(manifest)) == {"cloud", "cam0", "cam1"}
 
 
 def _index(stream, stamps):
@@ -285,6 +300,11 @@ class TestMatchFrames:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError, match="tolerance"):
             match_frames(_index("cloud", [1.0]), {}, 0.0)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_tolerance_must_be_finite(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            match_frames(_index("cloud", [1.0]), {0: _index("cam0", [1.0])}, tolerance)
 
     def test_empty_cloud_index_rejected(self):
         with pytest.raises(ValueError, match="empty"):

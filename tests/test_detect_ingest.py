@@ -10,7 +10,7 @@ from pclabel import (
     load_detections,
     restrict_classes,
 )
-from helpers import detection, simple_camera
+from helpers import box_hits, detection, simple_camera
 
 
 class TestCocoTable:
@@ -36,11 +36,9 @@ class TestBBox:
             BBox(float("nan"), 0, 10, 10)
 
     def test_contains_half_open(self):
-        box = BBox(100, 120, 220, 260)
-        assert box.contains(150, 150)
-        assert box.contains(100, 120)
-        assert not box.contains(220, 150)
-        assert not box.contains(150, 260)
+        # membership is decided by label_frame, half-open on each axis
+        pixels = [(150, 150), (100, 120), (220, 150), (150, 260)]
+        assert box_hits((100, 120, 220, 260), pixels) == [True, True, False, False]
 
     def test_area(self):
         assert BBox(0, 0, 200, 300).area == 60000

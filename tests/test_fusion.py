@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from pclabel import (
-    BBox,
     DistortionCoeffs,
     LabeledCloud,
     PointCloudFrame,
-    PointLabel,
-    class_point_counts,
+    frame_report,
     label_frame,
-    point_in_box,
-    project,
+    project_points,
 )
-from helpers import detection, simple_camera
+from helpers import assert_label_invariants, box_hits, detection, simple_camera
 
 
 def _frame(points, frame_id=0):
@@ -21,25 +18,27 @@ def _frame(points, frame_id=0):
     )
 
 
+def _ref(lc, i):
+    return int(lc.camera_id[i]), int(lc.det_index[i])
+
+
 class TestPointInBox:
+    """Box membership is half-open: [x_min, x_max) x [y_min, y_max)."""
+
     def test_interior(self):
-        assert point_in_box((150, 150), BBox(100, 120, 220, 260))
+        assert box_hits((100, 120, 220, 260), [(150, 150)]) == [True]
 
     def test_half_open_right_edge(self):
-        assert not point_in_box((220, 150), BBox(100, 120, 220, 260))
+        assert box_hits((100, 120, 220, 260), [(220, 150), (150, 260)]) == [False, False]
 
     def test_closed_left_top_edge(self):
-        assert point_in_box((100, 120), BBox(100, 120, 220, 260))
+        assert box_hits((100, 120, 220, 260), [(100, 120)]) == [True]
 
-
-class TestPointLabel:
-    def test_class_requires_detection_ref(self):
-        with pytest.raises(ValueError):
-            PointLabel(0, class_id=2, detection_ref=None, cluster_id=None, kept=True)
-
-    def test_cluster_requires_class(self):
-        with pytest.raises(ValueError):
-            PointLabel(0, class_id=None, detection_ref=None, cluster_id=1, kept=False)
+    def test_image_bounds_are_half_open(self):
+        # the image is [0, width) x [0, height), tested by the same rule
+        pixels = [(0, 0), (399, 299), (400, 10), (10, 300)]
+        hits = box_hits((0, 0, 500, 500), pixels, width=400, height=300)
+        assert hits == [True, True, False, False]
 
 
 class TestLabelFrame:
@@ -48,8 +47,11 @@ class TestLabelFrame:
         frame = _frame([[0, 0, 1], [5, 0, 1]])
         dets = {0: [detection(0, (40, 40, 60, 60))]}
         lc = label_frame(frame, [cam], dets)
-        assert lc.label(0) == PointLabel(0, 2, (0, 0), None, True)
-        assert lc.label(1) == PointLabel(1, None, None, None, False)
+        assert lc.class_id.tolist() == [2, -1]
+        assert lc.camera_id.tolist() == [0, -1]
+        assert lc.det_index.tolist() == [0, -1]
+        assert lc.cluster_id.tolist() == [-1, -1]
+        assert lc.kept.tolist() == [True, False]
 
     def test_no_detections_labels_nothing(self):
         cam = simple_camera()
@@ -70,7 +72,7 @@ class TestLabelFrame:
         frame = _frame(rng.uniform(-1, 1, size=(500, 3)) + [0, 0, 3])
         lc = label_frame(frame, [cam], {0: [detection(0, (30, 30, 70, 70))]})
         assert len(lc) == 500
-        lc.validate()
+        assert_label_invariants(lc)
 
     def test_smallest_box_wins(self):
         cam = simple_camera()
@@ -78,8 +80,8 @@ class TestLabelFrame:
         small = detection(0, (45, 45, 65, 65), class_id=2)    # area 400
         frame = _frame([[0, 0, 1]])  # pixel (50, 50), inside both
         lc = label_frame(frame, [cam], {0: [big, small]})
-        assert lc.label(0).class_id == 2
-        assert lc.label(0).detection_ref == (0, 1)
+        assert lc.class_id[0] == 2
+        assert _ref(lc, 0) == (0, 1)
 
     def test_equal_area_lower_camera_wins(self):
         cam0 = simple_camera(cam_id=0)
@@ -87,7 +89,7 @@ class TestLabelFrame:
         box = (40, 40, 60, 60)
         frame = _frame([[0, 0, 1]])
         lc = label_frame(frame, [cam0, cam1], {0: [detection(0, box)], 1: [detection(1, box)]})
-        assert lc.label(0).detection_ref == (0, 0)
+        assert _ref(lc, 0) == (0, 0)
 
     def test_equal_area_lower_index_wins(self):
         cam = simple_camera()
@@ -95,7 +97,7 @@ class TestLabelFrame:
         d1 = detection(0, (41, 41, 61, 61), class_id=7)  # same area, overlapping
         frame = _frame([[0.02, 0.02, 1.0]])  # pixel (52, 52) inside both
         lc = label_frame(frame, [cam], {0: [d0, d1]})
-        assert lc.label(0).detection_ref == (0, 0)
+        assert _ref(lc, 0) == (0, 0)
 
     def test_pixel_outside_image_never_matches(self):
         cam = simple_camera()  # 100x100 image
@@ -170,13 +172,13 @@ class TestLabelFrame:
         lc = label_frame(frame, cams, dets)
         assert lc.n_labeled > 0
         for i in np.flatnonzero(lc.labeled_mask):
-            cam_id, det_idx = lc.label(i).detection_ref
+            cam_id, det_idx = _ref(lc, i)
             cam = cams[cam_id]
-            pixel = project(cam, frame.xyz[i])
-            assert pixel is not None
+            uv, in_front = project_points(cam, frame.xyz[i : i + 1])
+            assert in_front[0]
+            u, v = uv[0]
             box = dets[cam_id][det_idx].box
-            assert point_in_box(pixel, box)
-            u, v = pixel
+            assert box.x_min <= u < box.x_max and box.y_min <= v < box.y_max
             assert 0 <= u < cam.intrinsics.width and 0 <= v < cam.intrinsics.height
 
     def test_empty_frame(self):
@@ -187,17 +189,21 @@ class TestLabelFrame:
 
 
 class TestClassPointCounts:
+    """Per-class counts of labeled points, as the frame report gives them."""
+
     def test_all_unlabeled_empty_map(self):
         lc = LabeledCloud.empty(0, 5)
-        assert class_point_counts(lc) == {}
+        assert frame_report(_frame(np.zeros((5, 3))), lc).class_before == {}
 
     def test_mixed_counts(self):
-        lc = LabeledCloud.empty(0, 3)
-        lc.class_id[:] = (2, 2, 0)
-        lc.camera_id[:] = (0, 0, 0)
-        lc.det_index[:] = (0, 0, 1)
-        lc.kept[:] = True
-        assert class_point_counts(lc) == {2: 2, 0: 1}
+        lc = LabeledCloud.empty(0, 4)
+        lc.class_id[:] = (2, 2, 0, -1)
+        lc.camera_id[:] = (0, 0, 0, -1)
+        lc.det_index[:] = (0, 0, 1, -1)
+        lc.kept[:] = (True, False, False, False)
+        report = frame_report(_frame(np.zeros((4, 3))), lc)
+        assert report.class_before == {2: 2, 0: 1}
+        assert report.class_after == {2: 1}
 
     def test_close_vehicle_magnitude(self):
         # a single close car can own thousands of returns in one box
@@ -205,4 +211,4 @@ class TestClassPointCounts:
         xyz = np.tile(np.array([[0, 0, 1]], dtype=np.float32), (9215, 1))
         frame = PointCloudFrame(frame_id=0, timestamp=0.0, xyz=xyz)
         lc = label_frame(frame, [cam], {0: [detection(0, (40, 40, 60, 60), class_id=2)]})
-        assert class_point_counts(lc) == {2: 9215}
+        assert frame_report(frame, lc).class_before == {2: 9215}
