@@ -263,11 +263,6 @@ class TestManifest:
         with pytest.raises(ValueError, match=re.escape(f"{manifest}:3: ") + "duplicate frame id 0"):
             read_manifest(manifest)
 
-    def test_same_frame_id_in_different_streams_accepted(self, tmp_path):
-        manifest = tmp_path / "m.manifest"
-        manifest.write_text("cloud 0 0.0 a.pcd\ncam0 0 0.0 a.txt\ncam1 0 0.0 b.txt\n")
-        assert set(read_manifest(manifest)) == {"cloud", "cam0", "cam1"}
-
 
 def _index(stream, stamps):
     return FrameIndex(
