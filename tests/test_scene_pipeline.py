@@ -7,6 +7,7 @@ from pclabel import (
     KMeansConfig,
     PipelineConfig,
     PipelineError,
+    denoise_frame,
     gen_scene,
     label_frame,
     load_rig,
@@ -17,6 +18,7 @@ from pclabel import (
     read_pcd_columns,
     read_report_csv,
     run_pipeline,
+    write_pcd,
 )
 from pclabel.pipeline import load_bundle_detections
 from pclabel.scene import SceneError, default_rig, save_rig
@@ -254,3 +256,23 @@ def test_reference_scene_outputs_match_golden_digests(tmp_path):
     outputs = [fr.pcd_path for fr in result.frames] + [result.report_csv]
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}
     assert digests == GOLDEN_SHA256
+
+
+# sha256 of the reference scene's ground_truth.txt and of its frame-0 labeled
+# output written as ASCII PCD (same scene and k-means settings as above).
+# These hold the ground-truth writer and the ASCII PCD writer byte for byte.
+GOLDEN_GROUND_TRUTH_SHA256 = "2f615b634d727fd5d3f685e04b745efb746d81d5af0c5abe7af00ffc3e2610c6"
+GOLDEN_FRAME0_ASCII_SHA256 = "8226202dee57b032dd179e03c9375524e7797a9e55516dfd04948b3d7b31025f"
+
+
+def test_reference_scene_ground_truth_and_ascii_match_golden_digests(tmp_path):
+    scene = gen_scene(tmp_path / "scene", frames=20, objects=3, noise_fraction=0.30, seed=0)
+    assert hashlib.sha256(scene.ground_truth.read_bytes()).hexdigest() == GOLDEN_GROUND_TRUTH_SHA256
+    rig, bundles = _bundles(scene)
+    bundle = bundles[0]
+    frame = read_pcd(bundle.cloud.path, frame_id=bundle.cloud.frame_id)
+    lc = label_frame(frame, rig, load_bundle_detections(bundle, rig))
+    lc, _report = denoise_frame(frame, lc, KMeansConfig(k=3, seed=0))
+    path = tmp_path / "labeled_000000.pcd"
+    write_pcd(frame, path, labels=lc, data="ascii")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_FRAME0_ASCII_SHA256
