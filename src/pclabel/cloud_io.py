@@ -78,27 +78,27 @@ class PointCloudFrame:
         return self.xyz.shape[0]
 
 
-def _parse_header(fh) -> dict[str, list[str]]:
+def _parse_header(fh, path: Path) -> tuple[dict[str, list[str]], int]:
+    """The header keys and the number of the DATA line, which ends the header."""
     header: dict[str, list[str]] = {}
-    while True:
-        raw = fh.readline()
-        if not raw:
-            raise PcdError("unexpected end of file inside header")
+    for lineno, raw in enumerate(fh, start=1):
         line = raw.decode("ascii", errors="replace").strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         key = tokens[0].upper()
         if key not in _HEADER_KEYS:
-            raise PcdError(f"unknown header key '{tokens[0]}'")
+            raise PcdError(f"{path}:{lineno}: unknown header key '{tokens[0]}'")
         if key in header:
-            raise PcdError(f"duplicate header key '{key}'")
+            raise PcdError(f"{path}:{lineno}: duplicate header key '{key}'")
         header[key] = tokens[1:]
         if key == "DATA":
-            return header
+            return header, lineno
+    raise PcdError(f"{path}: unexpected end of file inside header")
 
 
-def _field_layout(header: dict[str, list[str]]):
+def _field_layout(header: dict[str, list[str]]) -> np.dtype:
+    """The record dtype of one PCD row: a (name, type, (COUNT,)) field per FIELDS entry."""
     for key in ("FIELDS", "SIZE", "TYPE", "COUNT"):
         if key not in header:
             raise PcdError(f"missing header key '{key}'")
@@ -127,7 +127,12 @@ def _field_layout(header: dict[str, list[str]]):
                 raise PcdError(f"field '{name}' must have COUNT 1, got {count}")
         if (typ, size) not in _TYPE_MAP:
             raise PcdError(f"unsupported field type {typ}{size} for '{name}'")
-    return names, types, sizes, counts
+        if count < 1:
+            raise PcdError(f"field '{name}' must have COUNT >= 1, got {count}")
+    return np.dtype([
+        (name, _TYPE_MAP[(typ, size)], (count,))
+        for name, typ, size, count in zip(names, types, sizes, counts)
+    ])
 
 
 def _declared_points(header: dict[str, list[str]]) -> int:
@@ -141,79 +146,71 @@ def _declared_points(header: dict[str, list[str]]) -> int:
     raise PcdError("missing header key 'POINTS'")
 
 
+def parse_rows(
+    text: str, dtype: np.dtype, path: Path, first_line: int = 1, error: type = ValueError
+) -> np.ndarray:
+    """Parse whitespace-separated text, one ``dtype`` record per non-blank line.
+
+    numpy's C parser checks the column count and converts every value to
+    its field's type.  A bad line raises ``error`` naming ``path:line``,
+    where ``text`` starts on line ``first_line`` of the file.
+    """
+    if not text or text.isspace():  # loadtxt warns on input without rows
+        return np.empty(0, dtype=dtype)
+    lines = text.splitlines()
+    try:
+        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except ValueError as e:
+        failure, where = e, str(path)
+    # error path only: parse line by line to name the bad line
+    for lineno, line in enumerate(lines, start=first_line):
+        if line.strip():
+            try:
+                np.loadtxt([line], dtype=dtype, comments=None, ndmin=1)
+            except ValueError as e:
+                failure, where = e, f"{path}:{lineno}"
+                break
+    # numpy's own row number counts from the wrong place, so drop it
+    reason = str(failure).split(" at row ")[0]
+    raise error(f"{where}: malformed row: {reason}") from failure
+
+
 def read_pcd_columns(path: str | Path) -> dict[str, np.ndarray]:
     """Parse a PCD file and return its recognized columns, unfiltered.
 
     Keys are the subset fields present in the file (x, y, z, intensity,
     label, cluster); unrecognized fields are skipped.  Row order and count
-    match the file exactly.
+    match the file exactly.  A malformed file raises PcdError naming the
+    file, and the line where one is to blame.
     """
     p = Path(path)
     with open(p, "rb") as fh:
-        header = _parse_header(fh)
-        names, types, sizes, counts = _field_layout(header)
-        n = _declared_points(header)
+        header, data_line = _parse_header(fh, p)
+        try:
+            dtype = _field_layout(header)
+            n = _declared_points(header)
+        except PcdError as e:
+            raise PcdError(f"{p}: {e}") from e
         mode = header["DATA"][0].lower() if header["DATA"] else ""
         if mode == "binary":
-            rows = _read_binary(fh, names, types, sizes, counts, n)
+            buf = fh.read()
+            if len(buf) != n * dtype.itemsize:
+                raise PcdError(
+                    f"{p}: point count mismatch: header declares {n} points "
+                    f"({n * dtype.itemsize} bytes) but file holds {len(buf)} bytes"
+                )
+            rec = np.frombuffer(buf, dtype=dtype, count=n)
         elif mode == "ascii":
-            rows = _read_ascii(fh, names, counts, n)
+            text = fh.read().decode("ascii", errors="replace")
+            rec = parse_rows(text, dtype, p, first_line=data_line + 1, error=PcdError)
+            if len(rec) != n:
+                raise PcdError(
+                    f"{p}: point count mismatch: header declares {n} points "
+                    f"but file has {len(rec)} rows"
+                )
         else:
-            raise PcdError(f"unsupported DATA mode '{mode}'")
-    return rows
-
-
-def _read_binary(fh, names, types, sizes, counts, n) -> dict[str, np.ndarray]:
-    dtype = np.dtype(
-        [
-            (name, _TYPE_MAP[(typ, size)], (count,))
-            for name, typ, size, count in zip(names, types, sizes, counts)
-        ]
-    )
-    buf = fh.read()
-    expected = n * dtype.itemsize
-    if len(buf) != expected:
-        raise PcdError(
-            f"point count mismatch: header declares {n} points "
-            f"({expected} bytes) but file holds {len(buf)} bytes"
-        )
-    rec = np.frombuffer(buf, dtype=dtype, count=n)
-    out = {}
-    for name in names:
-        if name in _KNOWN_FIELDS:
-            out[name] = rec[name].reshape(n).copy()
-    return out
-
-
-def _read_ascii(fh, names, counts, n) -> dict[str, np.ndarray]:
-    offsets = {}
-    pos = 0
-    for name, count in zip(names, counts):
-        offsets[name] = pos
-        pos += count
-    tokens_per_row = pos
-    rows = [line.split() for line in fh.read().decode("ascii", errors="replace").splitlines() if line.strip()]
-    if len(rows) != n:
-        raise PcdError(f"point count mismatch: header declares {n} points but file has {len(rows)} rows")
-    wanted = [name for name in names if name in _KNOWN_FIELDS]
-    out = {name: [] for name in wanted}
-    for i, tokens in enumerate(rows):
-        if len(tokens) != tokens_per_row:
-            raise PcdError(f"malformed row {i}: expected {tokens_per_row} values, got {len(tokens)}")
-        for name in wanted:
-            tok = tokens[offsets[name]]
-            try:
-                if _KNOWN_FIELDS[name][0] == "F":
-                    out[name].append(float(tok))
-                else:
-                    out[name].append(int(tok))
-            except ValueError as e:
-                raise PcdError(f"malformed row {i}: {e}") from e
-    result = {}
-    for name in wanted:
-        kind = _KNOWN_FIELDS[name]
-        result[name] = np.array(out[name], dtype=_TYPE_MAP[kind])
-    return result
+            raise PcdError(f"{p}: unsupported DATA mode '{mode}'")
+    return {name: rec[name].reshape(n).copy() for name in dtype.names if name in _KNOWN_FIELDS}
 
 
 def read_pcd(path: str | Path, frame_id: int = 0, timestamp: float = 0.0) -> PointCloudFrame:
@@ -226,12 +223,11 @@ def read_pcd(path: str | Path, frame_id: int = 0, timestamp: float = 0.0) -> Poi
     xyz = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
     finite = np.isfinite(xyz).all(axis=1)
     dropped = int(len(finite) - finite.sum())
+    intensity = cols.get("intensity")
     if dropped:
         log.warning("%s: dropped %d non-finite points of %d", path, dropped, len(finite))
         xyz = xyz[finite]
-    intensity = cols.get("intensity")
-    if intensity is not None and dropped:
-        intensity = intensity[finite]
+        intensity = None if intensity is None else intensity[finite]
     return PointCloudFrame(
         frame_id=frame_id,
         timestamp=timestamp,
@@ -239,10 +235,6 @@ def read_pcd(path: str | Path, frame_id: int = 0, timestamp: float = 0.0) -> Poi
         intensity=intensity,
         dropped_non_finite=dropped,
     )
-
-
-def _fmt_float(v: float) -> str:
-    return format(float(v), ".9g")
 
 
 def write_pcd(
@@ -255,7 +247,8 @@ def write_pcd(
 
     The label column carries the class id (-1 unlabeled); the cluster
     column carries the kept cluster id (-1 for unlabeled or dropped
-    points).  Binary output is little-endian and bit-exact under read_pcd.
+    points).  Binary output is little-endian and bit-exact under read_pcd;
+    ASCII output prints floats at 9 significant digits, also bit-exact.
     """
     if data not in ("binary", "ascii"):
         raise ValueError(f"data mode must be 'binary' or 'ascii', got {data!r}")
@@ -263,61 +256,37 @@ def write_pcd(
     fields = ["x", "y", "z", "intensity"]
     if labels is not None:
         if len(labels.class_id) != n:
-            raise ValueError(
-                f"label count {len(labels.class_id)} does not match point count {n}"
-            )
+            raise ValueError(f"label count {len(labels.class_id)} does not match point count {n}")
         fields += ["label", "cluster"]
-    sizes = " ".join("4" for _ in fields)
-    types = " ".join(_KNOWN_FIELDS[f][0] for f in fields)
-    counts = " ".join("1" for _ in fields)
+    kinds = [_KNOWN_FIELDS[f] for f in fields]
+    rec = np.zeros(n, dtype=[(f, _TYPE_MAP[kind]) for f, kind in zip(fields, kinds)])
+    rec["x"], rec["y"], rec["z"] = frame.xyz.T
+    if frame.intensity is not None:
+        rec["intensity"] = frame.intensity
+    if labels is not None:
+        rec["label"] = labels.class_id
+        rec["cluster"] = np.where(labels.kept & (labels.cluster_id >= 0), labels.cluster_id, -1)
     header = (
         "# .PCD v0.7 - Point Cloud Data file format\n"
         "VERSION 0.7\n"
         f"FIELDS {' '.join(fields)}\n"
-        f"SIZE {sizes}\n"
-        f"TYPE {types}\n"
-        f"COUNT {counts}\n"
+        f"SIZE {' '.join(str(size) for _, size in kinds)}\n"
+        f"TYPE {' '.join(typ for typ, _ in kinds)}\n"
+        f"COUNT {' '.join('1' for _ in fields)}\n"
         f"WIDTH {n}\n"
         "HEIGHT 1\n"
         "VIEWPOINT 0 0 0 1 0 0 0\n"
         f"POINTS {n}\n"
         f"DATA {data}\n"
     )
-    intensity = frame.intensity
-    if intensity is None:
-        intensity = np.zeros(n, dtype=np.float32)
-    if labels is not None:
-        label_col = labels.class_id.astype("<i4")
-        cluster_col = np.where(
-            labels.kept & (labels.cluster_id >= 0), labels.cluster_id, -1
-        ).astype("<i4")
+    if data == "binary":
+        body = rec.tobytes()
+    else:
+        row = " ".join("%.9g" if typ == "F" else "%d" for typ, _ in kinds) + "\n"
+        body = "".join(row % r for r in rec.tolist()).encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        if data == "binary":
-            dtype = [(f, _TYPE_MAP[_KNOWN_FIELDS[f]]) for f in fields]
-            rec = np.empty(n, dtype=dtype)
-            rec["x"] = frame.xyz[:, 0]
-            rec["y"] = frame.xyz[:, 1]
-            rec["z"] = frame.xyz[:, 2]
-            rec["intensity"] = intensity
-            if labels is not None:
-                rec["label"] = label_col
-                rec["cluster"] = cluster_col
-            fh.write(rec.tobytes())
-        else:
-            lines = []
-            for i in range(n):
-                parts = [
-                    _fmt_float(frame.xyz[i, 0]),
-                    _fmt_float(frame.xyz[i, 1]),
-                    _fmt_float(frame.xyz[i, 2]),
-                    _fmt_float(intensity[i]),
-                ]
-                if labels is not None:
-                    parts.append(str(int(label_col[i])))
-                    parts.append(str(int(cluster_col[i])))
-                lines.append(" ".join(parts))
-            fh.write(("\n".join(lines) + ("\n" if lines else "")).encode("ascii"))
+        fh.write(body)
 
 
 @dataclass(frozen=True)
@@ -403,6 +372,12 @@ def write_manifest(path: str | Path, rows: Iterable[tuple[str, int, float, str]]
             fh.write(f"{stream} {frame_id} {timestamp:.6f} {rel}\n")
 
 
+def check_tolerance(tolerance: float) -> None:
+    """The frame-matching tolerance rule: seconds, positive and finite."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+
+
 def match_frames(
     cloud_index: FrameIndex,
     camera_indices: Mapping[int, FrameIndex],
@@ -414,8 +389,7 @@ def match_frames(
     omitted from that bundle; ties pick the earlier entry.  Bundles with no
     cameras are still emitted, flagged via ``is_empty``.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    check_tolerance(tolerance)
     if not cloud_index.entries:
         raise ValueError("cloud index is empty")
     cloud_ts = cloud_index.timestamps()

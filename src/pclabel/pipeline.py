@@ -48,6 +48,9 @@ class PipelineConfig:
             if not str(value):
                 raise ValueError(f"{name} must be a non-empty path")
             object.__setattr__(self, name, Path(value))
+        cloud_io.check_tolerance(self.tolerance)
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "classes", frozenset(self.classes))

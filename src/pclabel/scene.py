@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .calib import CameraModel, DistortionCoeffs, ExtrinsicPose, Intrinsics
-from .cloud_io import PointCloudFrame, write_manifest, write_pcd
+from .cloud_io import PointCloudFrame, parse_rows, write_manifest, write_pcd
 
 # The classes the detector sees most in road scenes.
 _OBJECT_CLASSES = (2, 0, 7)  # car, person, truck
@@ -26,6 +26,8 @@ _OBJECT_DEPTH_RANGE = (7.0, 15.0)
 _NOISE_DEPTH_RANGE = (2.5, 55.0)
 _LIDAR_PERIOD = 0.1
 _CAMERA_OFFSET = 0.005
+# one ground-truth line: "frame_id point_index object_id"
+_GROUND_TRUTH_ROW = np.dtype([("frame", "<i8"), ("index", "<i8"), ("object", "<i8")])
 
 
 class SceneError(ValueError):
@@ -184,13 +186,12 @@ def gen_scene(
 
     cloud_rows = []
     det_rows = []
-    gt_lines = []
+    gt_blocks: list[np.ndarray] = []
     noise_lo, noise_hi = _NOISE_DEPTH_RANGE
     for f in range(frames):
         cloud_t = f * _LIDAR_PERIOD
         det_t = cloud_t + _CAMERA_OFFSET
-        blocks: list[np.ndarray] = []
-        object_ids: list[np.ndarray] = []
+        blocks: list[np.ndarray] = [np.zeros((0, 3))]  # concatenates even with no objects
         noise_blocks: list[np.ndarray] = []
         dets_by_cam: dict[int, list[str]] = {cam.id: [] for cam in rig}
         for j, obj in enumerate(planted):
@@ -217,7 +218,6 @@ def gen_scene(
             if (x_max - x_min) * (y_max - y_min) > intr.width * intr.height / 4.0:
                 raise SceneError(f"object {j} box exceeds a quarter of camera {cam.id} image")
             blocks.append(_camera_to_lidar(cam, pts_cam))
-            object_ids.append(np.full(points_per_object, j, dtype=np.int64))
             dets_by_cam[cam.id].append(
                 f"{cam.id} {f} {obj.class_id} {0.95 - 0.02 * j:.2f} "
                 f"{x_min:.3f} {y_min:.3f} {x_max:.3f} {y_max:.3f}"
@@ -235,14 +235,9 @@ def gen_scene(
                 )
                 noise_blocks.append(_camera_to_lidar(cam, noise_cam))
 
-        if blocks or noise_blocks:
-            xyz = np.concatenate(blocks + noise_blocks, axis=0).astype(np.float32)
-            objid = np.concatenate(
-                object_ids + [np.full(len(b), -1, dtype=np.int64) for b in noise_blocks]
-            )
-        else:
-            xyz = np.zeros((0, 3), dtype=np.float32)
-            objid = np.zeros(0, dtype=np.int64)
+        xyz = np.concatenate(blocks + noise_blocks).astype(np.float32)
+        objid = np.full(len(xyz), -1, dtype=np.int64)  # objects first, then noise
+        objid[: len(planted) * points_per_object] = np.arange(len(planted)).repeat(points_per_object)
         frame = PointCloudFrame(
             frame_id=f,
             timestamp=cloud_t,
@@ -254,13 +249,12 @@ def gen_scene(
         cloud_rows.append(("cloud", f, cloud_t, cloud_rel))
         for cam in rig:
             det_rel = f"dets/frame_{f:06d}_cam{cam.id}.txt"
-            with open(out / det_rel, "w") as fh:
-                fh.write(f"# camera {cam.id}, frame {f}\n")
-                for line in dets_by_cam[cam.id]:
-                    fh.write(line + "\n")
+            lines = [f"# camera {cam.id}, frame {f}"] + dets_by_cam[cam.id]
+            (out / det_rel).write_text("".join(line + "\n" for line in lines))
             det_rows.append((f"cam{cam.id}", f, det_t, det_rel))
-        for i, oid in enumerate(objid):
-            gt_lines.append(f"{f} {i} {oid}")
+        gt_blocks.append(np.rec.fromarrays(
+            [np.full(len(objid), f), np.arange(len(objid)), objid], dtype=_GROUND_TRUTH_ROW
+        ))
 
     cloud_manifest = out / "clouds.manifest"
     det_manifest = out / "dets.manifest"
@@ -269,7 +263,7 @@ def gen_scene(
     det_rows.sort(key=lambda r: (r[0], r[1]))
     write_manifest(det_manifest, det_rows)
     gt_path = out / "ground_truth.txt"
-    gt_path.write_text("\n".join(gt_lines) + ("\n" if gt_lines else ""))
+    gt_path.write_text("".join("%d %d %d\n" % r for r in np.concatenate(gt_blocks).tolist()))
     return ScenePaths(
         out_dir=out,
         calibration=calib_path,
@@ -282,18 +276,17 @@ def gen_scene(
 
 
 def read_ground_truth(path: str | Path) -> dict[int, np.ndarray]:
-    """Load a ground-truth file as {frame_id: object id per point index}."""
-    per_frame: dict[int, list[tuple[int, int]]] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        f, i, oid = (int(t) for t in line.split())
-        per_frame.setdefault(f, []).append((i, oid))
+    """Load a ground-truth file as {frame_id: object id per point index}.
+
+    Indices a frame does not list read as -1.  A malformed line raises
+    ValueError naming the file and line.
+    """
+    p = Path(path)
+    rows = parse_rows(p.read_text(), _GROUND_TRUTH_ROW, p)
+    rows = rows[np.argsort(rows["frame"], kind="stable")]
+    frames, starts = np.unique(rows["frame"], return_index=True)
     out = {}
-    for f, pairs in per_frame.items():
-        arr = np.full(max(i for i, _ in pairs) + 1, -1, dtype=np.int64)
-        for i, oid in pairs:
-            arr[i] = oid
-        out[f] = arr
+    for f, group in zip(frames.tolist(), np.split(rows, starts[1:])):
+        out[f] = np.full(group["index"].max() + 1, -1, dtype=np.int64)
+        out[f][group["index"]] = group["object"]
     return out

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pclabel.cli import main
 from pclabel import read_report_csv
 
@@ -222,3 +224,17 @@ def test_unknown_class_names_its_source(tmp_path, capsys):
     config = _config(tmp_path, json.dumps({"classes": ["car", "dragon"]}))
     assert main(_run_args(scene, tmp_path / "out", extra=("--config", str(config)))) == 2
     assert capsys.readouterr().err.startswith(f"error: {config}: unknown class 'dragon'")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--conf", "nan", "confidence"),
+    ("--conf", "1.5", "confidence"),
+    ("--tol", "nan", "tolerance"),
+    ("--tol", "-1", "tolerance"),
+])
+def test_bad_conf_or_tol_flag_exits_two_naming_the_flag(tmp_path, capsys, flag, value, message):
+    scene = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(_run_args(scene, tmp_path / "out", extra=(flag, value))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: {message}")
+    assert not (tmp_path / "out").exists()

@@ -98,6 +98,13 @@ class TestReadPcd:
         frame = read_pcd(path)
         assert frame.xyz.tolist() == [[1, 2, 3]]
         assert frame.intensity is None
+        # an unknown field with COUNT 3 spans three tokens per row
+        path.write_text(
+            text.replace("COUNT 1 1 1 1", "COUNT 1 1 1 3").replace("POINTS 1", "POINTS 2")
+            .replace("1 2 3 255\n", "1 2 3 4 5 6\n7 8 9 10 11 12\n")
+        )
+        frame = read_pcd(path)
+        assert frame.xyz.tolist() == [[1, 2, 3], [7, 8, 9]]
 
     def test_wrong_type_for_known_field(self, tmp_path):
         path = tmp_path / "a.pcd"
@@ -109,6 +116,39 @@ class TestReadPcd:
         path = tmp_path / "a.pcd"
         path.write_text(MINIMAL_PCD.replace("1 0 0", "1 0"))
         with pytest.raises(PcdError, match="malformed row"):
+            read_pcd(path)
+        # a fractional value in an integer (TYPE I) field
+        labeled = (
+            MINIMAL_PCD.replace("FIELDS x y z", "FIELDS x y z label")
+            .replace("SIZE 4 4 4", "SIZE 4 4 4 4")
+            .replace("TYPE F F F", "TYPE F F F I")
+            .replace("COUNT 1 1 1", "COUNT 1 1 1 1")
+            .replace("0 0 0\n1 0 0\n0 1 0\n", "0 0 0 1\n1 0 0 1.5\n0 1 0 -1\n")
+        )
+        path.write_text(labeled)
+        with pytest.raises(PcdError, match="malformed row"):
+            read_pcd_columns(path)
+        path.write_text(labeled.replace("1.5", "2"))
+        assert read_pcd_columns(path)["label"].tolist() == [1, 2, -1]
+
+    def test_unknown_header_key_names_file_and_line(self, tmp_path):
+        path = tmp_path / "a.pcd"
+        path.write_text(MINIMAL_PCD.replace("VIEWPOINT 0 0 0 1 0 0 0", "MAGIC 1"))
+        with pytest.raises(PcdError, match=re.escape(f"{path}:8: ") + "unknown header key 'MAGIC'"):
+            read_pcd(path)
+
+    def test_bad_token_after_blank_line_names_file_line(self, tmp_path):
+        # header lines 1-10, data 11-14 with line 12 blank: the bad token is on line 13
+        path = tmp_path / "a.pcd"
+        path.write_text(MINIMAL_PCD.replace("\n1 0 0\n", "\n\n1 0 abc\n"))
+        with pytest.raises(PcdError, match=re.escape(f"{path}:13: ") + "malformed row"):
+            read_pcd(path)
+
+    def test_binary_count_mismatch_names_path(self, tmp_path):
+        path = tmp_path / "a.pcd"
+        write_pcd(_random_frame(np.random.default_rng(0), 10), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(PcdError, match=re.escape(f"{path}: ") + "point count mismatch"):
             read_pcd(path)
 
     def test_truncated_binary(self, tmp_path):
@@ -152,14 +192,16 @@ class TestWriteReadRoundTrip:
         # intensity is materialized as zeros on write
         assert np.array_equal(back.intensity, np.zeros(len(frame), dtype=np.float32))
 
-    def test_empty_frame_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("data", ["binary", "ascii"])
+    def test_empty_frame_roundtrip(self, tmp_path, data):
         frame = PointCloudFrame(frame_id=0, timestamp=0.0, xyz=np.zeros((0, 3), dtype=np.float32))
         path = tmp_path / "rt.pcd"
-        write_pcd(frame, path)
+        write_pcd(frame, path, data=data)
         back = read_pcd(path)
         assert len(back) == 0
 
-    def test_label_columns_passthrough(self, tmp_path):
+    @pytest.mark.parametrize("data", ["binary", "ascii"])
+    def test_label_columns_passthrough(self, tmp_path, data):
         frame = PointCloudFrame(
             frame_id=0, timestamp=0.0,
             xyz=np.array([[0, 0, 1], [0, 0, 2], [0, 0, 3]], dtype=np.float32),
@@ -171,7 +213,7 @@ class TestWriteReadRoundTrip:
         lc.kept[:] = (False, True, False)
         lc.cluster_id[:] = (-1, 1, 2)
         path = tmp_path / "labeled.pcd"
-        write_pcd(frame, path, labels=lc)
+        write_pcd(frame, path, labels=lc, data=data)
         cols = read_pcd_columns(path)
         assert cols["label"].tolist() == [-1, 0, 2]
         # cluster is -1 for unlabeled and for dropped points

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,23 @@ class TestGenScene:
         with pytest.raises(SceneError, match="does not fit"):
             gen_scene(tmp_path / "x", frames=1, objects=1, noise_fraction=0.0, seed=0, rig=rig)
 
+    def test_read_ground_truth_fills_missing_indices(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("1 2 5\n0 0 -1\n\n1 0 3\n")
+        gt = read_ground_truth(path)
+        assert sorted(gt) == [0, 1]
+        assert gt[0].tolist() == [-1]
+        assert gt[1].tolist() == [3, -1, 5]
+        path.write_text("")
+        assert read_ground_truth(path) == {}
+
+    @pytest.mark.parametrize("bad", ["0 1 x", "0 1", "0 1 2 3", "0 1.5 2"])
+    def test_malformed_ground_truth_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "gt.txt"
+        path.write_text(f"0 0 -1\n\n{bad}\n0 2 1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+            read_ground_truth(path)
+
     def test_save_rig_roundtrip(self, tmp_path):
         rig = default_rig(3)
         path = tmp_path / "rig.json"
@@ -209,6 +227,16 @@ class TestRunPipeline:
             _pipeline_cfg(small_scene, tmp_path / "out", tolerance=0.001)
         )
         assert all(r.report.labeled_before == 0 for r in result.frames)
+
+    @pytest.mark.parametrize("confidence", [float("nan"), float("inf"), -0.1, 1.5])
+    def test_confidence_must_be_in_unit_range(self, small_scene, tmp_path, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            _pipeline_cfg(small_scene, tmp_path / "out", confidence=confidence)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, small_scene, tmp_path, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            _pipeline_cfg(small_scene, tmp_path / "out", tolerance=tolerance)
 
     def test_workers_must_be_positive(self, small_scene, tmp_path):
         with pytest.raises(ValueError, match="workers"):
