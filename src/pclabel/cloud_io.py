@@ -146,28 +146,65 @@ def _declared_points(header: dict[str, list[str]]) -> int:
     raise PcdError("missing header key 'POINTS'")
 
 
+# Integer fields are read as text and converted by _to_ints, so a token such
+# as "1.5" is rejected on every numpy: older ones read it into an integer
+# through a float with only a DeprecationWarning.  loadtxt cuts a longer
+# token to this width, so _to_ints rejects one that fills it.
+_INT_TEXT = np.dtype("S24")
+
+
+def _to_ints(tokens: np.ndarray, base: np.dtype) -> np.ndarray:
+    """Integer tokens read as text, as ``base``; anything but in-range [+-]digits raises."""
+    digits = np.char.lstrip(tokens, b"+-" if base.kind == "i" else b"+")
+    size = np.char.str_len(tokens)
+    bad = (size - np.char.str_len(digits) > 1) | ~np.char.isdigit(digits)
+    bad |= size >= _INT_TEXT.itemsize
+    if not bad.any():
+        wide = tokens.astype(np.int64 if base.kind == "i" else np.uint64)  # OverflowError past 64 bits
+        info = np.iinfo(base)
+        bad = (wide < info.min) | (wide > info.max)
+        if not bad.any():
+            return wide.astype(base)
+    raise ValueError(f"could not convert string {tokens[bad][0].decode()!r} to {base}")
+
+
+def _load_rows(lines: list[str], dtype: np.dtype) -> np.ndarray:
+    """``lines`` as ``dtype`` records; raises ValueError or OverflowError on a bad token."""
+    text = np.dtype([
+        (name, _INT_TEXT if dtype[name].base.kind in "iu" else dtype[name].base, dtype[name].shape)
+        for name in dtype.names
+    ])
+    raw = np.loadtxt(lines, dtype=text, comments=None, ndmin=1)
+    rec = np.empty(len(raw), dtype=dtype)
+    for name in dtype.names:
+        is_int = text[name].base == _INT_TEXT
+        rec[name] = _to_ints(raw[name], dtype[name].base) if is_int else raw[name]
+    return rec
+
+
 def parse_rows(
     text: str, dtype: np.dtype, path: Path, first_line: int = 1, error: type = ValueError
 ) -> np.ndarray:
     """Parse whitespace-separated text, one ``dtype`` record per non-blank line.
 
-    numpy's C parser checks the column count and converts every value to
-    its field's type.  A bad line raises ``error`` naming ``path:line``,
-    where ``text`` starts on line ``first_line`` of the file.
+    numpy's C parser checks the column count and converts every float
+    field; integer fields must be in-range [+-]digits.  A bad line raises
+    ``error`` naming ``path:line``, where ``text`` starts on line
+    ``first_line`` of the file.
     """
     if not text or text.isspace():  # loadtxt warns on input without rows
         return np.empty(0, dtype=dtype)
     lines = text.splitlines()
     try:
-        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
-    except ValueError as e:
+        return _load_rows(lines, dtype)
+    except (ValueError, OverflowError) as e:
         failure, where = e, str(path)
     # error path only: parse line by line to name the bad line
     for lineno, line in enumerate(lines, start=first_line):
         if line.strip():
             try:
-                np.loadtxt([line], dtype=dtype, comments=None, ndmin=1)
-            except ValueError as e:
+                _load_rows([line], dtype)
+            except (ValueError, OverflowError) as e:
                 failure, where = e, f"{path}:{lineno}"
                 break
     # numpy's own row number counts from the wrong place, so drop it
@@ -223,11 +260,12 @@ def read_pcd(path: str | Path, frame_id: int = 0, timestamp: float = 0.0) -> Poi
     xyz = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
     finite = np.isfinite(xyz).all(axis=1)
     dropped = int(len(finite) - finite.sum())
-    intensity = cols.get("intensity")
     if dropped:
         log.warning("%s: dropped %d non-finite points of %d", path, dropped, len(finite))
         xyz = xyz[finite]
-        intensity = None if intensity is None else intensity[finite]
+    intensity = cols.get("intensity")
+    if intensity is not None and dropped:
+        intensity = intensity[finite]
     return PointCloudFrame(
         frame_id=frame_id,
         timestamp=timestamp,
@@ -256,7 +294,9 @@ def write_pcd(
     fields = ["x", "y", "z", "intensity"]
     if labels is not None:
         if len(labels.class_id) != n:
-            raise ValueError(f"label count {len(labels.class_id)} does not match point count {n}")
+            raise ValueError(
+                f"label count {len(labels.class_id)} does not match point count {n}"
+            )
         fields += ["label", "cluster"]
     kinds = [_KNOWN_FIELDS[f] for f in fields]
     rec = np.zeros(n, dtype=[(f, _TYPE_MAP[kind]) for f, kind in zip(fields, kinds)])

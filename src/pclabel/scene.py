@@ -249,8 +249,10 @@ def gen_scene(
         cloud_rows.append(("cloud", f, cloud_t, cloud_rel))
         for cam in rig:
             det_rel = f"dets/frame_{f:06d}_cam{cam.id}.txt"
-            lines = [f"# camera {cam.id}, frame {f}"] + dets_by_cam[cam.id]
-            (out / det_rel).write_text("".join(line + "\n" for line in lines))
+            with open(out / det_rel, "w") as fh:
+                fh.write(f"# camera {cam.id}, frame {f}\n")
+                for line in dets_by_cam[cam.id]:
+                    fh.write(line + "\n")
             det_rows.append((f"cam{cam.id}", f, det_t, det_rel))
         gt_blocks.append(np.rec.fromarrays(
             [np.full(len(objid), f), np.arange(len(objid)), objid], dtype=_GROUND_TRUTH_ROW
@@ -279,10 +281,12 @@ def read_ground_truth(path: str | Path) -> dict[int, np.ndarray]:
     """Load a ground-truth file as {frame_id: object id per point index}.
 
     Indices a frame does not list read as -1.  A malformed line raises
-    ValueError naming the file and line.
+    ValueError naming the file and line; a negative index, naming the file.
     """
     p = Path(path)
     rows = parse_rows(p.read_text(), _GROUND_TRUTH_ROW, p)
+    if (rows["index"] < 0).any():
+        raise ValueError(f"{p}: negative point index {rows['index'].min()}")
     rows = rows[np.argsort(rows["frame"], kind="stable")]
     frames, starts = np.unique(rows["frame"], return_index=True)
     out = {}

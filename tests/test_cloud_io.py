@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,14 @@ DATA ascii
 1 0 0
 0 1 0
 """
+
+LABELED_PCD = (
+    MINIMAL_PCD.replace("FIELDS x y z", "FIELDS x y z label")
+    .replace("SIZE 4 4 4", "SIZE 4 4 4 4")
+    .replace("TYPE F F F", "TYPE F F F I")
+    .replace("COUNT 1 1 1", "COUNT 1 1 1 1")
+    .replace("0 0 0\n1 0 0\n0 1 0\n", "0 0 0 1\n1 0 0 1.5\n0 1 0 -1\n")
+)
 
 
 def _random_frame(rng, n, frame_id=0, with_intensity=True):
@@ -118,18 +127,45 @@ class TestReadPcd:
         with pytest.raises(PcdError, match="malformed row"):
             read_pcd(path)
         # a fractional value in an integer (TYPE I) field
-        labeled = (
-            MINIMAL_PCD.replace("FIELDS x y z", "FIELDS x y z label")
-            .replace("SIZE 4 4 4", "SIZE 4 4 4 4")
-            .replace("TYPE F F F", "TYPE F F F I")
-            .replace("COUNT 1 1 1", "COUNT 1 1 1 1")
-            .replace("0 0 0\n1 0 0\n0 1 0\n", "0 0 0 1\n1 0 0 1.5\n0 1 0 -1\n")
-        )
-        path.write_text(labeled)
+        path.write_text(LABELED_PCD)
         with pytest.raises(PcdError, match="malformed row"):
             read_pcd_columns(path)
-        path.write_text(labeled.replace("1.5", "2"))
+        path.write_text(LABELED_PCD.replace("1.5", "2"))
         assert read_pcd_columns(path)["label"].tolist() == [1, 2, -1]
+
+    @pytest.mark.parametrize(
+        "token", ["1.5", "1e3", "1.0", "nan", "1_0", "+-5", "2147483648", "9" * 20, "9" * 30]
+    )
+    def test_integer_field_rejects_other_tokens_whatever_the_warning_filters(self, tmp_path, token):
+        # older numpy reads such a token through a float and only warns
+        path = tmp_path / "a.pcd"
+        path.write_text(LABELED_PCD.replace("1.5", token))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(PcdError, match=re.escape(f"{path}:12: malformed row")):
+                read_pcd_columns(path)
+
+    def test_integer_field_limits(self, tmp_path):
+        path = tmp_path / "a.pcd"
+        path.write_text(
+            LABELED_PCD.replace("0 0 0 1\n", "0 0 0 +5\n")
+            .replace("1.5", "-2147483648")
+            .replace("0 1 0 -1\n", "0 1 0 0002147483647\n")
+        )
+        assert read_pcd_columns(path)["label"].tolist() == [5, -2147483648, 2147483647]
+        # an unknown unsigned field of SIZE 1 holds 0..255
+        unsigned = (
+            LABELED_PCD.replace("FIELDS x y z label", "FIELDS x y z flag")
+            .replace("SIZE 4 4 4 4", "SIZE 4 4 4 1")
+            .replace("TYPE F F F I", "TYPE F F F U")
+            .replace("0 1 0 -1\n", "0 1 0 255\n")
+        )
+        path.write_text(unsigned.replace("1.5", "+0"))
+        assert len(read_pcd(path)) == 3
+        for bad in ("256", "-1", "-0"):
+            path.write_text(unsigned.replace("1.5", bad))
+            with pytest.raises(PcdError, match=re.escape(f"{path}:12: malformed row")):
+                read_pcd(path)
 
     def test_unknown_header_key_names_file_and_line(self, tmp_path):
         path = tmp_path / "a.pcd"

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -122,11 +123,22 @@ class TestGenScene:
         path.write_text("")
         assert read_ground_truth(path) == {}
 
-    @pytest.mark.parametrize("bad", ["0 1 x", "0 1", "0 1 2 3", "0 1.5 2"])
+    @pytest.mark.parametrize(
+        "bad", ["0 1 x", "0 1", "0 1 2 3", "0 1.5 2", "0 1e3 2", "0 1 2.0", "0 1 9223372036854775808"]
+    )
     def test_malformed_ground_truth_line_names_file_and_line(self, tmp_path, bad):
         path = tmp_path / "gt.txt"
         path.write_text(f"0 0 -1\n\n{bad}\n0 2 1\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+        # older numpy reads "1.5" into an integer through a float and only warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed row")):
+                read_ground_truth(path)
+
+    def test_negative_ground_truth_index_rejected(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("0 0 1\n0 -1 5\n0 3 2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + "negative point index"):
             read_ground_truth(path)
 
     def test_save_rig_roundtrip(self, tmp_path):
