@@ -9,6 +9,7 @@ import numpy as np
 from pclabel import (
     BBox,
     CameraModel,
+    Clustering,
     Detection,
     DistortionCoeffs,
     ExtrinsicPose,
@@ -17,6 +18,7 @@ from pclabel import (
     PointCloudFrame,
     label_frame,
 )
+from pclabel.rng import SplitMix64
 
 
 def simple_camera(
@@ -105,6 +107,54 @@ def enumerate_local_optima(pts: np.ndarray, k: int = 2) -> list[tuple[tuple[int,
         if stable:
             optima.append((assign, partition_inertia(pts, a, k)))
     return optima
+
+
+def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Clustering:
+    """Straightforward Lloyd's algorithm with pclabel's initialization,
+    reseeding, stop rule and final pass; ``segment.kmeans`` must match it
+    bit for bit.  Distances come from an (n, k, 3) temporary and every
+    reduction is a separate numpy call.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    k = min(k, n)
+    centroids = pts[SplitMix64(seed).sample_distinct(n, k)].copy()
+
+    def squared_distances(c):
+        diff = pts[:, None, :] - c[None, :, :]
+        return np.einsum("nkd,nkd->nk", diff, diff)
+
+    history = []
+    iterations = 0
+    for it in range(1, max_iter + 1):
+        d2 = squared_distances(centroids)
+        assign = d2.argmin(axis=1)
+        history.append(float(d2.min(axis=1).sum()))
+        counts = np.bincount(assign, minlength=k)
+        new_centroids = np.empty_like(centroids)
+        for dim in range(3):
+            sums = np.bincount(assign, weights=pts[:, dim], minlength=k)
+            with np.errstate(invalid="ignore"):
+                new_centroids[:, dim] = sums / counts
+        for c in np.flatnonzero(counts == 0):
+            far = int(np.argmax(((pts - centroids[c]) ** 2).sum(axis=1)))
+            new_centroids[c] = pts[far]
+        movement = float(np.max(np.abs(new_centroids - centroids)))
+        centroids = new_centroids
+        iterations = it
+        if movement < tol or movement == 0.0:
+            break
+
+    d2 = squared_distances(centroids)
+    inertia = float(d2.min(axis=1).sum())
+    history.append(inertia)
+    return Clustering(
+        assignments=d2.argmin(axis=1).astype(np.int32),
+        centroids=centroids,
+        inertia=inertia,
+        iterations_run=iterations,
+        inertia_history=tuple(history),
+    )
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

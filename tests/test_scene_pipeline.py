@@ -1,14 +1,18 @@
 import hashlib
+import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pclabel import (
+    DistortionCoeffs,
     KMeansConfig,
     PipelineConfig,
     PipelineError,
+    PointCloudFrame,
     denoise_frame,
     gen_scene,
     label_frame,
@@ -24,6 +28,8 @@ from pclabel import (
 )
 from pclabel.pipeline import load_bundle_detections
 from pclabel.scene import SceneError, default_rig, save_rig
+
+from helpers import detection
 
 
 @pytest.fixture(scope="module")
@@ -316,3 +322,54 @@ def test_reference_scene_ground_truth_and_ascii_match_golden_digests(tmp_path):
     path = tmp_path / "labeled_000000.pcd"
     write_pcd(frame, path, labels=lc, data="ascii")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_FRAME0_ASCII_SHA256
+
+
+# sha256 of the label and denoise columns (class_id, camera_id, det_index,
+# cluster_id, kept) of a synthetic 20,020-point frame seen by five cameras
+# with distortion on.  Unlike the reference scene it has several boxes per
+# camera, boxes nested inside each other, boxes that overlap across
+# cameras (one pair with equal areas, so the camera id breaks the tie),
+# boxes reaching outside the image and a detection with a single point.
+GOLDEN_OVERLAP_FRAME_SHA256 = "40faed4c342937839138361c9469ea47256c2dc27d2d1828f9dc5556ed3be28c"
+
+_OVERLAP_BOXES = {  # camera id -> [(class id, (x_min, y_min, x_max, y_max))]
+    0: [(2, (390, 195, 470, 270)), (0, (215, 195, 350, 300)),
+        (2, (220, 210, 312, 295)), (7, (60, 185, 150, 265))],
+    1: [(2, (490, 185, 575, 265)), (0, (345, 200, 425, 278)),
+        (2, (250, 190, 305, 245)), (1, (55, 220, 150, 300))],
+    2: [(2, (487, 220, 582, 300)), (2, (-40, 150, 120, 330)), (3, (100, 100, 600, 400))],
+    3: [(0, (100, 150, 300, 350)), (2, (250, 100, 500, 300))],
+    4: [(2, (-95, 180, 25, 280)), (7, (300, 200, 400, 300))],
+}
+
+
+def _overlap_frame():
+    """14,000 background points around the sensor plus seven 860-point blobs,
+    placed so that adjacent cameras of a focal-300 ring both see some."""
+    rs = np.random.RandomState(2024)
+    bg = rs.uniform([-30, -30, -2], [30, 30, 3], size=(15000, 3))
+    bg = bg[np.hypot(bg[:, 0], bg[:, 1]) > 3.0][:14000]
+    blobs = []
+    for deg, radius, z in [(-20, 9, 0.2), (0, 12, 0.5), (10, 7, -0.3), (36, 10, 0.4),
+                           (60, 8, 0.0), (80, 14, 1.0), (108, 9, -0.5)]:
+        a = math.radians(deg)
+        blobs.append(rs.normal([radius * math.cos(a), radius * math.sin(a), z], 0.5, size=(860, 3)))
+    xyz = np.concatenate([bg] + blobs).astype(np.float32)
+    return PointCloudFrame(frame_id=3, timestamp=0.0, xyz=xyz)
+
+
+def test_overlapping_boxes_with_distortion_match_golden_digest():
+    dist = DistortionCoeffs(k1=-0.08, k2=0.02, p1=0.001, p2=-0.002, k3=0.004)
+    rig = [replace(cam, distortion=dist) for cam in default_rig(focal=300.0)]
+    dets = {
+        cam_id: [detection(cam_id, box, class_id=cls, frame_id=3) for cls, box in boxes]
+        for cam_id, boxes in _OVERLAP_BOXES.items()
+    }
+    frame = _overlap_frame()
+    lc = label_frame(frame, rig, dets, distortion_mode=True)
+    lc, report = denoise_frame(frame, lc, KMeansConfig(k=3, seed=7))
+    assert (report.total_points, report.labeled_before, report.kept_after) == (20020, 14811, 8358)
+    digest = hashlib.sha256()
+    for column in (lc.class_id, lc.camera_id, lc.det_index, lc.cluster_id, lc.kept):
+        digest.update(column.tobytes())
+    assert digest.hexdigest() == GOLDEN_OVERLAP_FRAME_SHA256

@@ -18,7 +18,13 @@ from pclabel import (
 from pclabel.rng import derive_seed
 from dataclasses import replace
 
-from helpers import detection, enumerate_local_optima, partition_inertia, simple_camera
+from helpers import (
+    detection,
+    enumerate_local_optima,
+    partition_inertia,
+    reference_kmeans,
+    simple_camera,
+)
 
 
 def _labeled_frame(points, refs):
@@ -148,6 +154,51 @@ class TestKMeans:
             optima = enumerate_local_optima(pts, 2)
             assert optima, "enumeration found no stable partition"
             assert min(abs(res.inertia - inertia) for _, inertia in optima) < 1e-9
+
+
+def _reference_cases():
+    rng = np.random.default_rng(31)
+    line = np.array([[0, 0, 0]] * 4 + [[2, 0, 0]] * 4 + [[1, 0, 0]] * 3, dtype=float)
+    blobs = np.concatenate([rng.normal(c, 0.4, size=(700, 3)) for c in ((0, 0, 0), (3, 1, 0), (1, 4, 2))])
+    noisy = np.concatenate([blobs, rng.uniform(-6, 6, size=(300, 3))])
+    return {
+        # the middle points sit exactly halfway between the outer groups
+        "duplicates_and_ties": [(line, KMeansConfig(k=k, seed=s)) for k in (2, 3) for s in range(6)],
+        "k_above_n": [(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.5]]), KMeansConfig(k=5, seed=3))],
+        # seed 0 puts both initial centroids on the duplicated origin
+        "empty_cluster_reseeded": [
+            (np.array([[0, 0, 0], [0, 0, 0], [5, 0, 0]], dtype=float), KMeansConfig(k=2, seed=0)),
+            (np.concatenate([np.zeros((40, 3)), rng.normal(size=(10, 3))]), KMeansConfig(k=4, seed=1)),
+        ],
+        "max_iter_hit": [(noisy, KMeansConfig(k=5, seed=2, max_iter=2))],
+        "tol_zero": [(noisy, KMeansConfig(k=4, seed=5, tol=0.0))],
+        "float32": [(noisy.astype(np.float32), KMeansConfig(k=3, seed=9))],
+    }
+
+
+class TestKMeansMatchesReference:
+    """kmeans matches the plain Lloyd loop in helpers.reference_kmeans bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_reference_cases()))
+    def test_bit_identical(self, case):
+        for pts, cfg in _reference_cases()[case]:
+            got = kmeans(pts, cfg)
+            want = reference_kmeans(pts, cfg.k, cfg.max_iter, cfg.seed, cfg.tol)
+            assert got.assignments.dtype == want.assignments.dtype
+            assert np.array_equal(got.assignments, want.assignments)
+            assert got.centroids.tobytes() == want.centroids.tobytes()
+            assert got.inertia == want.inertia
+            assert got.iterations_run == want.iterations_run
+            assert got.inertia_history == want.inertia_history
+
+    def test_cases_reach_their_paths(self):
+        cases = _reference_cases()
+        pts, cfg = cases["max_iter_hit"][0]
+        assert kmeans(pts, cfg).iterations_run == cfg.max_iter
+        pts, cfg = cases["k_above_n"][0]
+        assert kmeans(pts, cfg).k == len(pts)
+        pts, cfg = cases["empty_cluster_reseeded"][0]
+        assert kmeans(pts, cfg).assignments.tolist() == [0, 0, 1]
 
 
 class TestDenoiseDetection:
