@@ -59,9 +59,28 @@ class Clustering:
         return len(self.centroids)
 
 
-def _squared_distances(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+def _assign(
+    cols: np.ndarray, centroids: np.ndarray, assign: np.ndarray, best: np.ndarray,
+    d2: np.ndarray, sq: np.ndarray,
+) -> None:
+    """Nearest centroid of every point into ``assign`` (ties to the lowest id),
+    and the squared distance to it into ``best``; ``d2`` and ``sq`` are scratch.
+
+    ``cols`` is (3, n).  The squared terms are added as (dx*dx + dz*dz) + dy*dy,
+    the order in which numpy's AVX2/AVX-512 einsum reduced them in earlier
+    releases, so assignments and inertia stay bit-identical with those.
+    """
+    assign.fill(0)
+    for c, centroid in enumerate(centroids):
+        out = best if c == 0 else d2
+        np.subtract(cols, centroid[:, None], out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.add(sq[0], sq[2], out=out)
+        out += sq[1]
+        if c:
+            closer = d2 < best
+            assign[closer] = c
+            np.minimum(best, d2, out=best)
 
 
 def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) -> Clustering:
@@ -79,43 +98,45 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     If fewer points than k are given, k is lowered to the point count for
     the call (visible as ``result.k``).
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
     n = len(pts)
     if n == 0:
         raise ValueError("kmeans requires at least one point")
+    cols = np.ascontiguousarray(pts.T, dtype=np.float64)  # one contiguous row per axis
     k = min(cfg.k, n)
     rng = SplitMix64(cfg.seed)
     init = rng.sample_distinct(n, k)
-    centroids = pts[init].copy()
+    centroids = np.ascontiguousarray(cols[:, init].T)
 
     history: list[float] = []
     iterations = 0
-    assign = np.zeros(n, dtype=np.int64)
+    assign = np.empty(n, dtype=np.intp)
+    best, d2 = np.empty(n), np.empty(n)
+    sq = np.empty_like(cols)
     for it in range(1, cfg.max_iter + 1):
-        d2 = _squared_distances(pts, centroids)
-        assign = d2.argmin(axis=1)
-        history.append(float(d2.min(axis=1).sum()))
+        _assign(cols, centroids, assign, best, d2, sq)
+        history.append(float(best.sum()))
         counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
         new_centroids = np.empty_like(centroids)
         for dim in range(3):
-            sums = np.bincount(assign, weights=pts[:, dim], minlength=k)
-            with np.errstate(invalid="ignore"):
-                new_centroids[:, dim] = sums / counts
-        for c in np.flatnonzero(counts == 0):
-            far = int(np.argmax(((pts - centroids[c]) ** 2).sum(axis=1)))
-            new_centroids[c] = pts[far]
+            sums = np.bincount(assign, weights=cols[dim], minlength=k)
+            new_centroids[filled, dim] = sums[filled] / counts[filled]
+        for c in np.flatnonzero(~filled):
+            far = int(np.argmax(((cols - centroids[c][:, None]) ** 2).sum(axis=0)))
+            new_centroids[c] = cols[:, far]
         movement = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
         iterations = it
         if movement < cfg.tol or movement == 0.0:
             break
 
-    d2 = _squared_distances(pts, centroids)
-    assign = d2.argmin(axis=1).astype(np.int32)
-    inertia = float(d2.min(axis=1).sum())
+    _assign(cols, centroids, assign, best, d2, sq)
+    inertia = float(best.sum())
     history.append(inertia)
+    assign = assign.astype(np.int32)
     centroids.flags.writeable = False
     assign.flags.writeable = False
     return Clustering(
@@ -125,6 +146,20 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
         iterations_run=iterations,
         inertia_history=tuple(history),
     )
+
+
+def _keep_largest(
+    frame: PointCloudFrame, lc: LabeledCloud, idx: np.ndarray, cfg: KMeansConfig
+) -> None:
+    """Cluster the points ``idx`` of one detection and keep exactly the largest cluster."""
+    clustering = kmeans(frame.xyz[idx], cfg)
+    sizes = np.bincount(clustering.assignments, minlength=clustering.k)
+    origin_d2 = (clustering.centroids ** 2).sum(axis=1)
+    keep_cluster = min(
+        range(clustering.k), key=lambda c: (-int(sizes[c]), float(origin_d2[c]), c)
+    )
+    lc.cluster_id[idx] = clustering.assignments
+    lc.kept[idx] = clustering.assignments == keep_cluster
 
 
 def denoise_detection(
@@ -145,14 +180,7 @@ def denoise_detection(
     idx = np.flatnonzero(member)
     if idx.size == 0:
         raise ValueError(f"detection (camera {cam_id}, index {det_idx}) has no labeled points")
-    clustering = kmeans(frame.xyz[idx], cfg)
-    sizes = np.bincount(clustering.assignments, minlength=clustering.k)
-    origin_d2 = (clustering.centroids ** 2).sum(axis=1)
-    keep_cluster = min(
-        range(clustering.k), key=lambda c: (-int(sizes[c]), float(origin_d2[c]), c)
-    )
-    lc.cluster_id[idx] = clustering.assignments
-    lc.kept[idx] = clustering.assignments == keep_cluster
+    _keep_largest(frame, lc, idx, cfg)
     return lc
 
 
@@ -175,8 +203,8 @@ class FrameReport:
 
 
 def _class_counts(class_ids: np.ndarray) -> dict[int, int]:
-    ids, counts = np.unique(class_ids, return_counts=True)
-    return {int(i): int(c) for i, c in zip(ids, counts)}
+    counts = np.bincount(class_ids)
+    return {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
 
 
 def frame_report(frame: PointCloudFrame, lc: LabeledCloud) -> FrameReport:
@@ -209,16 +237,20 @@ def denoise_frame(
     camera_id, detection index), so any parallel schedule over detections
     or frames reproduces the sequential result.
     """
-    labeled = lc.labeled_mask
-    if labeled.any():
-        pairs = np.unique(
-            np.stack([lc.camera_id[labeled], lc.det_index[labeled]], axis=1), axis=0
-        )
-        for cam_id, det_idx in pairs:
-            det_cfg = replace(
-                cfg, seed=derive_seed(cfg.seed, frame.frame_id, int(cam_id), int(det_idx))
-            )
-            denoise_detection(frame, lc, (int(cam_id), int(det_idx)), det_cfg)
+    labeled = np.flatnonzero(lc.labeled_mask)
+    if labeled.size:
+        # group once: a stable sort on one (camera, detection) key keeps each
+        # detection's members in ascending point order
+        cam = lc.camera_id[labeled].astype(np.int64)
+        det = lc.det_index[labeled].astype(np.int64)
+        key = cam * (int(det.max()) + 1) + det
+        order = np.argsort(key, kind="stable")
+        members = labeled[order]
+        bounds = np.flatnonzero(np.diff(key[order])) + 1
+        for idx in np.split(members, bounds):
+            cam_id, det_idx = int(lc.camera_id[idx[0]]), int(lc.det_index[idx[0]])
+            det_cfg = replace(cfg, seed=derive_seed(cfg.seed, frame.frame_id, cam_id, det_idx))
+            _keep_largest(frame, lc, idx, det_cfg)
     return lc, frame_report(frame, lc)
 
 
