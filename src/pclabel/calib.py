@@ -291,18 +291,23 @@ def project_points(
     r = cam.pose.rotation
     t = cam.pose.translation
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    cam_x = r[0, 0] * x + r[0, 1] * y + r[0, 2] * z + t[0]
-    cam_y = r[1, 0] * x + r[1, 1] * y + r[1, 2] * z + t[1]
     cam_z = r[2, 0] * x + r[2, 1] * y + r[2, 2] * z + t[2]
     in_front = cam_z > z_min
+    # finish the projection for the rows in front of the camera only
+    front = np.flatnonzero(in_front)
+    cam_z = cam_z[front]
+    x, y, z = x[front], y[front], z[front]
+    cam_x = r[0, 0] * x + r[0, 1] * y + r[0, 2] * z + t[0]
+    cam_y = r[1, 0] * x + r[1, 1] * y + r[1, 2] * z + t[1]
+    del x, y, z
     with np.errstate(divide="ignore", invalid="ignore"):
         xn = cam_x / cam_z
         yn = cam_y / cam_z
+    del cam_x, cam_y, cam_z
     if use_distortion:
         xn, yn = distort_normalized(cam.distortion, xn, yn)
     intr = cam.intrinsics
-    u = intr.fx * xn + intr.cx
-    v = intr.fy * yn + intr.cy
-    uv = np.stack([u, v], axis=1)
-    uv[~in_front] = np.nan
+    uv = np.full((len(pts), 2), np.nan)
+    uv[front, 0] = intr.fx * xn + intr.cx
+    uv[front, 1] = intr.fy * yn + intr.cy
     return uv, in_front

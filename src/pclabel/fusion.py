@@ -72,6 +72,17 @@ def _inside(u: np.ndarray, v: np.ndarray, box: BBox) -> np.ndarray:
     return (u >= box.x_min) & (u < box.x_max) & (v >= box.y_min) & (v < box.y_max)
 
 
+def _visible_pixels(
+    cam: CameraModel, xyz: np.ndarray, distortion_mode: bool, z_min: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of the points that land inside ``cam``'s image, and their pixels."""
+    uv, in_front = project_points(cam, xyz, use_distortion=distortion_mode, z_min=z_min)
+    u, v = uv[:, 0], uv[:, 1]
+    image = BBox(0, 0, cam.intrinsics.width, cam.intrinsics.height)
+    visible = np.flatnonzero(in_front & _inside(u, v, image))
+    return visible, u[visible], v[visible]
+
+
 def label_frame(
     frame: PointCloudFrame,
     rig: Sequence[CameraModel],
@@ -93,6 +104,8 @@ def label_frame(
         raise ValueError(f"detections reference camera ids {unknown} absent from rig")
     n = len(frame)
     lc = LabeledCloud.empty(frame.frame_id, n)
+    # one float64 copy for every camera; Fortran order keeps each column contiguous
+    xyz = np.asfortranarray(frame.xyz, dtype=np.float64)
     candidates = []
     for cam_id in sorted(detections):
         dets = detections[cam_id]
@@ -104,23 +117,20 @@ def label_frame(
             raise ValueError(
                 f"detection list for camera {cam_id} contains records for camera {bad[0]}"
             )
-        uv, in_front = project_points(cam, frame.xyz, use_distortion=distortion_mode, z_min=z_min)
-        u, v = uv[:, 0], uv[:, 1]
-        image = BBox(0, 0, cam.intrinsics.width, cam.intrinsics.height)
-        visible = in_front & _inside(u, v, image)
+        visible, u, v = _visible_pixels(cam, xyz, distortion_mode, z_min)
         for det_idx, det in enumerate(dets):
-            candidates.append((det.box.area, cam_id, det_idx, det, u, v, visible))
+            candidates.append((det.box.area, cam_id, det_idx, det, visible, u, v))
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     unassigned = np.ones(n, dtype=bool)
-    for _area, cam_id, det_idx, det, u, v, visible in candidates:
-        hit = unassigned & visible & _inside(u, v, det.box)
-        if not hit.any():
+    for _area, cam_id, det_idx, det, visible, u, v in candidates:
+        hit = visible[_inside(u, v, det.box)]
+        hit = hit[unassigned[hit]]
+        if not hit.size:
             continue
         lc.class_id[hit] = det.class_id
         lc.camera_id[hit] = cam_id
         lc.det_index[hit] = det_idx
         lc.kept[hit] = True
-        unassigned &= ~hit
+        unassigned[hit] = False
     return lc
-
