@@ -50,6 +50,10 @@ class PointCloudFrame:
     ``xyz`` is an (n, 3) float32 array in file order; point index is a
     stable identifier.  ``dropped_non_finite`` counts points the parser
     rejected for NaN/Inf coordinates.
+
+    The frame holds read-only views.  An ``xyz`` or ``intensity`` already
+    stored as contiguous float32 is aliased, not copied: the caller's
+    array stays writeable, and writing to it changes the frame.
     """
 
     frame_id: int
@@ -64,11 +68,11 @@ class PointCloudFrame:
             raise ValueError(f"xyz must have shape (n, 3), got {xyz.shape}")
         if not np.isfinite(xyz).all():
             raise ValueError("frame coordinates must be finite")
-        xyz = np.ascontiguousarray(xyz)
+        xyz = np.ascontiguousarray(xyz).view()
         xyz.flags.writeable = False
         object.__setattr__(self, "xyz", xyz)
         if self.intensity is not None:
-            inten = np.ascontiguousarray(np.asarray(self.intensity, dtype=np.float32))
+            inten = np.ascontiguousarray(np.asarray(self.intensity, dtype=np.float32)).view()
             if inten.shape != (len(xyz),):
                 raise ValueError(f"intensity length {inten.shape} does not match {len(xyz)} points")
             inten.flags.writeable = False

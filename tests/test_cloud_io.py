@@ -296,6 +296,17 @@ class TestFrameTypes:
         with pytest.raises(ValueError):
             frame.xyz[0, 0] = 1.0
 
+    def test_callers_arrays_stay_writeable(self):
+        # contiguous float32 input is aliased, not copied, but only the
+        # frame's own view is frozen
+        xyz = np.zeros((2, 3), dtype=np.float32)
+        intensity = np.zeros(2, dtype=np.float32)
+        frame = PointCloudFrame(frame_id=0, timestamp=0.0, xyz=xyz, intensity=intensity)
+        xyz[0, 0] = 1.0
+        intensity[1] = 0.5
+        assert frame.xyz[0, 0] == 1.0 and frame.intensity[1] == 0.5
+        assert not frame.xyz.flags.writeable and not frame.intensity.flags.writeable
+
     def test_index_strictly_increasing(self):
         entries = [IndexEntry(0, 1.0, None), IndexEntry(1, 1.0, None)]
         with pytest.raises(ValueError, match="strictly increasing"):
