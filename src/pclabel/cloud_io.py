@@ -203,14 +203,23 @@ def parse_rows(
         return _load_rows(lines, dtype)
     except (ValueError, OverflowError) as e:
         failure, where = e, str(path)
-    # error path only: parse line by line to name the bad line
-    for lineno, line in enumerate(lines, start=first_line):
-        if line.strip():
-            try:
-                _load_rows([line], dtype)
-            except (ValueError, OverflowError) as e:
-                failure, where = e, f"{path}:{lineno}"
-                break
+    # error path only: a row parses or fails on its own, so bisect for the
+    # first bad one, about one more full parse in all
+    linenos = [n for n, line in enumerate(lines, start=first_line) if line.strip()]
+    rows = [lines[n - first_line] for n in linenos]
+    lo, hi = 0, len(rows)  # the first bad row is in rows[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _load_rows(rows[lo:mid], dtype)
+        except (ValueError, OverflowError):
+            hi = mid
+        else:
+            lo = mid
+    try:
+        _load_rows(rows[lo:lo + 1], dtype)
+    except (ValueError, OverflowError) as e:
+        failure, where = e, f"{path}:{linenos[lo]}"
     # numpy's own row number counts from the wrong place, so drop it
     reason = str(failure).split(" at row ")[0]
     raise error(f"{where}: malformed row: {reason}") from failure

@@ -180,6 +180,19 @@ class TestReadPcd:
         with pytest.raises(PcdError, match=re.escape(f"{path}:13: ") + "malformed row"):
             read_pcd(path)
 
+    def test_first_of_two_bad_rows_is_named(self, tmp_path):
+        rows = [f"{i} 0 0" for i in range(300)]
+        rows[170] = "1 0 abc"
+        rows[250] = "1 0"
+        path = tmp_path / "a.pcd"
+        path.write_text(
+            MINIMAL_PCD.replace("WIDTH 3", "WIDTH 300").replace("POINTS 3", "POINTS 300")
+            .replace("0 0 0\n1 0 0\n0 1 0\n", "\n".join(rows) + "\n")
+        )
+        # header lines 1-10, so row i is on line 11 + i
+        with pytest.raises(PcdError, match=re.escape(f"{path}:181: malformed row")):
+            read_pcd(path)
+
     def test_binary_count_mismatch_names_path(self, tmp_path):
         path = tmp_path / "a.pcd"
         write_pcd(_random_frame(np.random.default_rng(0), 10), path)
