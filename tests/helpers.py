@@ -114,6 +114,11 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
     reseeding, stop rule and final pass; ``segment.kmeans`` must match it
     bit for bit.  Distances come from an (n, k, 3) temporary and every
     reduction is a separate numpy call.
+
+    Earlier releases summed the squared terms with
+    ``np.einsum("nkd,nkd->nk")``, whose order depends on the SIMD width
+    numpy picks; on AVX2 and AVX-512 hosts it is (dx*dx + dz*dz) + dy*dy,
+    written out here so the reference is the same on every host.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
@@ -121,8 +126,8 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
     centroids = pts[SplitMix64(seed).sample_distinct(n, k)].copy()
 
     def squared_distances(c):
-        diff = pts[:, None, :] - c[None, :, :]
-        return np.einsum("nkd,nkd->nk", diff, diff)
+        sq = (pts[:, None, :] - c[None, :, :]) ** 2
+        return sq[..., 0] + sq[..., 2] + sq[..., 1]
 
     history = []
     iterations = 0

@@ -173,6 +173,12 @@ def _reference_cases():
         "max_iter_hit": [(noisy, KMeansConfig(k=5, seed=2, max_iter=2))],
         "tol_zero": [(noisy, KMeansConfig(k=4, seed=5, tol=0.0))],
         "float32": [(noisy.astype(np.float32), KMeansConfig(k=3, seed=9))],
+        # the inertia of a few points shows the last bit of each squared
+        # distance, so these pin the order in which the three terms are added
+        "few_points": [
+            (rng.normal(size=(n, 3)) * 3, KMeansConfig(k=1, seed=s))
+            for n in (2, 3, 4) for s in range(10)
+        ],
     }
 
 
