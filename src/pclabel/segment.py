@@ -64,7 +64,7 @@ def _assign(
     d2: np.ndarray, sq: np.ndarray,
 ) -> None:
     """Nearest centroid of every point into ``assign`` (ties to the lowest id),
-    and the squared distance to it into ``best``; ``d2`` and ``sq`` are scratch.
+    and the squared distance to it into ``best``; ``d2`` and ``sq`` are work buffers.
 
     ``cols`` is (3, n).  The squared terms are added as (dx*dx + dz*dz) + dy*dy,
     the order in which numpy's AVX2/AVX-512 einsum reduced them in earlier
