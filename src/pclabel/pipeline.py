@@ -1,9 +1,10 @@
 """End-to-end pipeline: load rig, match frames, label, denoise, write outputs.
 
 The pipeline is deterministic for a fixed configuration: every k-means
-stream is derived from (seed, frame, camera, detection), outputs are
-written in frame order whatever the worker count, and report rows follow
-frame order.
+stream is derived from (seed, frame, camera, detection), each frame's PCD
+is written by the task that labeled it, and report rows follow frame order
+whatever the worker count.  A task holds one frame at a time and returns
+only its report, so at most ``workers`` frames are in memory at once.
 """
 
 from __future__ import annotations
@@ -134,7 +135,9 @@ def _process_bundle(
     bundle: cloud_io.FrameBundle,
     rig: list[calib.CameraModel],
     cfg: PipelineConfig,
-):
+    out: Path,
+) -> FrameResult:
+    """Read, label, denoise and write one frame; only its report outlives the call."""
     start = time.perf_counter()
     frame = cloud_io.read_pcd(
         bundle.cloud.path, frame_id=bundle.cloud.frame_id, timestamp=bundle.cloud.timestamp
@@ -145,7 +148,10 @@ def _process_bundle(
         lc, report = segment.denoise_frame(frame, lc, cfg.kmeans)
     else:
         report = segment.frame_report(frame, lc)
-    return frame, lc, report, time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    pcd_path = out / f"labeled_{bundle.cloud.frame_id:06d}.pcd"
+    cloud_io.write_pcd(frame, pcd_path, labels=lc)
+    return FrameResult(bundle.cloud.frame_id, pcd_path, report, seconds)
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -164,32 +170,26 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def process(bundle: cloud_io.FrameBundle):
+    def process(bundle: cloud_io.FrameBundle) -> FrameResult:
         try:
-            return _process_bundle(bundle, rig, cfg)
+            return _process_bundle(bundle, rig, cfg, out)
         except Exception as e:
             raise PipelineError(
                 f"frame {bundle.cloud.frame_id} ({bundle.cloud.path}): {e}"
             ) from e
 
     if cfg.workers == 1:
-        results = map(process, bundles)
+        frames = list(map(process, bundles))
     else:
         executor = ThreadPoolExecutor(max_workers=cfg.workers)
-        results = executor.map(process, bundles)
-
-    frames: list[FrameResult] = []
-    reports: list[segment.FrameReport] = []
-    try:
-        # executor.map yields in submission order, which is frame order.
-        for bundle, (frame, lc, report, seconds) in zip(bundles, results):
-            pcd_path = out / f"labeled_{bundle.cloud.frame_id:06d}.pcd"
-            cloud_io.write_pcd(frame, pcd_path, labels=lc)
-            frames.append(FrameResult(bundle.cloud.frame_id, pcd_path, report, seconds))
-            reports.append(report)
-    finally:
-        if cfg.workers > 1:
-            executor.shutdown(wait=False, cancel_futures=True)
+        try:
+            # executor.map yields in submission order, which is frame order
+            frames = list(executor.map(process, bundles))
+        finally:
+            # drop the frames not yet started and let the running ones finish,
+            # so no worker writes into out_dir after this call has returned
+            executor.shutdown(wait=True, cancel_futures=True)
+    reports = [fr.report for fr in frames]
 
     report_csv = out / "report.csv"
     segment.write_report_csv(report_csv, reports)

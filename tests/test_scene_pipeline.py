@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import math
 import re
+import time
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +29,7 @@ from pclabel import (
     run_pipeline,
     write_pcd,
 )
+from pclabel import cloud_io, fusion
 from pclabel.pipeline import load_bundle_detections
 from pclabel.scene import SceneError, default_rig, save_rig
 
@@ -239,6 +243,58 @@ class TestRunPipeline:
         clouds.write_text("cloud 0 0.0 missing.pcd\n")
         with pytest.raises(PipelineError, match="frame 0"):
             run_pipeline(_pipeline_cfg(small_scene, tmp_path / "out", cloud_manifest=clouds))
+
+    def test_failed_write_names_frame(self, small_scene, tmp_path):
+        _rig, bundles = _bundles(small_scene)
+        out = tmp_path / "out"
+        (out / "labeled_000001.pcd").mkdir(parents=True)
+        with pytest.raises(PipelineError, match=re.escape(f"frame 1 ({bundles[1].cloud.path}): ")):
+            run_pipeline(_pipeline_cfg(small_scene, out))
+
+    def test_failed_multiworker_run_leaves_no_writer_behind(self, small_scene, tmp_path, monkeypatch):
+        written = []
+        write_pcd = cloud_io.write_pcd
+
+        def slow_write(frame, path, **kwargs):
+            time.sleep(0.1)
+            write_pcd(frame, path, **kwargs)
+            written.append(path.name)
+
+        monkeypatch.setattr(cloud_io, "write_pcd", slow_write)
+        out = tmp_path / "out"
+        (out / "labeled_000000.pcd").mkdir(parents=True)
+        with pytest.raises(PipelineError, match="frame 0"):
+            run_pipeline(_pipeline_cfg(small_scene, out, workers=2))
+        after_return = list(written)
+        time.sleep(0.3)
+        # frames already running finish before run_pipeline raises; none writes later
+        assert written == after_return
+
+    def test_one_frame_alive_at_a_time(self, tmp_path, monkeypatch):
+        scene = gen_scene(tmp_path / "scene", frames=4, objects=2, noise_fraction=0.3, seed=5)
+        refs = []
+        alive_at_read = []
+        read_pcd, label_frame = cloud_io.read_pcd, fusion.label_frame
+
+        def tracked_read(*args, **kwargs):
+            gc.collect()
+            alive_at_read.append(sum(ref() is not None for ref in refs))
+            frame = read_pcd(*args, **kwargs)
+            refs.append(weakref.ref(frame))
+            return frame
+
+        def tracked_label(*args, **kwargs):
+            lc = label_frame(*args, **kwargs)
+            refs.append(weakref.ref(lc))
+            return lc
+
+        monkeypatch.setattr(cloud_io, "read_pcd", tracked_read)
+        monkeypatch.setattr(fusion, "label_frame", tracked_label)
+        result = run_pipeline(_pipeline_cfg(scene, tmp_path / "out"))
+        assert len(result.frames) == 4
+        assert len(refs) == 8
+        # no earlier PointCloudFrame or LabeledCloud survives into the next read
+        assert alive_at_read == [0, 0, 0, 0]
 
     def test_out_of_tolerance_detections_ignored(self, small_scene, tmp_path):
         result = run_pipeline(
