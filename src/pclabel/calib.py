@@ -280,34 +280,54 @@ def project_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project an (n, 3) array of LIDAR-frame points to pixel coordinates.
 
-    Returns (uv, in_front): uv is (n, 2) float64 with NaN rows where the
-    point sits at or behind the camera plane (camera-frame z <= z_min);
-    in_front is the matching boolean mask.  Pixels outside the image are
-    returned as-is; bounds are the caller's concern.
+    ``points`` may be float32 or float64 (anything else is converted to
+    float64 first); it is read column by column, never copied whole, and
+    every step runs in float64, so float32 rows give the same bits as their
+    exact float64 conversion.  Returns (uv, in_front): uv is (n, 2) float64
+    with NaN rows where the point sits at or behind the camera plane
+    (camera-frame z <= z_min); in_front is the matching boolean mask.
+    Pixels outside the image are returned as-is; bounds are the caller's
+    concern.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.asarray(points)
+    if pts.dtype != np.float32:
+        pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
     r = cam.pose.rotation
     t = cam.pose.translation
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    cam_z = r[2, 0] * x + r[2, 1] * y + r[2, 2] * z + t[2]
+
+    def rotate(row: int, x, y, z, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """out = r[row, 0] * x + r[row, 1] * y + r[row, 2] * z + t[row], summed left to right."""
+        np.multiply(r[row, 0], x, out=out, dtype=np.float64)
+        out += np.multiply(r[row, 1], y, out=tmp, dtype=np.float64)
+        out += np.multiply(r[row, 2], z, out=tmp, dtype=np.float64)
+        out += t[row]
+        return out
+
+    cols = pts[:, 0], pts[:, 1], pts[:, 2]
+    cam_z = rotate(2, *cols, np.empty(len(pts)), np.empty(len(pts)))
     in_front = cam_z > z_min
     # finish the projection for the rows in front of the camera only
     front = np.flatnonzero(in_front)
     cam_z = cam_z[front]
-    x, y, z = x[front], y[front], z[front]
-    cam_x = r[0, 0] * x + r[0, 1] * y + r[0, 2] * z + t[0]
-    cam_y = r[1, 0] * x + r[1, 1] * y + r[1, 2] * z + t[1]
-    del x, y, z
+    x, y, z = (c[front] for c in cols)
+    tmp = np.empty(len(front))
+    xn = rotate(0, x, y, z, np.empty(len(front)), tmp)
+    yn = rotate(1, x, y, z, np.empty(len(front)), tmp)
+    del x, y, z, tmp
     with np.errstate(divide="ignore", invalid="ignore"):
-        xn = cam_x / cam_z
-        yn = cam_y / cam_z
-    del cam_x, cam_y, cam_z
+        np.divide(xn, cam_z, out=xn)
+        np.divide(yn, cam_z, out=yn)
+    del cam_z
     if use_distortion:
         xn, yn = distort_normalized(cam.distortion, xn, yn)
     intr = cam.intrinsics
+    xn *= intr.fx
+    xn += intr.cx
+    yn *= intr.fy
+    yn += intr.cy
     uv = np.full((len(pts), 2), np.nan)
-    uv[front, 0] = intr.fx * xn + intr.cx
-    uv[front, 1] = intr.fy * yn + intr.cy
+    uv[front, 0] = xn
+    uv[front, 1] = yn
     return uv, in_front

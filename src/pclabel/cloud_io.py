@@ -271,7 +271,7 @@ def read_pcd(path: str | Path, frame_id: int = 0, timestamp: float = 0.0) -> Poi
     """
     cols = read_pcd_columns(path)
     xyz = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
-    finite = np.isfinite(xyz).all(axis=1)
+    finite = np.isfinite(cols["x"]) & np.isfinite(cols["y"]) & np.isfinite(cols["z"])
     dropped = int(len(finite) - finite.sum())
     if dropped:
         log.warning("%s: dropped %d non-finite points of %d", path, dropped, len(finite))
@@ -333,7 +333,7 @@ def write_pcd(
         f"DATA {data}\n"
     )
     if data == "binary":
-        body = rec.tobytes()
+        body = memoryview(rec)  # the record buffer itself, not a bytes copy of it
     else:
         row = " ".join("%.9g" if typ == "F" else "%d" for typ, _ in kinds) + "\n"
         body = "".join(row % r for r in rec.tolist()).encode("ascii")

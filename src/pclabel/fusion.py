@@ -104,8 +104,6 @@ def label_frame(
         raise ValueError(f"detections reference camera ids {unknown} absent from rig")
     n = len(frame)
     lc = LabeledCloud.empty(frame.frame_id, n)
-    # one float64 copy for every camera; Fortran order keeps each column contiguous
-    xyz = np.asfortranarray(frame.xyz, dtype=np.float64)
     candidates = []
     for cam_id in sorted(detections):
         dets = detections[cam_id]
@@ -117,18 +115,20 @@ def label_frame(
             raise ValueError(
                 f"detection list for camera {cam_id} contains records for camera {bad[0]}"
             )
-        visible, u, v = _visible_pixels(cam, xyz, distortion_mode, z_min)
+        visible, u, v = _visible_pixels(cam, frame.xyz, distortion_mode, z_min)
         for det_idx, det in enumerate(dets):
-            candidates.append((det.box.area, cam_id, det_idx, det, visible, u, v))
+            hit = visible[_inside(u, v, det.box)]
+            candidates.append((det.box.area, cam_id, det_idx, det.class_id, hit))
+        # each box keeps only its hits: free this camera's pixels before the next projection
+        del visible, u, v
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     unassigned = np.ones(n, dtype=bool)
-    for _area, cam_id, det_idx, det, visible, u, v in candidates:
-        hit = visible[_inside(u, v, det.box)]
+    for _area, cam_id, det_idx, class_id, hit in candidates:
         hit = hit[unassigned[hit]]
         if not hit.size:
             continue
-        lc.class_id[hit] = det.class_id
+        lc.class_id[hit] = class_id
         lc.camera_id[hit] = cam_id
         lc.det_index[hit] = det_idx
         lc.kept[hit] = True

@@ -19,6 +19,7 @@ from pclabel import (
     label_frame,
 )
 from pclabel.rng import SplitMix64
+from pclabel.scene import default_rig
 
 
 def simple_camera(
@@ -56,6 +57,41 @@ def box_hits(box: tuple[float, float, float, float], pixels, width: int = 1000,
     xyz = np.array([(u, v, 1.0) for u, v in pixels], dtype=np.float32)
     frame = PointCloudFrame(frame_id=0, timestamp=0.0, xyz=xyz)
     return label_frame(frame, [cam], {0: [detection(0, box)]}).labeled_mask.tolist()
+
+
+def criterion7_frame() -> tuple[list[CameraModel], PointCloudFrame, dict[int, list[Detection]]]:
+    """The criterion-7 frame: 232,320 points, 5 cameras, 10 boxes.
+
+    Each camera sees two 2,000-point blobs, each tightly boxed; the rest of
+    the points form a background shell from 3 to 60 m around the rig.
+    Returns (rig, frame, detections by camera id).
+    """
+    rig = default_rig(5)
+    rng = np.random.default_rng(7007)
+    blobs = []
+    dets_by_cam = {}
+    for cam in rig:
+        dets = []
+        for slot, xn0 in enumerate((-0.22, 0.2)):
+            depth = 10.0 + 2.0 * slot
+            center = depth * np.array([xn0, 0.05, 1.0])
+            pts_cam = center + rng.normal(scale=0.35, size=(2000, 3))
+            intr = cam.intrinsics
+            u = intr.fx * pts_cam[:, 0] / pts_cam[:, 2] + intr.cx
+            v = intr.fy * pts_cam[:, 1] / pts_cam[:, 2] + intr.cy
+            box = BBox(u.min() - 2, v.min() - 2, u.max() + 2, v.max() + 2)
+            dets.append(Detection.make(cam.id, 0, 2, 0.9, box))
+            blobs.append((pts_cam - cam.pose.translation) @ cam.pose.rotation)
+        dets_by_cam[cam.id] = dets
+    n_background = 232_320 - 10 * 2000
+    azimuth = rng.uniform(0, 2 * np.pi, n_background)
+    radius = np.cbrt(rng.uniform(3.0 ** 3, 60.0 ** 3, n_background))
+    height = rng.uniform(-2.0, 2.0, n_background)
+    background = np.stack(
+        [radius * np.cos(azimuth), radius * np.sin(azimuth), height], axis=1
+    )
+    xyz = np.concatenate(blobs + [background]).astype(np.float32)
+    return rig, PointCloudFrame(frame_id=0, timestamp=0.0, xyz=xyz), dets_by_cam
 
 
 def assert_label_invariants(lc: LabeledCloud) -> None:

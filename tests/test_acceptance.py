@@ -37,9 +37,8 @@ from pclabel import (
 )
 from pclabel.detect_ingest import BBox, Detection
 from pclabel.pipeline import load_bundle_detections
-from pclabel.scene import default_rig
 
-from helpers import enumerate_local_optima, random_rotation, simple_camera
+from helpers import criterion7_frame, enumerate_local_optima, random_rotation, simple_camera
 
 
 @pytest.fixture(scope="module")
@@ -230,40 +229,15 @@ def test_criterion_6_pcd_binary_round_trip(tmp_path):
 
 def test_criterion_7_throughput_ceiling():
     """232,320 points, 5 cameras, 10 boxes: label + denoise under 0.95 s."""
-    rig = default_rig(5)
-    rng = np.random.default_rng(7007)
-    blobs = []
-    dets_by_cam = {}
-    for cam in rig:
-        dets = []
-        for slot, xn0 in enumerate((-0.22, 0.2)):
-            depth = 10.0 + 2.0 * slot
-            center = depth * np.array([xn0, 0.05, 1.0])
-            pts_cam = center + rng.normal(scale=0.35, size=(2000, 3))
-            intr = cam.intrinsics
-            u = intr.fx * pts_cam[:, 0] / pts_cam[:, 2] + intr.cx
-            v = intr.fy * pts_cam[:, 1] / pts_cam[:, 2] + intr.cy
-            box = BBox(u.min() - 2, v.min() - 2, u.max() + 2, v.max() + 2)
-            dets.append(Detection.make(cam.id, 0, 2, 0.9, box))
-            blobs.append((pts_cam - cam.pose.translation) @ cam.pose.rotation)
-        dets_by_cam[cam.id] = dets
-    n_background = 232_320 - 10 * 2000
-    azimuth = rng.uniform(0, 2 * np.pi, n_background)
-    radius = np.cbrt(rng.uniform(3.0 ** 3, 60.0 ** 3, n_background))
-    height = rng.uniform(-2.0, 2.0, n_background)
-    background = np.stack(
-        [radius * np.cos(azimuth), radius * np.sin(azimuth), height], axis=1
-    )
-    xyz = np.concatenate(blobs + [background]).astype(np.float32)
-    assert len(xyz) == 232_320
-    frame = PointCloudFrame(frame_id=0, timestamp=0.0, xyz=xyz)
+    rig, frame, dets_by_cam = criterion7_frame()
+    assert len(frame) == 232_320
 
     start = time.perf_counter()
     lc = label_frame(frame, rig, dets_by_cam)
     lc, report = denoise_frame(frame, lc, KMeansConfig(k=3, seed=7))
     elapsed = time.perf_counter() - start
     assert report.labeled_before > 20_000
-    print(f"\n  measured label+denoise time: {elapsed:.3f} s for {len(xyz)} points")
+    print(f"\n  measured label+denoise time: {elapsed:.3f} s for {len(frame)} points")
     assert elapsed < 0.95
 
 

@@ -294,6 +294,29 @@ class TestProject:
             assert in_front_i[0] == in_front[i]
             assert np.array_equal(uv_i[0], uv[i], equal_nan=True)
 
+    @pytest.mark.parametrize("use_distortion", [False, True])
+    def test_float32_input_matches_float64_bit_for_bit(self, use_distortion):
+        # float32 rows convert exactly, so both give the float64 arithmetic's bits
+        rng = np.random.default_rng(23)
+        dist = DistortionCoeffs(k1=0.1, k2=-0.02, p1=0.003, p2=-0.001, k3=0.004)
+        pose = ExtrinsicPose(random_rotation(rng), rng.normal(size=3))
+        posed = simple_camera(dist=dist, pose=pose)
+        axis = simple_camera(dist=dist)
+        pts = rng.uniform(-20, 20, size=(2000, 3)).astype(np.float32)
+        # on the identity camera, camera z is the point's z: rows exactly at
+        # z_min, at 0 and behind the camera, next to rows just in front
+        pts[:4, 2] = [0.5, 0.0, -1.0, np.nextafter(np.float32(0.5), np.float32(1))]
+        for cam, z_min in ((posed, 1e-6), (axis, 0.5)):
+            uv32, front32 = project_points(cam, pts, use_distortion=use_distortion, z_min=z_min)
+            uv64, front64 = project_points(
+                cam, pts.astype(np.float64), use_distortion=use_distortion, z_min=z_min
+            )
+            assert uv32.dtype == np.float64
+            assert 0 < front64.sum() < len(pts)
+            assert np.array_equal(front32, front64)
+            assert uv32.tobytes() == uv64.tobytes()
+        assert front64[:4].tolist() == [False, False, False, True]
+
     def test_behind_camera_mask_vectorized(self):
         cam = simple_camera()
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]])

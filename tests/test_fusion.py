@@ -1,15 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pclabel import (
     DistortionCoeffs,
+    KMeansConfig,
     LabeledCloud,
     PointCloudFrame,
+    denoise_frame,
     frame_report,
     label_frame,
     project_points,
 )
-from helpers import assert_label_invariants, box_hits, detection, simple_camera
+from helpers import (
+    assert_label_invariants,
+    box_hits,
+    criterion7_frame,
+    detection,
+    simple_camera,
+)
 
 
 def _frame(points, frame_id=0):
@@ -212,3 +222,18 @@ class TestClassPointCounts:
         frame = PointCloudFrame(frame_id=0, timestamp=0.0, xyz=xyz)
         lc = label_frame(frame, [cam], {0: [detection(0, (40, 40, 60, 60), class_id=2)]})
         assert frame_report(frame, lc).class_before == {2: 9215}
+
+
+def test_label_and_denoise_peak_memory_per_point():
+    # the labels themselves take 17 bytes a point; projection must add no
+    # frame-sized float64 copy of xyz on top of its own temporaries
+    rig, frame, dets_by_cam = criterion7_frame()
+    tracemalloc.start()
+    try:
+        lc = label_frame(frame, rig, dets_by_cam)
+        lc, report = denoise_frame(frame, lc, KMeansConfig(k=3, seed=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.labeled_before > 20_000
+    assert peak / len(frame) < 75, f"peak {peak / len(frame):.1f} bytes per point"
