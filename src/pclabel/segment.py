@@ -244,6 +244,8 @@ def denoise_frame(
         cam = lc.camera_id[labeled].astype(np.int64)
         det = lc.det_index[labeled].astype(np.int64)
         key = cam * (int(det.max()) + 1) + det
+        # the narrowest unsigned key lets numpy's stable sort use radix sort
+        key = key.astype(np.min_scalar_type(int(key.max())))
         order = np.argsort(key, kind="stable")
         members = labeled[order]
         bounds = np.flatnonzero(np.diff(key[order])) + 1

@@ -310,6 +310,24 @@ class TestDenoiseFrame:
         assert np.array_equal(forward.kept, reverse.kept)
         assert np.array_equal(forward.cluster_id, reverse.cluster_id)
 
+    def test_more_than_255_detections_match_denoise_detection(self):
+        # the grouping key no longer fits in one byte
+        rng = np.random.default_rng(32)
+        n_det = 300
+        refs = [(cam, det) for cam in (0, 1) for det in range(n_det) for _ in range(4)]
+        pts = rng.normal(size=(len(refs), 3)) + np.repeat(np.arange(2 * n_det), 4)[:, None]
+        frame, lc = _labeled_frame(pts, refs)
+        cfg = KMeansConfig(k=2, seed=4)
+
+        grouped, _ = denoise_frame(frame, lc.copy(), cfg)
+        oracle = lc.copy()
+        for cam, det in sorted(set(refs)):
+            det_cfg = replace(cfg, seed=derive_seed(cfg.seed, frame.frame_id, cam, det))
+            denoise_detection(frame, oracle, (cam, det), det_cfg)
+        assert np.array_equal(grouped.kept, oracle.kept)
+        assert np.array_equal(grouped.cluster_id, oracle.cluster_id)
+        assert 0 < grouped.kept.sum() < len(refs)
+
     def test_report_counts_consistent(self):
         rng = np.random.default_rng(31)
         pts = np.concatenate([rng.normal(size=(50, 3)), rng.normal(size=(10, 3)) + 30])
