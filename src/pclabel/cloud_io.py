@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -21,6 +22,10 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 DEFAULT_MATCH_TOLERANCE = 0.05
+# Rows per block wherever a frame-sized temporary would otherwise be built:
+# write_pcd's records and label_frame's projections.  Looked up at call
+# time, so a test can shrink it to cross block edges.
+BLOCK_ROWS = 1 << 15
 
 _HEADER_KEYS = (
     "VERSION", "FIELDS", "SIZE", "TYPE", "COUNT",
@@ -230,7 +235,9 @@ def read_pcd_columns(path: str | Path) -> dict[str, np.ndarray]:
 
     Keys are the subset fields present in the file (x, y, z, intensity,
     label, cluster); unrecognized fields are skipped.  Row order and count
-    match the file exactly.  A malformed file raises PcdError naming the
+    match the file exactly.  The columns are strided views of one record
+    array (a binary body is read straight into it), not copies: they keep
+    that whole array alive.  A malformed file raises PcdError naming the
     file, and the line where one is to blame.
     """
     p = Path(path)
@@ -243,13 +250,16 @@ def read_pcd_columns(path: str | Path) -> dict[str, np.ndarray]:
             raise PcdError(f"{p}: {e}") from e
         mode = header["DATA"][0].lower() if header["DATA"] else ""
         if mode == "binary":
-            buf = fh.read()
-            if len(buf) != n * dtype.itemsize:
+            size = n * dtype.itemsize
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+            if held == size:
+                rec = np.empty(n, dtype=dtype)
+                held = fh.readinto(rec)
+            if held != size:
                 raise PcdError(
                     f"{p}: point count mismatch: header declares {n} points "
-                    f"({n * dtype.itemsize} bytes) but file holds {len(buf)} bytes"
+                    f"({size} bytes) but file holds {held} bytes"
                 )
-            rec = np.frombuffer(buf, dtype=dtype, count=n)
         elif mode == "ascii":
             text = fh.read().decode("ascii", errors="replace")
             rec = parse_rows(text, dtype, p, first_line=data_line + 1, error=PcdError)
@@ -260,14 +270,15 @@ def read_pcd_columns(path: str | Path) -> dict[str, np.ndarray]:
                 )
         else:
             raise PcdError(f"{p}: unsupported DATA mode '{mode}'")
-    return {name: rec[name].reshape(n).copy() for name in dtype.names if name in _KNOWN_FIELDS}
+    return {name: rec[name].reshape(n) for name in dtype.names if name in _KNOWN_FIELDS}
 
 
 def read_pcd(path: str | Path, frame_id: int = 0, timestamp: float = 0.0) -> PointCloudFrame:
     """Read a PCD file into a frame, dropping non-finite points with a warning.
 
     The frame id and timestamp are not stored in PCD files; callers supply
-    them (normally from the manifest entry).
+    them (normally from the manifest entry).  The frame holds copies of its
+    columns, so it does not keep the file's record array alive.
     """
     cols = read_pcd_columns(path)
     xyz = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
@@ -277,8 +288,8 @@ def read_pcd(path: str | Path, frame_id: int = 0, timestamp: float = 0.0) -> Poi
         log.warning("%s: dropped %d non-finite points of %d", path, dropped, len(finite))
         xyz = xyz[finite]
     intensity = cols.get("intensity")
-    if intensity is not None and dropped:
-        intensity = intensity[finite]
+    if intensity is not None:
+        intensity = intensity[finite] if dropped else intensity.copy()
     return PointCloudFrame(
         frame_id=frame_id,
         timestamp=timestamp,
@@ -300,6 +311,9 @@ def write_pcd(
     column carries the kept cluster id (-1 for unlabeled or dropped
     points).  Binary output is little-endian and bit-exact under read_pcd;
     ASCII output prints floats at 9 significant digits, also bit-exact.
+    Records are built and written ``BLOCK_ROWS`` rows at a time, so the
+    writer holds one block of them, never a frame-sized copy; the bytes do
+    not depend on the block size.
     """
     if data not in ("binary", "ascii"):
         raise ValueError(f"data mode must be 'binary' or 'ascii', got {data!r}")
@@ -312,13 +326,6 @@ def write_pcd(
             )
         fields += ["label", "cluster"]
     kinds = [_KNOWN_FIELDS[f] for f in fields]
-    rec = np.zeros(n, dtype=[(f, _TYPE_MAP[kind]) for f, kind in zip(fields, kinds)])
-    rec["x"], rec["y"], rec["z"] = frame.xyz.T
-    if frame.intensity is not None:
-        rec["intensity"] = frame.intensity
-    if labels is not None:
-        rec["label"] = labels.class_id
-        rec["cluster"] = np.where(labels.kept & (labels.cluster_id >= 0), labels.cluster_id, -1)
     header = (
         "# .PCD v0.7 - Point Cloud Data file format\n"
         "VERSION 0.7\n"
@@ -332,14 +339,26 @@ def write_pcd(
         f"POINTS {n}\n"
         f"DATA {data}\n"
     )
-    if data == "binary":
-        body = memoryview(rec)  # the record buffer itself, not a bytes copy of it
-    else:
-        row = " ".join("%.9g" if typ == "F" else "%d" for typ, _ in kinds) + "\n"
-        body = "".join(row % r for r in rec.tolist()).encode("ascii")
+    row = " ".join("%.9g" if typ == "F" else "%d" for typ, _ in kinds) + "\n"
+    block = BLOCK_ROWS
+    # one record buffer, reused for every block; intensity stays 0 without it
+    buf = np.zeros(min(n, block), dtype=[(f, _TYPE_MAP[kind]) for f, kind in zip(fields, kinds)])
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(body)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            rec = buf[: hi - lo]
+            rec["x"], rec["y"], rec["z"] = frame.xyz[lo:hi].T
+            if frame.intensity is not None:
+                rec["intensity"] = frame.intensity[lo:hi]
+            if labels is not None:
+                rec["label"] = labels.class_id[lo:hi]
+                cluster = labels.cluster_id[lo:hi]
+                rec["cluster"] = np.where(labels.kept[lo:hi] & (cluster >= 0), cluster, -1)
+            if data == "binary":
+                fh.write(memoryview(rec))  # the record buffer itself, not a bytes copy of it
+            else:
+                fh.write("".join(row % r for r in rec.tolist()).encode("ascii"))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import cloud_io
 from .calib import DEFAULT_Z_MIN, CameraModel, project_points
 from .cloud_io import PointCloudFrame
 from .detect_ingest import BBox, Detection
@@ -75,12 +76,26 @@ def _inside(u: np.ndarray, v: np.ndarray, box: BBox) -> np.ndarray:
 def _visible_pixels(
     cam: CameraModel, xyz: np.ndarray, distortion_mode: bool, z_min: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices of the points that land inside ``cam``'s image, and their pixels."""
-    uv, in_front = project_points(cam, xyz, use_distortion=distortion_mode, z_min=z_min)
-    u, v = uv[:, 0], uv[:, 1]
+    """Indices of the points that land inside ``cam``'s image, and their pixels.
+
+    Projects ``cloud_io.BLOCK_ROWS`` rows at a time, so projection
+    temporaries never span the whole frame; every step is per row, so the
+    result does not depend on the block size.
+    """
     image = BBox(0, 0, cam.intrinsics.width, cam.intrinsics.height)
-    visible = np.flatnonzero(in_front & _inside(u, v, image))
-    return visible, u[visible], v[visible]
+    block = cloud_io.BLOCK_ROWS
+    visible, us, vs = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
+    for lo in range(0, len(xyz), block):
+        uv, in_front = project_points(
+            cam, xyz[lo:lo + block], use_distortion=distortion_mode, z_min=z_min
+        )
+        u, v = uv[:, 0], uv[:, 1]
+        hit = np.flatnonzero(in_front & _inside(u, v, image))
+        visible.append(hit + lo)
+        us.append(u[hit])
+        vs.append(v[hit])
+        del uv, in_front, u, v, hit
+    return np.concatenate(visible), np.concatenate(us), np.concatenate(vs)
 
 
 def label_frame(
@@ -97,6 +112,12 @@ def label_frame(
     never matches a box.  Overlap is resolved per point by smallest box
     area, then lower camera id, then lower detection index.  All labeled
     points start with kept=True; denoising happens downstream.
+
+    Each camera projects the frame ``cloud_io.BLOCK_ROWS`` rows at a time
+    and keeps only the indices and pixels of its visible points, so the
+    working set beyond the frame and its labels is one block of projection
+    temporaries plus one camera's visible points; the labels do not depend
+    on the block size.
     """
     rig_by_id = {cam.id: cam for cam in rig}
     unknown = sorted(set(detections) - set(rig_by_id))

@@ -133,6 +133,35 @@ def _sample_ellipsoid(rng: np.random.Generator, n: int, radii: np.ndarray) -> np
     return dirs * radius[:, None] * radii
 
 
+def format_ground_truth(rows: np.ndarray) -> bytes:
+    """``"%d %d %d\\n" % row`` for every (frame, index, object) row, without a
+    per-row Python loop.
+
+    Each row becomes one line of a byte matrix, every value right-aligned
+    in its column's widest digit count behind a sign byte; the leading
+    zeros and absent signs are 0 bytes, dropped at the end.  Frame and
+    index are >= 0 and object >= -1, as gen_scene writes them.
+    """
+    cols = [(rows["frame"], " "), (rows["index"], " "), (rows["object"], "\n")]
+    widths = [len(str(int(np.abs(col).max()))) if len(rows) else 1 for col, _ in cols]
+    mat = np.zeros((len(rows), sum(widths) + 2 * len(cols)), dtype=np.uint8)
+    j = 0
+    for (col, end), width in zip(cols, widths):
+        mag = np.abs(col)
+        mat[col < 0, j] = ord("-")
+        j += 1
+        for power in range(width - 1, -1, -1):
+            scale = 10 ** power
+            digit = mag // scale % 10 + ord("0")
+            if power:
+                digit[mag < scale] = 0  # a leading zero
+            mat[:, j] = digit
+            j += 1
+        mat[:, j] = ord(end)
+        j += 1
+    return mat[mat != 0].tobytes()
+
+
 def gen_scene(
     out_dir: str | Path,
     frames: int = 20,
@@ -265,7 +294,7 @@ def gen_scene(
     det_rows.sort(key=lambda r: (r[0], r[1]))
     write_manifest(det_manifest, det_rows)
     gt_path = out / "ground_truth.txt"
-    gt_path.write_text("".join("%d %d %d\n" % r for r in np.concatenate(gt_blocks).tolist()))
+    gt_path.write_bytes(format_ground_truth(np.concatenate(gt_blocks)))
     return ScenePaths(
         out_dir=out,
         calibration=calib_path,

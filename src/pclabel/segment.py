@@ -152,7 +152,7 @@ def _keep_largest(
     frame: PointCloudFrame, lc: LabeledCloud, idx: np.ndarray, cfg: KMeansConfig
 ) -> None:
     """Cluster the points ``idx`` of one detection and keep exactly the largest cluster."""
-    clustering = kmeans(frame.xyz[idx], cfg)
+    clustering = kmeans(np.take(frame.xyz, idx, axis=0), cfg)
     sizes = np.bincount(clustering.assignments, minlength=clustering.k)
     origin_d2 = (clustering.centroids ** 2).sum(axis=1)
     keep_cluster = min(
@@ -240,15 +240,22 @@ def denoise_frame(
     labeled = np.flatnonzero(lc.labeled_mask)
     if labeled.size:
         # group once: a stable sort on one (camera, detection) key keeps each
-        # detection's members in ascending point order
-        cam = lc.camera_id[labeled].astype(np.int64)
-        det = lc.det_index[labeled].astype(np.int64)
-        key = cam * (int(det.max()) + 1) + det
+        # detection's members in ascending point order; every temporary is
+        # freed before the first k-means call
+        key = lc.camera_id[labeled].astype(np.int64)
+        det = lc.det_index[labeled]
+        key *= int(det.max()) + 1
+        key += det
+        del det
         # the narrowest unsigned key lets numpy's stable sort use radix sort
         key = key.astype(np.min_scalar_type(int(key.max())))
         order = np.argsort(key, kind="stable")
         members = labeled[order]
-        bounds = np.flatnonzero(np.diff(key[order])) + 1
+        del labeled
+        key = key[order]
+        del order
+        bounds = np.flatnonzero(np.diff(key)) + 1
+        del key
         for idx in np.split(members, bounds):
             cam_id, det_idx = int(lc.camera_id[idx[0]]), int(lc.det_index[idx[0]])
             det_cfg = replace(cfg, seed=derive_seed(cfg.seed, frame.frame_id, cam_id, det_idx))

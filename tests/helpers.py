@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -92,6 +93,20 @@ def criterion7_frame() -> tuple[list[CameraModel], PointCloudFrame, dict[int, li
     )
     xyz = np.concatenate(blobs + [background]).astype(np.float32)
     return rig, PointCloudFrame(frame_id=0, timestamp=0.0, xyz=xyz), dets_by_cam
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Call ``fn`` under tracemalloc; return (its result, the peak bytes it allocated).
+
+    Only allocations made during the call count, so inputs built before it
+    do not; a result still alive at the end does.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_label_invariants(lc: LabeledCloud) -> None:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import criterion7_frame, traced_peak
 from pclabel import (
     FrameIndex,
     IndexEntry,
@@ -16,6 +17,7 @@ from pclabel import (
     read_pcd_columns,
     write_pcd,
 )
+from pclabel import cloud_io
 
 MINIMAL_PCD = """VERSION 0.7
 FIELDS x y z
@@ -45,6 +47,18 @@ def _random_frame(rng, n, frame_id=0, with_intensity=True):
     xyz = rng.uniform(-100, 100, size=(n, 3)).astype(np.float32)
     intensity = rng.uniform(0, 1, size=n).astype(np.float32) if with_intensity else None
     return PointCloudFrame(frame_id=frame_id, timestamp=0.0, xyz=xyz, intensity=intensity)
+
+
+def _random_labels(rng, n):
+    """Labels with unlabeled, kept and dropped points, and large ids."""
+    lc = LabeledCloud.empty(0, n)
+    labeled = rng.random(n) < 0.7
+    lc.class_id[labeled] = rng.integers(0, 2**31 - 1, size=labeled.sum())
+    lc.camera_id[labeled] = 0
+    lc.det_index[labeled] = 0
+    lc.cluster_id[labeled] = rng.integers(0, 5, size=labeled.sum())
+    lc.kept[labeled] = rng.random(labeled.sum()) < 0.5
+    return lc
 
 
 class TestReadPcd:
@@ -289,6 +303,89 @@ class TestWriteReadRoundTrip:
         cols = read_pcd_columns(path)
         assert cols["label"].tolist() == [7]
         assert cols["cluster"].tolist() == [0]
+
+
+BLOCK_EDGE_COUNTS = [0, 7, 14, 15]  # empty, one and two whole 7-row blocks, and one row past
+
+
+class TestRowBlocks:
+    """write_pcd works BLOCK_ROWS rows at a time; shrunk to 7, every block edge is crossed."""
+
+    @pytest.mark.parametrize("data", ["binary", "ascii"])
+    @pytest.mark.parametrize("n", BLOCK_EDGE_COUNTS)
+    def test_write_bytes_do_not_depend_on_block_size(self, tmp_path, monkeypatch, data, n):
+        rng = np.random.default_rng(n)
+        cases = [(_random_frame(rng, n), _random_labels(rng, n)),
+                 (_random_frame(rng, n, with_intensity=False), None)]
+        for i, (frame, labels) in enumerate(cases):
+            whole, blocks = tmp_path / f"whole{i}.pcd", tmp_path / f"blocks{i}.pcd"
+            write_pcd(frame, whole, labels=labels, data=data)
+            with monkeypatch.context() as m:
+                m.setattr(cloud_io, "BLOCK_ROWS", 7)
+                write_pcd(frame, blocks, labels=labels, data=data)
+            assert blocks.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("data", ["binary", "ascii"])
+    @pytest.mark.parametrize("n", BLOCK_EDGE_COUNTS)
+    def test_columns_read_back_across_block_edges(self, tmp_path, monkeypatch, data, n):
+        monkeypatch.setattr(cloud_io, "BLOCK_ROWS", 7)
+        rng = np.random.default_rng(n)
+        frame, lc = _random_frame(rng, n), _random_labels(rng, n)
+        path = tmp_path / "f.pcd"
+        write_pcd(frame, path, labels=lc, data=data)
+        cols = read_pcd_columns(path)
+        assert sorted(cols) == ["cluster", "intensity", "label", "x", "y", "z"]
+        assert np.array_equal(np.stack([cols["x"], cols["y"], cols["z"]], axis=1), frame.xyz)
+        assert np.array_equal(cols["intensity"], frame.intensity)
+        assert np.array_equal(cols["label"], lc.class_id)
+        assert np.array_equal(cols["cluster"], np.where(lc.kept, lc.cluster_id, -1))
+
+    @pytest.mark.parametrize("extra", [-4, 1, 24])
+    def test_wrong_binary_body_size_names_file(self, tmp_path, monkeypatch, extra):
+        monkeypatch.setattr(cloud_io, "BLOCK_ROWS", 7)
+        path = tmp_path / "f.pcd"
+        rng = np.random.default_rng(0)
+        write_pcd(_random_frame(rng, 15), path, labels=_random_labels(rng, 15))
+        data = path.read_bytes()
+        path.write_bytes(data[:extra] if extra < 0 else data + bytes(extra))
+        want = (f"{path}: point count mismatch: header declares 15 points (360 bytes) "
+                f"but file holds {360 + extra} bytes")
+        with pytest.raises(PcdError, match=re.escape(want)):
+            read_pcd_columns(path)
+
+
+@pytest.fixture(scope="module")
+def c7_labeled():
+    """The criterion-7 frame with random labels: 232,320 points, 70 % of them labeled."""
+    _rig, frame, _dets = criterion7_frame()
+    return frame, _random_labels(np.random.default_rng(7), len(frame))
+
+
+class TestPeakMemory:
+    """Traced peak per point on the criterion-7 frame; a labeled record is 24 bytes."""
+
+    def test_binary_write_holds_one_block_of_records(self, tmp_path, c7_labeled):
+        frame, lc = c7_labeled
+        _, peak = traced_peak(write_pcd, frame, tmp_path / "f.pcd", labels=lc)
+        assert peak / len(frame) < 8, f"peak {peak / len(frame):.1f} bytes per point"
+
+    def test_binary_read_holds_one_record_array(self, tmp_path, c7_labeled):
+        frame, lc = c7_labeled
+        path = tmp_path / "f.pcd"
+        write_pcd(frame, path, labels=lc)
+        cols, peak = traced_peak(read_pcd_columns, path)
+        assert len(cols["x"]) == len(frame)
+        assert peak / len(frame) < 30, f"peak {peak / len(frame):.1f} bytes per point"
+
+    def test_ascii_write_formats_one_block_at_a_time(self, tmp_path, monkeypatch):
+        # a smaller frame and block keep this quick.  Formatting a whole frame
+        # at once peaks at about 350 bytes per point, one 1,024-row block of
+        # this 16,384-point frame at about 19
+        monkeypatch.setattr(cloud_io, "BLOCK_ROWS", 1 << 10)
+        rng = np.random.default_rng(3)
+        frame, lc = _random_frame(rng, 1 << 14), _random_labels(rng, 1 << 14)
+        _, peak = traced_peak(write_pcd, frame, tmp_path / "f.pcd", labels=lc, data="ascii")
+        assert peak / len(frame) < 40, f"peak {peak / len(frame):.1f} bytes per point"
 
 
 class TestFrameTypes:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,7 @@ from helpers import (
     criterion7_frame,
     detection,
     simple_camera,
+    traced_peak,
 )
 
 
@@ -225,15 +224,14 @@ class TestClassPointCounts:
 
 
 def test_label_and_denoise_peak_memory_per_point():
-    # the labels themselves take 17 bytes a point; projection must add no
-    # frame-sized float64 copy of xyz on top of its own temporaries
+    # the labels themselves take 17 bytes a point; projection works in row
+    # blocks, so no frame-sized float64 temporary or NaN pixel array adds to them
     rig, frame, dets_by_cam = criterion7_frame()
-    tracemalloc.start()
-    try:
+
+    def label_and_denoise():
         lc = label_frame(frame, rig, dets_by_cam)
-        lc, report = denoise_frame(frame, lc, KMeansConfig(k=3, seed=7))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return denoise_frame(frame, lc, KMeansConfig(k=3, seed=7))[1]
+
+    report, peak = traced_peak(label_and_denoise)
     assert report.labeled_before > 20_000
-    assert peak / len(frame) < 75, f"peak {peak / len(frame):.1f} bytes per point"
+    assert peak / len(frame) < 40, f"peak {peak / len(frame):.1f} bytes per point"

@@ -31,7 +31,7 @@ from pclabel import (
 )
 from pclabel import cloud_io, fusion
 from pclabel.pipeline import load_bundle_detections
-from pclabel.scene import SceneError, default_rig, save_rig
+from pclabel.scene import SceneError, default_rig, format_ground_truth, save_rig
 
 from helpers import detection
 
@@ -132,6 +132,15 @@ class TestGenScene:
         assert gt[1].tolist() == [3, -1, 5]
         path.write_text("")
         assert read_ground_truth(path) == {}
+
+    def test_ground_truth_rows_format_as_printf_does(self):
+        values = [0, 1, 9, 10, 11, 99, 100, 909, 1000, 143_141, 2**40 + 7]
+        rows = [(f, i, o) for f in values for i in values[::-1] for o in [-1] + values]
+        table = np.array(rows, dtype=[("frame", "<i8"), ("index", "<i8"), ("object", "<i8")])
+        want = "".join("%d %d %d\n" % row for row in rows).encode("ascii")
+        assert format_ground_truth(table) == want
+        assert format_ground_truth(table[:1]) == b"0 1099511627783 -1\n"
+        assert format_ground_truth(table[:0]) == b""
 
     @pytest.mark.parametrize(
         "bad", ["0 1 x", "0 1", "0 1 2 3", "0 1.5 2", "0 1e3 2", "0 1 2.0", "0 1 9223372036854775808"]
@@ -415,6 +424,15 @@ def _overlap_frame():
 
 
 def test_overlapping_boxes_with_distortion_match_golden_digest():
+    _check_overlap_frame_golden()
+
+
+def test_overlap_golden_holds_when_projecting_in_7_row_blocks(monkeypatch):
+    monkeypatch.setattr(cloud_io, "BLOCK_ROWS", 7)
+    _check_overlap_frame_golden()
+
+
+def _check_overlap_frame_golden():
     dist = DistortionCoeffs(k1=-0.08, k2=0.02, p1=0.001, p2=-0.002, k3=0.004)
     rig = [replace(cam, distortion=dist) for cam in default_rig(focal=300.0)]
     dets = {
