@@ -277,8 +277,9 @@ def read_pcd(path: str | Path, frame_id: int = 0, timestamp: float = 0.0) -> Poi
     """Read a PCD file into a frame, dropping non-finite points with a warning.
 
     The frame id and timestamp are not stored in PCD files; callers supply
-    them (normally from the manifest entry).  The frame holds copies of its
-    columns, so it does not keep the file's record array alive.
+    them (normally from the manifest entry).  The frame holds contiguous
+    copies of its columns (``PointCloudFrame`` copies a strided view), so
+    it does not keep the file's record array alive.
     """
     cols = read_pcd_columns(path)
     xyz = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
@@ -288,8 +289,8 @@ def read_pcd(path: str | Path, frame_id: int = 0, timestamp: float = 0.0) -> Poi
         log.warning("%s: dropped %d non-finite points of %d", path, dropped, len(finite))
         xyz = xyz[finite]
     intensity = cols.get("intensity")
-    if intensity is not None:
-        intensity = intensity[finite] if dropped else intensity.copy()
+    if intensity is not None and dropped:
+        intensity = intensity[finite]
     return PointCloudFrame(
         frame_id=frame_id,
         timestamp=timestamp,
