@@ -11,6 +11,7 @@ from .calib import (
     DistortionCoeffs,
     ExtrinsicPose,
     Intrinsics,
+    camera_to_lidar,
     distort_normalized,
     load_rig,
     project_points,
@@ -47,7 +48,6 @@ from .segment import (
     KMeansConfig,
     SequenceSummary,
     aggregate_reports,
-    denoise_detection,
     denoise_frame,
     frame_report,
     kmeans,

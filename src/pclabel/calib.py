@@ -3,7 +3,7 @@
 The distortion model is the 5-coefficient Brown-Conrady polynomial
 (k1, k2, k3 radial; p1, p2 tangential) operating on normalized image
 coordinates.  Extrinsic poses map LIDAR-frame coordinates into the camera
-frame (p_cam = R @ p_lidar + t).
+frame (p_cam = R @ p_lidar + t); ``camera_to_lidar`` inverts them.
 """
 
 from __future__ import annotations
@@ -270,6 +270,12 @@ def undistort_normalized(
     if scalar:
         return float(x), float(y)
     return x, y
+
+
+def camera_to_lidar(cam: CameraModel, points: np.ndarray) -> np.ndarray:
+    """Map (n, 3) camera-frame points to the LIDAR frame: R^T (p - t) per row,
+    the inverse of the pose that ``project_points`` applies."""
+    return (points - cam.pose.translation) @ cam.pose.rotation
 
 
 def project_points(

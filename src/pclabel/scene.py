@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .calib import CameraModel, DistortionCoeffs, ExtrinsicPose, Intrinsics
+from .calib import (
+    CameraModel, DistortionCoeffs, ExtrinsicPose, Intrinsics, camera_to_lidar, project_points,
+)
 from .cloud_io import PointCloudFrame, parse_rows, write_manifest, write_pcd
 
 # The classes the detector sees most in road scenes.
@@ -118,12 +120,6 @@ class _PlantedObject:
     drift_xn: float
     drift_yn: float
     drift_depth: float
-
-
-def _camera_to_lidar(cam: CameraModel, pts_cam: np.ndarray) -> np.ndarray:
-    r = cam.pose.rotation
-    t = cam.pose.translation
-    return (pts_cam - t) @ r  # == R^T @ (p - t) per point
 
 
 def _sample_ellipsoid(rng: np.random.Generator, n: int, radii: np.ndarray) -> np.ndarray:
@@ -231,10 +227,8 @@ def gen_scene(
                 [obj.base_xn + f * obj.drift_xn, obj.base_yn + f * obj.drift_yn, 1.0]
             )
             pts_cam = center_cam + _sample_ellipsoid(rng, points_per_object, obj.radii)
-            xn = pts_cam[:, 0] / pts_cam[:, 2]
-            yn = pts_cam[:, 1] / pts_cam[:, 2]
-            u = intr.fx * xn + intr.cx
-            v = intr.fy * yn + intr.cy
+            pts = camera_to_lidar(cam, pts_cam)
+            u, v = project_points(cam, pts)[0].T
             x_min = float(u.min()) - _BOX_PAD_PX
             x_max = float(u.max()) + _BOX_PAD_PX
             y_min = float(v.min()) - _BOX_PAD_PX
@@ -246,7 +240,7 @@ def gen_scene(
                 )
             if (x_max - x_min) * (y_max - y_min) > intr.width * intr.height / 4.0:
                 raise SceneError(f"object {j} box exceeds a quarter of camera {cam.id} image")
-            blocks.append(_camera_to_lidar(cam, pts_cam))
+            blocks.append(pts)
             dets_by_cam[cam.id].append(
                 f"{cam.id} {f} {obj.class_id} {0.95 - 0.02 * j:.2f} "
                 f"{x_min:.3f} {y_min:.3f} {x_max:.3f} {y_max:.3f}"
@@ -262,7 +256,7 @@ def gen_scene(
                 noise_cam = np.stack(
                     [(nu - intr.cx) / intr.fx * nd, (nv - intr.cy) / intr.fy * nd, nd], axis=1
                 )
-                noise_blocks.append(_camera_to_lidar(cam, noise_cam))
+                noise_blocks.append(camera_to_lidar(cam, noise_cam))
 
         xyz = np.concatenate(blocks + noise_blocks).astype(np.float32)
         objid = np.full(len(xyz), -1, dtype=np.int64)  # objects first, then noise

@@ -1,9 +1,11 @@
 """Seeded k-means denoising of labeled points and drop-rate reporting.
 
-Each detection's points are clustered independently (Lloyd's algorithm on
-xyz only) and exactly the largest cluster is kept; everything else in that
-detection is dropped as frustum noise.  All randomness flows from an
-explicit 64-bit seed, so runs are reproducible and schedule-independent.
+``denoise_frame`` is the one way points are grouped by detection: one
+stable sort of the frame's labeled points.  Each detection's points are
+clustered independently (Lloyd's algorithm on xyz only) and exactly the
+largest cluster is kept; everything else in that detection is dropped as
+frustum noise.  All randomness flows from an explicit 64-bit seed, so runs
+are reproducible and schedule-independent.
 """
 
 from __future__ import annotations
@@ -148,42 +150,6 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     )
 
 
-def _keep_largest(
-    frame: PointCloudFrame, lc: LabeledCloud, idx: np.ndarray, cfg: KMeansConfig
-) -> None:
-    """Cluster the points ``idx`` of one detection and keep exactly the largest cluster."""
-    clustering = kmeans(np.take(frame.xyz, idx, axis=0), cfg)
-    sizes = np.bincount(clustering.assignments, minlength=clustering.k)
-    origin_d2 = (clustering.centroids ** 2).sum(axis=1)
-    keep_cluster = min(
-        range(clustering.k), key=lambda c: (-int(sizes[c]), float(origin_d2[c]), c)
-    )
-    lc.cluster_id[idx] = clustering.assignments
-    lc.kept[idx] = clustering.assignments == keep_cluster
-
-
-def denoise_detection(
-    frame: PointCloudFrame,
-    lc: LabeledCloud,
-    detection_ref: tuple[int, int],
-    cfg: KMeansConfig,
-) -> LabeledCloud:
-    """Cluster one detection's points and keep exactly the largest cluster.
-
-    Ties on size pick the cluster whose centroid is nearest the sensor
-    origin (then the lowest cluster id).  Kept members get kept=True,
-    dropped members kept=False; both get their cluster id recorded.
-    Labels of other detections are untouched.  Mutates and returns ``lc``.
-    """
-    cam_id, det_idx = detection_ref
-    member = (lc.camera_id == cam_id) & (lc.det_index == det_idx) & lc.labeled_mask
-    idx = np.flatnonzero(member)
-    if idx.size == 0:
-        raise ValueError(f"detection (camera {cam_id}, index {det_idx}) has no labeled points")
-    _keep_largest(frame, lc, idx, cfg)
-    return lc
-
-
 @dataclass(frozen=True)
 class FrameReport:
     """Per-frame labeling and denoising counts."""
@@ -230,12 +196,17 @@ def frame_report(frame: PointCloudFrame, lc: LabeledCloud) -> FrameReport:
 def denoise_frame(
     frame: PointCloudFrame, lc: LabeledCloud, cfg: KMeansConfig
 ) -> tuple[LabeledCloud, FrameReport]:
-    """Denoise every detection with at least one labeled point.
+    """Cluster each detection's labeled points and keep exactly the largest cluster.
 
-    Detections are processed in (camera_id, detection index) order; each
-    k-means call runs on its own stream derived from (seed, frame_id,
-    camera_id, detection index), so any parallel schedule over detections
-    or frames reproduces the sequential result.
+    Ties on size pick the cluster whose centroid is nearest the sensor
+    origin (then the lowest cluster id).  Kept members get kept=True,
+    dropped members kept=False; both get their cluster id recorded, and
+    unlabeled points are untouched.  Detections are processed in
+    (camera_id, detection index) order; each k-means call runs on its own
+    stream derived from (seed, frame_id, camera_id, detection index), so a
+    detection's result depends on its own points only, and any parallel
+    schedule over detections or frames reproduces the sequential result.
+    Mutates ``lc`` and returns it with the frame's report.
     """
     labeled = np.flatnonzero(lc.labeled_mask)
     if labeled.size:
@@ -259,7 +230,12 @@ def denoise_frame(
         for idx in np.split(members, bounds):
             cam_id, det_idx = int(lc.camera_id[idx[0]]), int(lc.det_index[idx[0]])
             det_cfg = replace(cfg, seed=derive_seed(cfg.seed, frame.frame_id, cam_id, det_idx))
-            _keep_largest(frame, lc, idx, det_cfg)
+            clustering = kmeans(np.take(frame.xyz, idx, axis=0), det_cfg)
+            sizes = np.bincount(clustering.assignments, minlength=clustering.k)
+            origin_d2 = (clustering.centroids ** 2).sum(axis=1)
+            keep = min(range(clustering.k), key=lambda c: (-int(sizes[c]), float(origin_d2[c]), c))
+            lc.cluster_id[idx] = clustering.assignments
+            lc.kept[idx] = clustering.assignments == keep
     return lc, frame_report(frame, lc)
 
 

@@ -17,7 +17,9 @@ from pclabel import (
     Intrinsics,
     LabeledCloud,
     PointCloudFrame,
+    camera_to_lidar,
     label_frame,
+    project_points,
 )
 from pclabel.rng import SplitMix64
 from pclabel.scene import default_rig
@@ -76,13 +78,11 @@ def criterion7_frame() -> tuple[list[CameraModel], PointCloudFrame, dict[int, li
         for slot, xn0 in enumerate((-0.22, 0.2)):
             depth = 10.0 + 2.0 * slot
             center = depth * np.array([xn0, 0.05, 1.0])
-            pts_cam = center + rng.normal(scale=0.35, size=(2000, 3))
-            intr = cam.intrinsics
-            u = intr.fx * pts_cam[:, 0] / pts_cam[:, 2] + intr.cx
-            v = intr.fy * pts_cam[:, 1] / pts_cam[:, 2] + intr.cy
+            pts = camera_to_lidar(cam, center + rng.normal(scale=0.35, size=(2000, 3)))
+            u, v = project_points(cam, pts)[0].T
             box = BBox(u.min() - 2, v.min() - 2, u.max() + 2, v.max() + 2)
             dets.append(Detection.make(cam.id, 0, 2, 0.9, box))
-            blobs.append((pts_cam - cam.pose.translation) @ cam.pose.rotation)
+            blobs.append(pts)
         dets_by_cam[cam.id] = dets
     n_background = 232_320 - 10 * 2000
     azimuth = rng.uniform(0, 2 * np.pi, n_background)

@@ -11,6 +11,8 @@ from pclabel import (
     DistortionCoeffs,
     ExtrinsicPose,
     Intrinsics,
+    camera_to_lidar,
+    default_rig,
     distort_normalized,
     load_rig,
     project_points,
@@ -167,6 +169,39 @@ class TestWorldToCamera:
         assert in_front.tolist() == [True, False]  # camera points (0, 0, 1) and (0, 0, 0)
         assert uv[0].tolist() == [50.0, 50.0]
         assert np.isnan(uv[1]).all()
+
+
+class TestCameraToLidar:
+    """The inverse pose, on the default rig and on a randomly posed camera."""
+
+    @staticmethod
+    def _cameras_and_points():
+        rng = np.random.default_rng(41)
+        posed = simple_camera(pose=ExtrinsicPose(random_rotation(rng), rng.uniform(-3, 3, 3)))
+        pts_cam = rng.uniform(-20, 20, size=(500, 3))
+        pts_cam[:, 2] = rng.uniform(1.0, 60.0, 500)
+        return default_rig() + [posed], pts_cam
+
+    def test_is_the_transposed_rotation_bit_for_bit(self):
+        cameras, pts_cam = self._cameras_and_points()
+        for cam in cameras:
+            want = (pts_cam - cam.pose.translation) @ cam.pose.rotation
+            assert camera_to_lidar(cam, pts_cam).tobytes() == want.tobytes()
+
+    def test_round_trip_through_the_projection(self):
+        cameras, pts_cam = self._cameras_and_points()
+        for cam in cameras:
+            lidar = camera_to_lidar(cam, pts_cam)
+            r, t = cam.pose.rotation, cam.pose.translation
+            x, y, z = lidar.T
+            # the rotation project_points applies, summed in its order
+            back = np.stack([r[i, 0] * x + r[i, 1] * y + r[i, 2] * z + t[i] for i in range(3)], axis=1)
+            assert np.abs(back - pts_cam).max() < 1e-12
+            uv, in_front = project_points(cam, lidar)
+            intr = cam.intrinsics
+            assert in_front.all()
+            assert np.abs(uv[:, 0] - (intr.fx * pts_cam[:, 0] / pts_cam[:, 2] + intr.cx)).max() < 1e-9
+            assert np.abs(uv[:, 1] - (intr.fy * pts_cam[:, 1] / pts_cam[:, 2] + intr.cy)).max() < 1e-9
 
 
 class TestDistortion:

@@ -7,7 +7,6 @@ from pclabel import (
     LabeledCloud,
     PointCloudFrame,
     aggregate_reports,
-    denoise_detection,
     denoise_frame,
     frame_report,
     kmeans,
@@ -15,8 +14,6 @@ from pclabel import (
     read_report_csv,
     write_report_csv,
 )
-from pclabel.rng import derive_seed
-from dataclasses import replace
 
 from helpers import (
     detection,
@@ -39,6 +36,26 @@ def _labeled_frame(points, refs):
             lc.det_index[i] = det
             lc.kept[i] = True
     return frame, lc
+
+
+def _single_detection_runs(frame, lc, cfg, refs):
+    """Reference for denoise_frame: one denoise_frame run per (camera, detection)
+    in ``refs`` order, each on ``lc`` with every other detection's labels
+    cleared, merged.  Each run must leave the points outside its detection
+    exactly as they were."""
+    merged = lc.copy()
+    for cam, det in refs:
+        mine = (lc.camera_id == cam) & (lc.det_index == det)
+        alone = lc.copy()
+        alone.class_id[~mine] = alone.camera_id[~mine] = alone.det_index[~mine] = -1
+        alone.kept[~mine] = False
+        before = alone.copy()
+        denoise_frame(frame, alone, cfg)
+        for name in ("class_id", "camera_id", "det_index", "cluster_id", "kept"):
+            assert np.array_equal(getattr(alone, name)[~mine], getattr(before, name)[~mine])
+        merged.cluster_id[mine] = alone.cluster_id[mine]
+        merged.kept[mine] = alone.kept[mine]
+    return merged
 
 
 class TestKMeansConfig:
@@ -208,6 +225,8 @@ class TestKMeansMatchesReference:
 
 
 class TestDenoiseDetection:
+    """denoise_frame on frames that hold one detection."""
+
     def _blob_and_ray(self):
         rng = np.random.default_rng(17)
         blob = np.array([5, 0, 0]) + rng.normal(scale=0.2, size=(900, 3))
@@ -220,7 +239,7 @@ class TestDenoiseDetection:
 
     def test_keeps_dense_blob_drops_ray(self):
         frame, lc = self._blob_and_ray()
-        denoise_detection(frame, lc, (0, 0), KMeansConfig(k=3, seed=0))
+        denoise_frame(frame, lc, KMeansConfig(k=3, seed=0))
         # brute-force count against the known construction
         assert int(lc.kept[:900].sum()) >= 850
         assert int(lc.kept[900:].sum()) < 50
@@ -228,13 +247,13 @@ class TestDenoiseDetection:
 
     def test_identical_points_nothing_dropped(self):
         frame, lc = _labeled_frame(np.ones((50, 3)), [(0, 0)] * 50)
-        denoise_detection(frame, lc, (0, 0), KMeansConfig(k=3, seed=1))
+        denoise_frame(frame, lc, KMeansConfig(k=3, seed=1))
         assert lc.kept.all()
 
     def test_size_tie_prefers_centroid_nearest_origin(self):
         pts = np.array([[1, 0, 0], [50, 0, 0], [0, 30, 0]], dtype=float)
         frame, lc = _labeled_frame(pts, [(0, 0)] * 3)
-        denoise_detection(frame, lc, (0, 0), KMeansConfig(k=3, seed=0))
+        denoise_frame(frame, lc, KMeansConfig(k=3, seed=0))
         assert lc.kept.tolist() == [True, False, False]
 
     def test_other_detections_untouched(self):
@@ -244,21 +263,17 @@ class TestDenoiseDetection:
         )
         refs = [(0, 0)] * 20 + [(0, 1)] * 20
         frame, lc = _labeled_frame(pts, refs)
-        before = lc.copy()
-        denoise_detection(frame, lc, (0, 0), KMeansConfig(k=2, seed=0))
-        sel = slice(20, 40)
-        assert np.array_equal(lc.kept[sel], before.kept[sel])
-        assert np.array_equal(lc.cluster_id[sel], before.cluster_id[sel])
-
-    def test_no_labeled_points_rejected(self):
-        frame, lc = _labeled_frame(np.ones((5, 3)), [None] * 5)
-        with pytest.raises(ValueError, match="no labeled points"):
-            denoise_detection(frame, lc, (0, 0), KMeansConfig())
+        cfg = KMeansConfig(k=2, seed=0)
+        both, _ = denoise_frame(frame, lc.copy(), cfg)
+        # each single-detection run leaves the other detection's points as they were
+        oracle = _single_detection_runs(frame, lc, cfg, [(0, 0), (0, 1)])
+        assert np.array_equal(both.kept, oracle.kept)
+        assert np.array_equal(both.cluster_id, oracle.cluster_id)
 
     def test_kept_never_exceeds_labeled(self):
         frame, lc = self._blob_and_ray()
         labeled_before = lc.n_labeled
-        denoise_detection(frame, lc, (0, 0), KMeansConfig(k=3, seed=3))
+        denoise_frame(frame, lc, KMeansConfig(k=3, seed=3))
         assert int((lc.labeled_mask & lc.kept).sum()) <= labeled_before
 
 
@@ -302,15 +317,12 @@ class TestDenoiseFrame:
         cfg = KMeansConfig(k=2, seed=9)
 
         forward, _ = denoise_frame(frame, lc.copy(), cfg)
-        # sequential oracle applying the same per-detection streams in reverse
-        reverse = lc.copy()
-        for cam, det in [(1, 2), (0, 0)]:
-            det_cfg = replace(cfg, seed=derive_seed(cfg.seed, frame.frame_id, cam, det))
-            denoise_detection(frame, reverse, (cam, det), det_cfg)
+        # one run per detection, in reverse order, on the same derived streams
+        reverse = _single_detection_runs(frame, lc, cfg, [(1, 2), (0, 0)])
         assert np.array_equal(forward.kept, reverse.kept)
         assert np.array_equal(forward.cluster_id, reverse.cluster_id)
 
-    def test_more_than_255_detections_match_denoise_detection(self):
+    def test_more_than_255_detections_match_single_detection_runs(self):
         # the grouping key no longer fits in one byte
         rng = np.random.default_rng(32)
         n_det = 300
@@ -320,10 +332,7 @@ class TestDenoiseFrame:
         cfg = KMeansConfig(k=2, seed=4)
 
         grouped, _ = denoise_frame(frame, lc.copy(), cfg)
-        oracle = lc.copy()
-        for cam, det in sorted(set(refs)):
-            det_cfg = replace(cfg, seed=derive_seed(cfg.seed, frame.frame_id, cam, det))
-            denoise_detection(frame, oracle, (cam, det), det_cfg)
+        oracle = _single_detection_runs(frame, lc, cfg, sorted(set(refs)))
         assert np.array_equal(grouped.kept, oracle.kept)
         assert np.array_equal(grouped.cluster_id, oracle.cluster_id)
         assert 0 < grouped.kept.sum() < len(refs)
