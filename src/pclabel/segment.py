@@ -328,6 +328,11 @@ def write_report_csv(path: str | Path, reports: Sequence[FrameReport]) -> None:
 
 
 def read_report_csv(path: str | Path) -> list[FrameReport]:
+    """Read a report written by ``write_report_csv``.
+
+    A row whose cell count differs from the header's, or a cell that does
+    not convert, raises ValueError naming ``path:line``.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -346,22 +351,28 @@ def read_report_csv(path: str | Path) -> list[FrameReport]:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} cells, the header has {len(header)}")
             before: dict[int, int] = {}
             after: dict[int, int] = {}
-            for col, cid, kind in class_cols:
-                count = int(row[col])
-                if count:
-                    (before if kind == "before" else after)[cid] = count
-            reports.append(
-                FrameReport(
-                    frame_id=int(row[0]),
-                    total_points=int(row[1]),
-                    labeled_before=int(row[2]),
-                    kept_after=int(row[3]),
-                    dropped=int(row[4]),
-                    drop_rate_percent=float(row[5]),
-                    class_before=before,
-                    class_after=after,
+            try:
+                for col, cid, kind in class_cols:
+                    count = int(row[col])
+                    if count:
+                        (before if kind == "before" else after)[cid] = count
+                reports.append(
+                    FrameReport(
+                        frame_id=int(row[0]),
+                        total_points=int(row[1]),
+                        labeled_before=int(row[2]),
+                        kept_after=int(row[3]),
+                        dropped=int(row[4]),
+                        drop_rate_percent=float(row[5]),
+                        class_before=before,
+                        class_after=after,
+                    )
                 )
-            )
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from None
     return reports

@@ -134,6 +134,19 @@ def test_stats_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_stats_truncated_row_names_file_and_line(tmp_path, capsys):
+    scene = _gen(tmp_path)
+    out = tmp_path / "out"
+    assert main(_run_args(scene, out)) == 0
+    report = out / "report.csv"
+    lines = report.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:3])
+    report.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["stats", str(report)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {report}:3: ")
+
+
 def test_gen_scene_invalid_noise(tmp_path, capsys):
     assert main(["gen-scene", "--out", str(tmp_path / "s"), "--noise", "1.0"]) == 1
     assert "noise fraction" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -430,6 +432,23 @@ class TestReportCsv:
         path = tmp_path / "report.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            read_report_csv(path)
+
+
+    @pytest.mark.parametrize("bad", [
+        "1,100,50",
+        "1,100,50,40,10,20.000000,50,40,7",
+        "x,100,50,40,10,20.000000,50,40",
+        "1,100,50,40,10,20.000000,5.5,40",
+        "1,100,50,40,10,abc,50,40",
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "report.csv"
+        path.write_text(
+            "frame_id,total_points,labeled_before,kept_after,dropped,drop_rate_percent,"
+            f"class_2_before,class_2_after\n0,100,50,40,10,20.000000,50,40\n\n{bad}\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
             read_report_csv(path)
 
 
