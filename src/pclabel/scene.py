@@ -304,13 +304,18 @@ def read_ground_truth(path: str | Path) -> dict[int, np.ndarray]:
     """Load a ground-truth file as {frame_id: object id per point index}.
 
     Indices a frame does not list read as -1.  A malformed line raises
-    ValueError naming the file and line; a negative index, naming the file.
+    ValueError naming the file and line; a negative index, or a point a
+    frame lists twice, naming the file.
     """
     p = Path(path)
     rows = parse_rows(p.read_text(), _GROUND_TRUTH_ROW, p)
     if (rows["index"] < 0).any():
         raise ValueError(f"{p}: negative point index {rows['index'].min()}")
-    rows = rows[np.argsort(rows["frame"], kind="stable")]
+    rows = rows[np.lexsort((rows["index"], rows["frame"]))]
+    repeated = np.flatnonzero((np.diff(rows["frame"]) == 0) & (np.diff(rows["index"]) == 0))
+    if repeated.size:
+        f, i = rows["frame"][repeated[0]], rows["index"][repeated[0]]
+        raise ValueError(f"{p}: frame {f} lists point {i} twice")
     frames, starts = np.unique(rows["frame"], return_index=True)
     out = {}
     for f, group in zip(frames.tolist(), np.split(rows, starts[1:])):

@@ -160,6 +160,12 @@ class TestGenScene:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + "negative point index"):
             read_ground_truth(path)
 
+    def test_repeated_ground_truth_point_rejected(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("0 0 1\n0 1 2\n1 1 7\n0 1 5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + "frame 0 lists point 1 twice"):
+            read_ground_truth(path)
+
     def test_save_rig_roundtrip(self, tmp_path):
         rig = default_rig(3)
         path = tmp_path / "rig.json"
