@@ -55,6 +55,11 @@ class PipelineConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "classes", frozenset(self.classes))
+        unknown = sorted(c for c in self.classes if not 0 <= c < len(detect_ingest.COCO_CLASSES))
+        if unknown:
+            raise ValueError(
+                f"unknown class ids {unknown}; ids run from 0 to {len(detect_ingest.COCO_CLASSES) - 1}"
+            )
 
 
 @dataclass(frozen=True)

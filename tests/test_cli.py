@@ -232,11 +232,25 @@ def test_flag_value_overrides_bad_config_value(tmp_path):
     assert main(_run_args(scene, tmp_path / "out", extra=extra)) == 0
 
 
-def test_unknown_class_names_its_source(tmp_path, capsys):
+@pytest.mark.parametrize("classes, message", [
+    (["car", "dragon"], "unknown class 'dragon'"),
+    ([99], "unknown class ids [99]"),
+    (["truck", -1, 80], "unknown class ids [-1, 80]"),
+    ("99", "unknown class ids [99]"),
+    ("-1", "unknown class ids [-1]"),
+    ("truck,80", "unknown class ids [80]"),
+])
+def test_unknown_class_names_its_source(tmp_path, capsys, classes, message):
     scene = _gen(tmp_path)
-    config = _config(tmp_path, json.dumps({"classes": ["car", "dragon"]}))
-    assert main(_run_args(scene, tmp_path / "out", extra=("--config", str(config)))) == 2
-    assert capsys.readouterr().err.startswith(f"error: {config}: unknown class 'dragon'")
+    capsys.readouterr()
+    if isinstance(classes, list):
+        source = str(_config(tmp_path, json.dumps({"classes": classes})))
+        extra = ("--config", source)
+    else:
+        source, extra = "--classes", ("--classes", classes)
+    assert main(_run_args(scene, tmp_path / "out", extra=extra)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {source}: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [

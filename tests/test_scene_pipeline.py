@@ -327,6 +327,11 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             _pipeline_cfg(small_scene, tmp_path / "out", tolerance=tolerance)
 
+    @pytest.mark.parametrize("classes", [{-1}, {80}, {2, 99}])
+    def test_class_ids_must_be_coco_ids(self, small_scene, tmp_path, classes):
+        with pytest.raises(ValueError, match="unknown class ids"):
+            _pipeline_cfg(small_scene, tmp_path / "out", classes=classes)
+
     def test_workers_must_be_positive(self, small_scene, tmp_path):
         with pytest.raises(ValueError, match="workers"):
             _pipeline_cfg(small_scene, tmp_path / "out", workers=0)
