@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cloud_io
-from .calib import DEFAULT_Z_MIN, CameraModel, project_points
+from .calib import CameraModel, project_points
 from .cloud_io import PointCloudFrame
 from .detect_ingest import BBox, Detection
 
@@ -74,7 +74,7 @@ def _inside(u: np.ndarray, v: np.ndarray, box: BBox) -> np.ndarray:
 
 
 def _visible_pixels(
-    cam: CameraModel, xyz: np.ndarray, distortion_mode: bool, z_min: float
+    cam: CameraModel, xyz: np.ndarray, distortion_mode: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices of the points that land inside ``cam``'s image, and their pixels.
 
@@ -86,9 +86,7 @@ def _visible_pixels(
     block = cloud_io.BLOCK_ROWS
     visible, us, vs = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
     for lo in range(0, len(xyz), block):
-        uv, in_front = project_points(
-            cam, xyz[lo:lo + block], use_distortion=distortion_mode, z_min=z_min
-        )
+        uv, in_front = project_points(cam, xyz[lo:lo + block], use_distortion=distortion_mode)
         u, v = uv[:, 0], uv[:, 1]
         hit = np.flatnonzero(in_front & _inside(u, v, image))
         visible.append(hit + lo)
@@ -103,12 +101,12 @@ def label_frame(
     rig: Sequence[CameraModel],
     detections: Mapping[int, Sequence[Detection]],
     distortion_mode: bool = False,
-    z_min: float = DEFAULT_Z_MIN,
 ) -> LabeledCloud:
     """Assign a detection label to every point whose projection hits a box.
 
     ``detections`` maps camera id to that camera's (pre-filtered) detection
-    list; every key must name a rig camera.  A pixel outside the image
+    list; every key must name a rig camera.  A point at camera depth
+    ``calib.DEFAULT_Z_MIN`` or less, or whose pixel lies outside the image,
     never matches a box.  Overlap is resolved per point by smallest box
     area, then lower camera id, then lower detection index.  All labeled
     points start with kept=True; denoising happens downstream.
@@ -136,7 +134,7 @@ def label_frame(
             raise ValueError(
                 f"detection list for camera {cam_id} contains records for camera {bad[0]}"
             )
-        visible, u, v = _visible_pixels(cam, frame.xyz, distortion_mode, z_min)
+        visible, u, v = _visible_pixels(cam, frame.xyz, distortion_mode)
         for det_idx, det in enumerate(dets):
             hit = visible[_inside(u, v, det.box)]
             candidates.append((det.box.area, cam_id, det_idx, det.class_id, hit))
