@@ -218,6 +218,10 @@ def _stats_command(args) -> int:
                 f"{r.frame_id:5d}  {r.labeled_before:9d}  {r.kept_after:6d}  "
                 f"{o.labeled_before:9d}  {o.kept_after:6d}  {r.kept_after - o.kept_after:10d}"
             )
+        first = {r.frame_id for r in reports}
+        for o in other:
+            if o.frame_id not in first:
+                print(f"{o.frame_id:5d}  missing from first report")
     return 0
 
 

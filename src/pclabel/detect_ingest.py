@@ -71,28 +71,18 @@ class Detection:
     camera_id: int
     frame_id: int
     class_id: int
-    class_name: str
     confidence: float
     box: BBox
 
     def __post_init__(self) -> None:
         if not 0 <= self.class_id < len(COCO_CLASSES):
             raise ValueError(f"unknown class id {self.class_id}")
-        expected = COCO_CLASSES[self.class_id]
-        if self.class_name != expected:
-            raise ValueError(
-                f"class name '{self.class_name}' does not match id {self.class_id} ('{expected}')"
-            )
         if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 
-    @classmethod
-    def make(
-        cls, camera_id: int, frame_id: int, class_id: int, confidence: float, box: BBox
-    ) -> "Detection":
-        if not 0 <= class_id < len(COCO_CLASSES):
-            raise ValueError(f"unknown class id {class_id}")
-        return cls(camera_id, frame_id, class_id, COCO_CLASSES[class_id], confidence, box)
+    @property
+    def class_name(self) -> str:
+        return COCO_CLASSES[self.class_id]
 
 
 @dataclass(frozen=True)
@@ -131,7 +121,7 @@ def load_detections(path: str | Path) -> tuple[list[Detection], list[RejectedRec
             continue
         try:
             box = BBox(*coords)
-            detections.append(Detection.make(camera_id, frame_id, class_id, confidence, box))
+            detections.append(Detection(camera_id, frame_id, class_id, confidence, box))
         except ValueError as e:
             rejected.append(RejectedRecord(line_no, raw, str(e)))
     return detections, rejected

@@ -101,13 +101,11 @@ def _camera_indices(
 def _cloud_index(
     manifest: dict[str, cloud_io.FrameIndex], manifest_path: Path
 ) -> cloud_io.FrameIndex:
-    if "cloud" in manifest:
-        return manifest["cloud"]
-    if len(manifest) == 1:
-        return next(iter(manifest.values()))
-    raise PipelineError(
-        f"{manifest_path}: expected a 'cloud' stream, found {sorted(manifest)}"
-    )
+    if set(manifest) != {"cloud"}:
+        raise PipelineError(
+            f"{manifest_path}: expected only a 'cloud' stream, found {sorted(manifest)}"
+        )
+    return manifest["cloud"]
 
 
 def load_bundle_detections(
@@ -118,9 +116,9 @@ def load_bundle_detections(
 ) -> dict[int, list[detect_ingest.Detection]]:
     """Load, filter, and group one bundle's detections by camera.
 
-    Applies, in order: camera-id consistency with the stream, the
-    confidence threshold, the class allow-list, and the quarter-image
-    oversized-box rule.
+    Applies, in order: the confidence threshold, the class allow-list,
+    and the quarter-image oversized-box rule.  A record whose camera id
+    differs from its stream's raises PipelineError naming the file.
     """
     rig_by_id = {cam.id: cam for cam in rig}
     dets_by_cam: dict[int, list[detect_ingest.Detection]] = {}
@@ -128,7 +126,11 @@ def load_bundle_detections(
         dets, rejected = detect_ingest.load_detections(entry.path)
         if rejected:
             log.warning("%s: rejected %d malformed detection records", entry.path, len(rejected))
-        dets = [d for d in dets if d.camera_id == cam_id]
+        foreign = sorted({d.camera_id for d in dets} - {cam_id})
+        if foreign:
+            raise PipelineError(
+                f"{entry.path}: records for camera {foreign[0]} in the detections of camera {cam_id}"
+            )
         dets = [d for d in dets if d.confidence >= confidence]
         dets = detect_ingest.restrict_classes(dets, classes)
         kept, _oversized = detect_ingest.filter_oversized(dets, rig_by_id[cam_id])

@@ -152,16 +152,32 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Per-frame labeling and denoising counts."""
+    """Per-frame labeling and denoising counts; the drop count and rate derive from them."""
 
     frame_id: int
     total_points: int
     labeled_before: int
     kept_after: int
-    dropped: int
-    drop_rate_percent: float
     class_before: dict[int, int]
     class_after: dict[int, int]
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.kept_after <= self.labeled_before <= self.total_points:
+            raise ValueError(
+                f"counts break 0 <= kept_after ({self.kept_after}) <= labeled_before "
+                f"({self.labeled_before}) <= total_points ({self.total_points})"
+            )
+        for counts, total in ((self.class_before, self.labeled_before), (self.class_after, self.kept_after)):
+            if min(counts.values(), default=0) < 0 or sum(counts.values()) != total:
+                raise ValueError(f"class counts {counts} must be >= 0 and sum to {total}")
+
+    @property
+    def dropped(self) -> int:
+        return self.labeled_before - self.kept_after
+
+    @property
+    def drop_rate_percent(self) -> float:
+        return 100.0 * self.dropped / self.labeled_before if self.labeled_before else 0.0
 
     @property
     def is_empty(self) -> bool:
@@ -177,17 +193,11 @@ def frame_report(frame: PointCloudFrame, lc: LabeledCloud) -> FrameReport:
     """Build a report from the current label state of a frame."""
     labeled = lc.labeled_mask
     kept = labeled & lc.kept
-    labeled_before = int(labeled.sum())
-    kept_after = int(kept.sum())
-    dropped = labeled_before - kept_after
-    rate = 100.0 * dropped / labeled_before if labeled_before else 0.0
     return FrameReport(
         frame_id=frame.frame_id,
         total_points=len(frame),
-        labeled_before=labeled_before,
-        kept_after=kept_after,
-        dropped=dropped,
-        drop_rate_percent=rate,
+        labeled_before=int(labeled.sum()),
+        kept_after=int(kept.sum()),
         class_before=_class_counts(lc.class_id[labeled]),
         class_after=_class_counts(lc.class_id[kept]),
     )
@@ -241,12 +251,9 @@ def denoise_frame(
 
 @dataclass(frozen=True)
 class SequenceSummary:
-    """Drop-rate statistics over a frame sequence."""
+    """Drop-rate statistics over a frame sequence, and the reports they come from."""
 
-    frame_ids: tuple[int, ...]
-    drop_rates: tuple[float, ...]
-    labeled_before: tuple[int, ...]
-    kept_after: tuple[int, ...]
+    reports: tuple[FrameReport, ...]
     empty_frames: tuple[int, ...]
     mean_drop_rate: float
     max_frame: int | None
@@ -256,13 +263,14 @@ class SequenceSummary:
 
     def render(self) -> str:
         lines = ["frame  labeled     kept  dropped  drop_rate"]
-        for fid, rate, before, after in zip(
-            self.frame_ids, self.drop_rates, self.labeled_before, self.kept_after
-        ):
-            flag = "  (no labeled points)" if before == 0 else ""
-            lines.append(f"{fid:5d}  {before:7d}  {after:7d}  {before - after:7d}  {rate:8.2f}%{flag}")
-        n_active = len(self.frame_ids) - len(self.empty_frames)
-        lines.append(f"frames: {len(self.frame_ids)} ({n_active} with labels, {len(self.empty_frames)} empty)")
+        for r in self.reports:
+            flag = "  (no labeled points)" if r.is_empty else ""
+            lines.append(
+                f"{r.frame_id:5d}  {r.labeled_before:7d}  {r.kept_after:7d}  {r.dropped:7d}  "
+                f"{r.drop_rate_percent:8.2f}%{flag}"
+            )
+        n_active = len(self.reports) - len(self.empty_frames)
+        lines.append(f"frames: {len(self.reports)} ({n_active} with labels, {len(self.empty_frames)} empty)")
         lines.append(f"mean drop rate: {self.mean_drop_rate:.2f}% over {n_active} frames")
         if self.max_frame is not None:
             lines.append(f"max drop rate: {self.max_rate:.2f}% at frame {self.max_frame}")
@@ -276,29 +284,19 @@ def aggregate_reports(reports: Iterable[FrameReport]) -> SequenceSummary:
     Frames without labeled points are flagged and excluded from the mean
     and the extremes.
     """
-    reports = list(reports)
-    frame_ids = tuple(r.frame_id for r in reports)
-    rates = tuple(r.drop_rate_percent for r in reports)
-    empty = tuple(r.frame_id for r in reports if r.is_empty)
+    reports = tuple(reports)
     active = [r for r in reports if not r.is_empty]
-    mean = sum(r.drop_rate_percent for r in active) / len(active) if active else 0.0
-    max_frame = max_rate = min_frame = min_rate = None
-    for r in active:
-        if max_rate is None or r.drop_rate_percent > max_rate:
-            max_rate, max_frame = r.drop_rate_percent, r.frame_id
-        if min_rate is None or r.drop_rate_percent < min_rate:
-            min_rate, min_frame = r.drop_rate_percent, r.frame_id
+    # the first frame wins a tie
+    hi = max(active, key=lambda r: r.drop_rate_percent, default=None)
+    lo = min(active, key=lambda r: r.drop_rate_percent, default=None)
     return SequenceSummary(
-        frame_ids=frame_ids,
-        drop_rates=rates,
-        labeled_before=tuple(r.labeled_before for r in reports),
-        kept_after=tuple(r.kept_after for r in reports),
-        empty_frames=empty,
-        mean_drop_rate=mean,
-        max_frame=max_frame,
-        max_rate=max_rate,
-        min_frame=min_frame,
-        min_rate=min_rate,
+        reports=reports,
+        empty_frames=tuple(r.frame_id for r in reports if r.is_empty),
+        mean_drop_rate=sum(r.drop_rate_percent for r in active) / len(active) if active else 0.0,
+        max_frame=None if hi is None else hi.frame_id,
+        max_rate=None if hi is None else hi.drop_rate_percent,
+        min_frame=None if lo is None else lo.frame_id,
+        min_rate=None if lo is None else lo.drop_rate_percent,
     )
 
 
@@ -330,8 +328,9 @@ def write_report_csv(path: str | Path, reports: Sequence[FrameReport]) -> None:
 def read_report_csv(path: str | Path) -> list[FrameReport]:
     """Read a report written by ``write_report_csv``.
 
-    A row whose cell count differs from the header's, or a cell that does
-    not convert, raises ValueError naming ``path:line``.
+    A repeated header column raises ValueError naming ``path``.  A row with
+    the wrong cell count, a cell that does not convert, a repeated frame id,
+    or cells that contradict each other raise ValueError naming ``path:line``.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -341,13 +340,15 @@ def read_report_csv(path: str | Path) -> list[FrameReport]:
             raise ValueError(f"{path}: empty report CSV") from None
         if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
             raise ValueError(f"{path}: unexpected CSV header {header[:6]}")
-        class_cols: list[tuple[int, int, str]] = []
+        class_cols: dict[tuple[int, str], int] = {}  # (class id, before|after) -> column
         for col, name in enumerate(header[len(_BASE_COLUMNS):], start=len(_BASE_COLUMNS)):
             m = _CLASS_COLUMN.match(name)
             if not m:
                 raise ValueError(f"{path}: unexpected CSV column '{name}'")
-            class_cols.append((col, int(m.group(1)), m.group(2)))
-        reports = []
+            if (int(m.group(1)), m.group(2)) in class_cols:
+                raise ValueError(f"{path}: repeated CSV column '{name}'")
+            class_cols[int(m.group(1)), m.group(2)] = col
+        reports: dict[int, FrameReport] = {}
         for row in reader:
             if not row:
                 continue
@@ -357,22 +358,20 @@ def read_report_csv(path: str | Path) -> list[FrameReport]:
             before: dict[int, int] = {}
             after: dict[int, int] = {}
             try:
-                for col, cid, kind in class_cols:
+                for (cid, kind), col in class_cols.items():
                     count = int(row[col])
                     if count:
                         (before if kind == "before" else after)[cid] = count
-                reports.append(
-                    FrameReport(
-                        frame_id=int(row[0]),
-                        total_points=int(row[1]),
-                        labeled_before=int(row[2]),
-                        kept_after=int(row[3]),
-                        dropped=int(row[4]),
-                        drop_rate_percent=float(row[5]),
-                        class_before=before,
-                        class_after=after,
-                    )
-                )
+                r = FrameReport(*map(int, row[:4]), class_before=before, class_after=after)
+                # dropped and drop_rate_percent are derived: check them, store nothing
+                if int(row[4]) != r.dropped:
+                    raise ValueError(f"dropped is {row[4]}, labeled_before - kept_after is {r.dropped}")
+                rate = f"{r.drop_rate_percent:.6f}"
+                if f"{float(row[5]):.6f}" != rate:
+                    raise ValueError(f"drop_rate_percent is {row[5]}, the counts give {rate}")
             except ValueError as e:
                 raise ValueError(f"{where}: {e}") from None
-    return reports
+            if r.frame_id in reports:
+                raise ValueError(f"{where}: repeated frame id {r.frame_id}")
+            reports[r.frame_id] = r
+    return list(reports.values())

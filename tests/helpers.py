@@ -46,7 +46,7 @@ def simple_camera(
 
 def detection(cam_id: int, box: tuple[float, float, float, float],
               class_id: int = 2, frame_id: int = 0, confidence: float = 0.9) -> Detection:
-    return Detection.make(cam_id, frame_id, class_id, confidence, BBox(*box))
+    return Detection(cam_id, frame_id, class_id, confidence, BBox(*box))
 
 
 def box_hits(box: tuple[float, float, float, float], pixels, width: int = 1000,
@@ -81,7 +81,7 @@ def criterion7_frame() -> tuple[list[CameraModel], PointCloudFrame, dict[int, li
             pts = camera_to_lidar(cam, center + rng.normal(scale=0.35, size=(2000, 3)))
             u, v = project_points(cam, pts)[0].T
             box = BBox(u.min() - 2, v.min() - 2, u.max() + 2, v.max() + 2)
-            dets.append(Detection.make(cam.id, 0, 2, 0.9, box))
+            dets.append(Detection(cam.id, 0, 2, 0.9, box))
             blobs.append(pts)
         dets_by_cam[cam.id] = dets
     n_background = 232_320 - 10 * 2000

@@ -276,7 +276,7 @@ def test_criterion_8_determinism_across_runs_and_workers(scene_run, tmp_path):
 def test_criterion_9_oversized_box_rule(x0, y0, w, h):
     """Every kept detection has area <= W*H/4; the exact quarter boundary is kept."""
     cam = simple_camera(width=640, height=480)
-    det = Detection.make(0, 0, 2, 0.9, BBox(x0, y0, x0 + w, y0 + h))
+    det = Detection(0, 0, 2, 0.9, BBox(x0, y0, x0 + w, y0 + h))
     kept, rejected = filter_oversized([det], cam)
     limit = 640 * 480 / 4
     if det.box.area > limit:
@@ -287,7 +287,7 @@ def test_criterion_9_oversized_box_rule(x0, y0, w, h):
 
 def test_criterion_9_exact_quarter_boundary():
     cam = simple_camera(width=640, height=480)
-    det = Detection.make(0, 0, 2, 0.9, BBox(0, 0, 320, 240))
+    det = Detection(0, 0, 2, 0.9, BBox(0, 0, 320, 240))
     assert det.box.area == 640 * 480 / 4
     kept, _ = filter_oversized([det], cam)
     assert kept == [det]

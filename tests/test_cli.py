@@ -3,7 +3,7 @@ import json
 import pytest
 
 from pclabel.cli import main
-from pclabel import read_report_csv
+from pclabel import FrameReport, read_report_csv, write_report_csv
 
 
 def _gen(tmp_path, **kw):
@@ -145,6 +145,41 @@ def test_stats_truncated_row_names_file_and_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["stats", str(report)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {report}:3: ")
+
+
+def test_stats_rejects_contradicting_rows(tmp_path, capsys):
+    report = tmp_path / "a.csv"
+    report.write_text(
+        "frame_id,total_points,labeled_before,kept_after,dropped,drop_rate_percent,"
+        "class_2_before,class_2_after\n"
+        "0,100,50,40,10,nan,50,40\n"
+        "1,100,-5,40,99,20.0,50,40\n"
+    )
+    assert main(["stats", str(report)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {report}:2: drop_rate_percent is nan")
+
+
+def test_stats_compare_lists_frames_only_the_second_report_has(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_report_csv(a, [FrameReport(0, 100, 50, 40, {2: 50}, {2: 40})])
+    write_report_csv(b, [FrameReport(0, 100, 50, 45, {2: 50}, {2: 45}),
+                         FrameReport(7, 100, 20, 10, {2: 20}, {2: 10})])
+    assert main(["stats", str(a), "--compare", str(b)]) == 0
+    rows = capsys.readouterr().out.split("kept_delta\n")[1].splitlines()
+    assert rows == [
+        "    0         50      40         50      45          -5",
+        "    7  missing from first report",
+    ]
+
+
+def test_stats_prints_the_runs_summary(tmp_path, capsys):
+    # the reference scene: 20 frames, 3 objects, 30% noise, seed 0; k=3, k-means seed 0
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    assert main(["gen-scene", "--out", str(scene)]) == 0
+    assert main(_run_args(scene, out, extra=("--seed", "0", "--k", "3"))) == 0
+    capsys.readouterr()
+    assert main(["stats", str(out / "report.csv")]) == 0
+    assert capsys.readouterr().out == (out / "summary.txt").read_text()
 
 
 def test_gen_scene_invalid_noise(tmp_path, capsys):

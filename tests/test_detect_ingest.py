@@ -45,21 +45,17 @@ class TestBBox:
 
 
 class TestDetection:
-    def test_make_fills_class_name(self):
-        det = Detection.make(0, 5, 2, 0.91, BBox(100, 120, 220, 260))
+    def test_class_name_read_from_id(self):
+        det = Detection(0, 5, 2, 0.91, BBox(100, 120, 220, 260))
         assert det.class_name == "car"
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="unknown class"):
-            Detection.make(0, 0, 80, 0.5, BBox(0, 0, 1, 1))
-
-    def test_mismatched_name_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            Detection(0, 0, 2, "person", 0.5, BBox(0, 0, 1, 1))
+            Detection(0, 0, 80, 0.5, BBox(0, 0, 1, 1))
 
     def test_confidence_range(self):
         with pytest.raises(ValueError, match="confidence"):
-            Detection.make(0, 0, 2, 1.5, BBox(0, 0, 1, 1))
+            Detection(0, 0, 2, 1.5, BBox(0, 0, 1, 1))
 
 
 class TestLoadDetections:

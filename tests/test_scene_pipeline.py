@@ -27,6 +27,7 @@ from pclabel import (
     read_pcd_columns,
     read_report_csv,
     run_pipeline,
+    write_manifest,
     write_pcd,
 )
 from pclabel import cloud_io, fusion
@@ -240,6 +241,26 @@ class TestRunPipeline:
         for r in result.frames:
             assert set(r.report.class_before) <= {2}
             assert r.report.labeled_before > 0
+
+    @pytest.mark.parametrize("streams", [("cam0",), ("cloud", "lidar2")])
+    def test_cloud_manifest_holds_only_a_cloud_stream(self, small_scene, tmp_path, streams):
+        entries = read_manifest(small_scene.cloud_manifest)["cloud"].entries
+        clouds = tmp_path / "clouds.manifest"
+        write_manifest(clouds, [(s, e.frame_id, e.timestamp, str(e.path)) for s in streams for e in entries])
+        message = f"{clouds}: expected only a 'cloud' stream, found {sorted(streams)}"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            run_pipeline(_pipeline_cfg(small_scene, tmp_path / "out", cloud_manifest=clouds))
+
+    def test_detection_record_for_another_camera_rejected(self, small_scene, tmp_path):
+        rig, bundles = _bundles(small_scene)
+        bundle = bundles[0]
+        cam_id, entry = min(bundle.cameras.items())
+        dets = tmp_path / "dets.txt"
+        dets.write_text(entry.path.read_text() + f"{cam_id + 1} {bundle.cloud.frame_id} 2 0.9 10 10 50 50\n")
+        bundle = replace(bundle, cameras={**bundle.cameras, cam_id: replace(entry, path=dets)})
+        message = f"{dets}: records for camera {cam_id + 1} in the detections of camera {cam_id}"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            load_bundle_detections(bundle, rig)
 
     def test_unknown_detection_stream_rejected(self, small_scene, tmp_path):
         dets = tmp_path / "bad.manifest"

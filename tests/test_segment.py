@@ -356,14 +356,11 @@ class TestDenoiseFrame:
 class TestAggregateReports:
     @staticmethod
     def _report(frame_id, before, dropped, total=10000):
-        rate = 100.0 * dropped / before if before else 0.0
         return FrameReport(
             frame_id=frame_id,
             total_points=total,
             labeled_before=before,
             kept_after=before - dropped,
-            dropped=dropped,
-            drop_rate_percent=rate,
             class_before={2: before} if before else {},
             class_after={2: before - dropped} if before else {},
         )
@@ -414,8 +411,8 @@ class TestAggregateReports:
 class TestReportCsv:
     def test_roundtrip(self, tmp_path):
         reports = [
-            FrameReport(0, 1000, 600, 420, 180, 30.0, {2: 400, 0: 200}, {2: 300, 0: 120}),
-            FrameReport(1, 900, 0, 0, 0, 0.0, {}, {}),
+            FrameReport(0, 1000, 600, 420, {2: 400, 0: 200}, {2: 300, 0: 120}),
+            FrameReport(1, 900, 0, 0, {}, {}),
         ]
         path = tmp_path / "report.csv"
         write_report_csv(path, reports)
@@ -451,8 +448,57 @@ class TestReportCsv:
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
             read_report_csv(path)
 
+    _HEADER = (
+        "frame_id,total_points,labeled_before,kept_after,dropped,drop_rate_percent,"
+        "class_2_before,class_2_after\n"
+    )
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1,100,50,40,11,20.000000,50,40", "dropped is 11, labeled_before - kept_after is 10"),
+        ("1,100,50,40,10,20.000001,50,40", "drop_rate_percent is 20.000001, the counts give 20.000000"),
+        ("1,100,50,40,10,nan,50,40", "drop_rate_percent is nan"),
+        ("1,100,-5,-10,5,-100.000000,-5,-10", "counts break 0 <= kept_after"),
+        ("1,100,40,50,-10,-25.000000,40,50", "counts break 0 <= kept_after"),
+        ("1,30,50,40,10,20.000000,50,40", "counts break 0 <= kept_after"),
+        ("1,100,50,40,10,20.000000,49,40", "class counts {2: 49} must be >= 0 and sum to 50"),
+        ("1,100,50,40,10,20.000000,50,41", "class counts {2: 41} must be >= 0 and sum to 40"),
+        ("0,100,50,40,10,20.000000,50,40", "repeated frame id 0"),
+    ])
+    def test_contradicting_row_names_file_and_line(self, tmp_path, bad, message):
+        path = tmp_path / "report.csv"
+        path.write_text(f"{self._HEADER}0,100,50,40,10,20.000000,50,40\n{bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+            read_report_csv(path)
+
+    def test_negative_class_count_rejected(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text(
+            "frame_id,total_points,labeled_before,kept_after,dropped,drop_rate_percent,"
+            "class_0_before,class_0_after,class_2_before,class_2_after\n"
+            "0,100,50,40,10,20.000000,-10,0,60,40\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: class counts")):
+            read_report_csv(path)
+
+    def test_rate_compared_at_six_decimals(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text(f"{self._HEADER}0,90,30,20,10,33.3333334,30,20\n1,90,3,2,1,33.333333,3,2\n")
+        assert [r.drop_rate_percent for r in read_report_csv(path)] == [100 / 3, 100 / 3]
+
+    @pytest.mark.parametrize("repeat", ["class_2_before", "class_02_before"])
+    def test_repeated_column_names_file(self, tmp_path, repeat):
+        path = tmp_path / "report.csv"
+        path.write_text(f"{self._HEADER.strip()},{repeat}\n0,100,50,40,10,20.000000,50,40,3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: repeated CSV column '{repeat}'")):
+            read_report_csv(path)
+
 
 class TestFrameReportHelper:
+    def test_drop_count_and_rate_derive_from_counts(self):
+        report = FrameReport(3, 100, 50, 40, {2: 50}, {2: 40})
+        assert (report.dropped, report.drop_rate_percent) == (10, 20.0)
+        assert FrameReport(4, 100, 0, 0, {}, {}).drop_rate_percent == 0.0
+
     def test_frame_report_before_denoise_drops_nothing(self):
         frame, lc = _labeled_frame(np.ones((4, 3)), [(0, 0), (0, 0), None, None])
         report = frame_report(frame, lc)
