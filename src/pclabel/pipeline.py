@@ -117,8 +117,8 @@ def load_bundle_detections(
     """Load, filter, and group one bundle's detections by camera.
 
     Applies, in order: the confidence threshold, the class allow-list,
-    and the quarter-image oversized-box rule.  A record whose camera id
-    differs from its stream's raises PipelineError naming the file.
+    and the quarter-image oversized-box rule.  A file holding a record of
+    another camera, or records of two frames, raises PipelineError naming it.
     """
     rig_by_id = {cam.id: cam for cam in rig}
     dets_by_cam: dict[int, list[detect_ingest.Detection]] = {}
@@ -131,6 +131,9 @@ def load_bundle_detections(
             raise PipelineError(
                 f"{entry.path}: records for camera {foreign[0]} in the detections of camera {cam_id}"
             )
+        frames = sorted({d.frame_id for d in dets})
+        if len(frames) > 1:
+            raise PipelineError(f"{entry.path}: records for frames {frames[0]} and {frames[1]} in one file")
         dets = [d for d in dets if d.confidence >= confidence]
         dets = detect_ingest.restrict_classes(dets, classes)
         kept, _oversized = detect_ingest.filter_oversized(dets, rig_by_id[cam_id])

@@ -46,27 +46,33 @@ class Clustering:
     """Result of one k-means run.
 
     ``inertia_history`` holds the assignment-step inertia of every
-    iteration followed by the final re-assignment inertia; Lloyd's
+    iteration followed by the final assignment's inertia; Lloyd's
     algorithm makes the sequence non-increasing.
     """
 
     assignments: np.ndarray
     centroids: np.ndarray
-    inertia: float
-    iterations_run: int
     inertia_history: tuple[float, ...]
 
     @property
     def k(self) -> int:
         return len(self.centroids)
 
+    @property
+    def inertia(self) -> float:
+        return self.inertia_history[-1]
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.inertia_history) - 1
+
 
 def _assign(
     cols: np.ndarray, centroids: np.ndarray, assign: np.ndarray, best: np.ndarray,
     d2: np.ndarray, sq: np.ndarray,
-) -> None:
+) -> float:
     """Nearest centroid of every point into ``assign`` (ties to the lowest id),
-    and the squared distance to it into ``best``; ``d2`` and ``sq`` are work buffers.
+    the squared distance to it into ``best``, and the inertia returned.
 
     ``cols`` is (3, n).  The squared terms are added as (dx*dx + dz*dz) + dy*dy,
     the order in which numpy's AVX2/AVX-512 einsum reduced them in earlier
@@ -83,6 +89,7 @@ def _assign(
             closer = d2 < best
             assign[closer] = c
             np.minimum(best, d2, out=best)
+    return float(best.sum())
 
 
 def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) -> Clustering:
@@ -92,10 +99,10 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     the splitmix64 stream seeded by ``cfg.seed``.  Assignment uses squared
     Euclidean distance with ties to the lowest cluster id; an emptied
     cluster is re-seeded to the point farthest from its former centroid.
-    Iteration stops when the max-norm centroid movement drops below
-    ``cfg.tol`` (or reaches an exact fixed point, or ``cfg.max_iter``).
-    A final assignment pass guarantees the reported assignments are
-    nearest-centroid with respect to the reported centroids.
+    Each step moves the centroids, then re-assigns unless none moved, so
+    the reported assignments are nearest-centroid for the reported
+    centroids.  Iteration stops when the max-norm centroid movement drops
+    below ``cfg.tol`` (or reaches an exact fixed point, or ``cfg.max_iter``).
 
     If fewer points than k are given, k is lowered to the point count for
     the call (visible as ``result.k``).
@@ -112,42 +119,31 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     init = rng.sample_distinct(n, k)
     centroids = np.ascontiguousarray(cols[:, init].T)
 
-    history: list[float] = []
-    iterations = 0
     assign = np.empty(n, dtype=np.intp)
     best, d2 = np.empty(n), np.empty(n)
     sq = np.empty_like(cols)
-    for it in range(1, cfg.max_iter + 1):
-        _assign(cols, centroids, assign, best, d2, sq)
-        history.append(float(best.sum()))
+    history = [_assign(cols, centroids, assign, best, d2, sq)]
+    for _ in range(cfg.max_iter):
         counts = np.bincount(assign, minlength=k)
-        filled = counts > 0
-        new_centroids = np.empty_like(centroids)
-        for dim in range(3):
-            sums = np.bincount(assign, weights=cols[dim], minlength=k)
-            new_centroids[filled, dim] = sums[filled] / counts[filled]
-        for c in np.flatnonzero(~filled):
+        sums = np.stack([np.bincount(assign, weights=axis, minlength=k) for axis in cols], axis=1)
+        with np.errstate(invalid="ignore"):
+            new_centroids = sums / counts[:, None]
+        for c in np.flatnonzero(counts == 0):
             far = int(np.argmax(((cols - centroids[c][:, None]) ** 2).sum(axis=0)))
             new_centroids[c] = cols[:, far]
         movement = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
-        iterations = it
-        if movement < cfg.tol or movement == 0.0:
+        if movement == 0.0:  # the assignment held is already nearest for these centroids
+            history.append(history[-1])
+            break
+        history.append(_assign(cols, centroids, assign, best, d2, sq))
+        if movement < cfg.tol:
             break
 
-    _assign(cols, centroids, assign, best, d2, sq)
-    inertia = float(best.sum())
-    history.append(inertia)
     assign = assign.astype(np.int32)
     centroids.flags.writeable = False
     assign.flags.writeable = False
-    return Clustering(
-        assignments=assign,
-        centroids=centroids,
-        inertia=inertia,
-        iterations_run=iterations,
-        inertia_history=tuple(history),
-    )
+    return Clustering(assignments=assign, centroids=centroids, inertia_history=tuple(history))
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,7 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
         return sq[..., 0] + sq[..., 2] + sq[..., 1]
 
     history = []
-    iterations = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         d2 = squared_distances(centroids)
         assign = d2.argmin(axis=1)
         history.append(float(d2.min(axis=1).sum()))
@@ -197,18 +196,14 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
             new_centroids[c] = pts[far]
         movement = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
-        iterations = it
         if movement < tol or movement == 0.0:
             break
 
     d2 = squared_distances(centroids)
-    inertia = float(d2.min(axis=1).sum())
-    history.append(inertia)
+    history.append(float(d2.min(axis=1).sum()))
     return Clustering(
         assignments=d2.argmin(axis=1).astype(np.int32),
         centroids=centroids,
-        inertia=inertia,
-        iterations_run=iterations,
         inertia_history=tuple(history),
     )
 

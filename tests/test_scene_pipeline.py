@@ -55,6 +55,12 @@ def _pipeline_cfg(scene, out_dir, **overrides):
     return PipelineConfig(**base)
 
 
+def _with_detection_file(bundle, cam_id, path, text):
+    """``bundle`` with camera ``cam_id``'s detection file replaced by ``path`` holding ``text``."""
+    path.write_text(text)
+    return replace(bundle, cameras={**bundle.cameras, cam_id: replace(bundle.cameras[cam_id], path=path)})
+
+
 def _bundles(scene, tolerance=0.05):
     rig = load_rig(scene.calibration)
     cloud_index = read_manifest(scene.cloud_manifest)["cloud"]
@@ -253,14 +259,50 @@ class TestRunPipeline:
 
     def test_detection_record_for_another_camera_rejected(self, small_scene, tmp_path):
         rig, bundles = _bundles(small_scene)
-        bundle = bundles[0]
-        cam_id, entry = min(bundle.cameras.items())
+        cam_id, entry = min(bundles[0].cameras.items())
         dets = tmp_path / "dets.txt"
-        dets.write_text(entry.path.read_text() + f"{cam_id + 1} {bundle.cloud.frame_id} 2 0.9 10 10 50 50\n")
-        bundle = replace(bundle, cameras={**bundle.cameras, cam_id: replace(entry, path=dets)})
+        text = entry.path.read_text() + f"{cam_id + 1} {bundles[0].cloud.frame_id} 2 0.9 10 10 50 50\n"
+        bundle = _with_detection_file(bundles[0], cam_id, dets, text)
         message = f"{dets}: records for camera {cam_id + 1} in the detections of camera {cam_id}"
         with pytest.raises(PipelineError, match=re.escape(message)):
             load_bundle_detections(bundle, rig)
+
+    def test_detection_file_with_two_frame_ids_rejected(self, small_scene, tmp_path):
+        rig, bundles = _bundles(small_scene)
+        cam_id, entry = min(bundles[0].cameras.items())
+        frame_id = bundles[0].cloud.frame_id
+        dets = tmp_path / "dets.txt"
+        text = entry.path.read_text() + f"{cam_id} {frame_id + 99} 2 0.9 10 10 50 50\n"
+        bundle = _with_detection_file(bundles[0], cam_id, dets, text)
+        message = f"{dets}: records for frames {frame_id} and {frame_id + 99} in one file"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            load_bundle_detections(bundle, rig)
+
+    def test_detection_frame_ids_are_not_matched_to_the_manifest(self, small_scene, tmp_path):
+        # A detection file is matched to a cloud by timestamp; its records may
+        # number their frame differently from the manifests, as long as they agree.
+        rig, bundles = _bundles(small_scene)
+        cam_id, entry = min(bundles[0].cameras.items())
+        lines = [line.split() for line in entry.path.read_text().splitlines() if line and line[0] != "#"]
+        text = "".join(" ".join([cam, "7", *rest]) + "\n" for cam, _frame, *rest in lines)
+        bundle = _with_detection_file(bundles[0], cam_id, tmp_path / "dets.txt", text)
+        got = load_bundle_detections(bundle, rig)[cam_id]
+        want = load_bundle_detections(bundles[0], rig)[cam_id]
+        assert want and got == [replace(d, frame_id=7) for d in want]
+
+    def test_confidence_equal_to_the_threshold_is_kept(self, small_scene, tmp_path):
+        rig, bundles = _bundles(small_scene)
+        frame_id = bundles[0].cloud.frame_id
+        cam_id = min(bundles[0].cameras)
+        threshold = 0.5
+        below = float(np.nextafter(threshold, 0.0))
+        text = "".join(
+            f"{cam_id} {frame_id} {class_id} {conf!r} 10 10 50 50\n"
+            for class_id, conf in ((2, threshold), (3, below), (5, 1.0))
+        )
+        bundle = _with_detection_file(bundles[0], cam_id, tmp_path / "dets.txt", text)
+        got = load_bundle_detections(bundle, rig, confidence=threshold)[cam_id]
+        assert [(d.class_id, d.confidence) for d in got] == [(2, threshold), (5, 1.0)]
 
     def test_unknown_detection_stream_rejected(self, small_scene, tmp_path):
         dets = tmp_path / "bad.manifest"

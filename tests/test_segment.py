@@ -1,7 +1,10 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclabel import (
     FrameReport,
@@ -16,6 +19,7 @@ from pclabel import (
     read_report_csv,
     write_report_csv,
 )
+from pclabel.rng import SplitMix64
 
 from helpers import (
     detection,
@@ -191,6 +195,8 @@ def _reference_cases():
         ],
         "max_iter_hit": [(noisy, KMeansConfig(k=5, seed=2, max_iter=2))],
         "tol_zero": [(noisy, KMeansConfig(k=4, seed=5, tol=0.0))],
+        # stops on tol while the centroids still move
+        "tol_stop": [(noisy, KMeansConfig(k=3, seed=1, tol=0.1))],
         "float32": [(noisy.astype(np.float32), KMeansConfig(k=3, seed=9))],
         # the inertia of a few points shows the last bit of each squared
         # distance, so these pin the order in which the three terms are added
@@ -201,20 +207,58 @@ def _reference_cases():
     }
 
 
+def _assert_matches_reference(got, pts, cfg):
+    want = reference_kmeans(pts, cfg.k, cfg.max_iter, cfg.seed, cfg.tol)
+    assert got.assignments.dtype == want.assignments.dtype
+    assert np.array_equal(got.assignments, want.assignments)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.inertia_history == want.inertia_history
+    assert got.inertia == want.inertia
+    assert got.iterations_run == want.iterations_run
+
+
+_coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-4, 4, width=32))
+
+
+@st.composite
+def _kmeans_inputs(draw):
+    """1-40 points drawn with repeats from up to as many distinct ones, and a config."""
+    n = draw(st.integers(1, 40))
+    distinct = draw(st.lists(st.tuples(_coord, _coord, _coord), min_size=1, max_size=n))
+    rows = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    cfg = KMeansConfig(
+        k=draw(st.integers(1, 5)),
+        max_iter=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        tol=draw(st.sampled_from([0.0, 1e-6, 0.3])),
+    )
+    return np.array([distinct[i] for i in rows], dtype=dtype), cfg
+
+
 class TestKMeansMatchesReference:
     """kmeans matches the plain Lloyd loop in helpers.reference_kmeans bit for bit."""
 
     @pytest.mark.parametrize("case", sorted(_reference_cases()))
     def test_bit_identical(self, case):
         for pts, cfg in _reference_cases()[case]:
-            got = kmeans(pts, cfg)
-            want = reference_kmeans(pts, cfg.k, cfg.max_iter, cfg.seed, cfg.tol)
-            assert got.assignments.dtype == want.assignments.dtype
-            assert np.array_equal(got.assignments, want.assignments)
-            assert got.centroids.tobytes() == want.centroids.tobytes()
-            assert got.inertia == want.inertia
-            assert got.iterations_run == want.iterations_run
-            assert got.inertia_history == want.inertia_history
+            _assert_matches_reference(kmeans(pts, cfg), pts, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_kmeans_inputs())
+    def test_bit_identical_on_small_inputs(self, inputs):
+        pts, cfg = inputs
+        _assert_matches_reference(kmeans(pts, cfg), pts, cfg)
+
+    def test_movement_equal_to_tol_does_not_stop(self):
+        # the stop rule is movement < tol, so a step that moves exactly tol goes on
+        pts, cfg = _reference_cases()["tol_stop"][0]
+        start = pts[SplitMix64(cfg.seed).sample_distinct(len(pts), cfg.k)]
+        first = reference_kmeans(pts, cfg.k, 1, cfg.seed, 0.0)
+        cfg = replace(cfg, tol=float(np.max(np.abs(first.centroids - start))))
+        got = kmeans(pts, cfg)
+        assert got.iterations_run > 1
+        _assert_matches_reference(got, pts, cfg)
 
     def test_cases_reach_their_paths(self):
         cases = _reference_cases()
@@ -224,6 +268,10 @@ class TestKMeansMatchesReference:
         assert kmeans(pts, cfg).k == len(pts)
         pts, cfg = cases["empty_cluster_reseeded"][0]
         assert kmeans(pts, cfg).assignments.tolist() == [0, 0, 1]
+        pts, cfg = cases["tol_stop"][0]
+        res = kmeans(pts, cfg)
+        assert res.inertia_history[-1] != res.inertia_history[-2]  # the last step moved
+        assert res.iterations_run < kmeans(pts, replace(cfg, tol=0.0)).iterations_run
 
 
 class TestDenoiseDetection:
