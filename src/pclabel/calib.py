@@ -67,10 +67,6 @@ class DistortionCoeffs:
             if not math.isfinite(getattr(self, name)):
                 raise CalibrationError(f"distortion coefficient {name} is not finite")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.k1 == self.k2 == self.p1 == self.p2 == self.k3 == 0.0
-
 
 @dataclass(frozen=True)
 class ExtrinsicPose:
@@ -125,16 +121,21 @@ _CAMERA_KEYS = {
 }
 
 
+def _is_number(v: object) -> bool:
+    """JSON's number rule: an int or a float, never a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(entry: dict, key: str, where: str) -> float:
     v = entry[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise CalibrationError(f"{where}: field '{key}' must be a number, got {v!r}")
     return float(v)
 
 
 def _integer(entry: dict, key: str, where: str) -> int:
     v = entry[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not (_is_number(v) and isinstance(v, int)):
         raise CalibrationError(f"{where}: field '{key}' must be an integer, got {v!r}")
     return v
 
@@ -143,12 +144,10 @@ def _number_list(entry: dict, key: str, length: int, where: str) -> list[float]:
     v = entry[key]
     if not isinstance(v, list) or len(v) != length:
         raise CalibrationError(f"{where}: field '{key}' must be a list of {length} numbers")
-    out = []
-    for x in v:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise CalibrationError(f"{where}: field '{key}' must contain only numbers, got {x!r}")
-        out.append(float(x))
-    return out
+    bad = [x for x in v if not _is_number(x)]
+    if bad:
+        raise CalibrationError(f"{where}: field '{key}' must contain only numbers, got {bad[0]!r}")
+    return [float(x) for x in v]
 
 
 def _parse_camera(entry: object, position: int) -> CameraModel:
@@ -176,7 +175,7 @@ def _parse_camera(entry: object, position: int) -> CameraModel:
     rotation = _number_list(entry, "rotation", 9, where)
     translation = _number_list(entry, "translation", 3, where)
     try:
-        pose = ExtrinsicPose(np.array(rotation).reshape(3, 3), np.array(translation))
+        pose = ExtrinsicPose(rotation, translation)
         return CameraModel(id=cam_id, intrinsics=intr, distortion=dist, pose=pose)
     except CalibrationError as e:
         raise CalibrationError(f"{where}: {e}") from e
@@ -228,29 +227,20 @@ def distort_normalized(d: DistortionCoeffs, xn, yn):
     return xd, yd
 
 
-def undistort_normalized(
-    d: DistortionCoeffs,
-    xd,
-    yd,
-    max_iter: int = UNDISTORT_MAX_ITER,
-    tol: float = UNDISTORT_STEP_TOL,
-):
+def undistort_normalized(d: DistortionCoeffs, xd, yd):
     """Invert the distortion model by fixed-point iteration.
 
     Starting from the distorted coordinates, each step divides out the
     radial factor and subtracts the tangential terms evaluated at the
-    current estimate.  Stops when the max-norm step falls below ``tol``;
-    raises ValueError if ``max_iter`` iterations do not converge (the
-    input is outside the model's invertible region).
+    current estimate.  Stops when the max-norm step falls below
+    ``UNDISTORT_STEP_TOL``; raises ValueError if ``UNDISTORT_MAX_ITER``
+    iterations do not converge (the input is outside the model's
+    invertible region).  Accepts scalars or numpy arrays; a scalar comes
+    back as a numpy float64.
     """
-    xd_a = np.asarray(xd, dtype=np.float64)
-    yd_a = np.asarray(yd, dtype=np.float64)
-    scalar = xd_a.ndim == 0
-    if xd_a.size == 0:
-        return xd_a.copy(), yd_a.copy()
-    x = xd_a.copy()
-    y = yd_a.copy()
-    for _ in range(max_iter):
+    x = xd_a = np.asarray(xd, dtype=np.float64)
+    y = yd_a = np.asarray(yd, dtype=np.float64)
+    for _ in range(UNDISTORT_MAX_ITER):
         r2 = x * x + y * y
         radial = 1.0 + d.k1 * r2 + d.k2 * r2 * r2 + d.k3 * r2 * r2 * r2
         dx = 2.0 * d.p1 * x * y + d.p2 * (r2 + 2.0 * x * x)
@@ -258,18 +248,16 @@ def undistort_normalized(
         with np.errstate(divide="ignore", invalid="ignore"):
             x_new = (xd_a - dx) / radial
             y_new = (yd_a - dy) / radial
-        step = max(float(np.max(np.abs(x_new - x))), float(np.max(np.abs(y_new - y))))
+        step = max(np.max(np.abs(x_new - x), initial=0.0), np.max(np.abs(y_new - y), initial=0.0))
         x, y = x_new, y_new
-        if step < tol:
+        if step < UNDISTORT_STEP_TOL:
             break
     else:
         raise ValueError(
-            f"undistortion did not converge after {max_iter} iterations; "
+            f"undistortion did not converge after {UNDISTORT_MAX_ITER} iterations; "
             "point is outside the invertible region"
         )
-    if scalar:
-        return float(x), float(y)
-    return x, y
+    return x[()], y[()]
 
 
 def camera_to_lidar(cam: CameraModel, points: np.ndarray) -> np.ndarray:

@@ -397,10 +397,6 @@ class FrameBundle:
     cloud: IndexEntry
     cameras: Mapping[int, IndexEntry]
 
-    @property
-    def is_empty(self) -> bool:
-        return len(self.cameras) == 0
-
 
 def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
     """Read a manifest of "<stream> <frame_id> <timestamp> <path>" lines.
@@ -460,7 +456,7 @@ def match_frames(
 
     Cameras whose nearest entry is further than ``tolerance`` seconds are
     omitted from that bundle; ties pick the earlier entry.  Bundles with no
-    cameras are still emitted, flagged via ``is_empty``.
+    cameras are still emitted, with an empty ``cameras``.
     """
     check_tolerance(tolerance)
     if not cloud_index.entries:

@@ -86,13 +86,14 @@ def _visible_pixels(
     block = cloud_io.BLOCK_ROWS
     visible, us, vs = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
     for lo in range(0, len(xyz), block):
-        uv, in_front = project_points(cam, xyz[lo:lo + block], use_distortion=distortion_mode)
+        uv = project_points(cam, xyz[lo:lo + block], use_distortion=distortion_mode)[0]
         u, v = uv[:, 0], uv[:, 1]
-        hit = np.flatnonzero(in_front & _inside(u, v, image))
+        # a point at or behind the camera plane has a NaN pixel, which is never inside
+        hit = np.flatnonzero(_inside(u, v, image))
         visible.append(hit + lo)
         us.append(u[hit])
         vs.append(v[hit])
-        del uv, in_front, u, v, hit
+        del uv, u, v, hit
     return np.concatenate(visible), np.concatenate(us), np.concatenate(vs)
 
 

@@ -14,6 +14,7 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import calib, cloud_io, detect_ingest, fusion, segment
@@ -142,25 +143,25 @@ def load_bundle_detections(
 
 
 def _process_bundle(
-    bundle: cloud_io.FrameBundle,
-    rig: list[calib.CameraModel],
-    cfg: PipelineConfig,
-    out: Path,
+    bundle: cloud_io.FrameBundle, rig: list[calib.CameraModel], cfg: PipelineConfig
 ) -> FrameResult:
-    """Read, label, denoise and write one frame; only its report outlives the call."""
+    """Read, label, denoise and write one frame; a failure raises PipelineError naming it."""
     start = time.perf_counter()
-    frame = cloud_io.read_pcd(
-        bundle.cloud.path, frame_id=bundle.cloud.frame_id, timestamp=bundle.cloud.timestamp
-    )
-    dets_by_cam = load_bundle_detections(bundle, rig, cfg.confidence, cfg.classes)
-    lc = fusion.label_frame(frame, rig, dets_by_cam, distortion_mode=cfg.distortion)
-    if cfg.denoise:
-        lc, report = segment.denoise_frame(frame, lc, cfg.kmeans)
-    else:
-        report = segment.frame_report(frame, lc)
-    seconds = time.perf_counter() - start
-    pcd_path = out / f"labeled_{bundle.cloud.frame_id:06d}.pcd"
-    cloud_io.write_pcd(frame, pcd_path, labels=lc)
+    try:
+        frame = cloud_io.read_pcd(
+            bundle.cloud.path, frame_id=bundle.cloud.frame_id, timestamp=bundle.cloud.timestamp
+        )
+        dets_by_cam = load_bundle_detections(bundle, rig, cfg.confidence, cfg.classes)
+        lc = fusion.label_frame(frame, rig, dets_by_cam, distortion_mode=cfg.distortion)
+        if cfg.denoise:
+            lc, report = segment.denoise_frame(frame, lc, cfg.kmeans)
+        else:
+            report = segment.frame_report(frame, lc)
+        seconds = time.perf_counter() - start
+        pcd_path = cfg.out_dir / f"labeled_{bundle.cloud.frame_id:06d}.pcd"
+        cloud_io.write_pcd(frame, pcd_path, labels=lc)
+    except Exception as e:
+        raise PipelineError(f"frame {bundle.cloud.frame_id} ({bundle.cloud.path}): {e}") from e
     return FrameResult(bundle.cloud.frame_id, pcd_path, report, seconds)
 
 
@@ -177,34 +178,25 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     camera_indices = _camera_indices(det_manifest, {cam.id for cam in rig}, cfg.detection_manifest)
     bundles = cloud_io.match_frames(cloud_index, camera_indices, cfg.tolerance)
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def process(bundle: cloud_io.FrameBundle) -> FrameResult:
-        try:
-            return _process_bundle(bundle, rig, cfg, out)
-        except Exception as e:
-            raise PipelineError(
-                f"frame {bundle.cloud.frame_id} ({bundle.cloud.path}): {e}"
-            ) from e
-
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    task = partial(_process_bundle, rig=rig, cfg=cfg)
     if cfg.workers == 1:
-        frames = list(map(process, bundles))
+        frames = list(map(task, bundles))
     else:
         executor = ThreadPoolExecutor(max_workers=cfg.workers)
         try:
             # executor.map yields in submission order, which is frame order
-            frames = list(executor.map(process, bundles))
+            frames = list(executor.map(task, bundles))
         finally:
             # drop the frames not yet started and let the running ones finish,
             # so no worker writes into out_dir after this call has returned
             executor.shutdown(wait=True, cancel_futures=True)
     reports = [fr.report for fr in frames]
 
-    report_csv = out / "report.csv"
+    report_csv = cfg.out_dir / "report.csv"
     segment.write_report_csv(report_csv, reports)
     summary = segment.aggregate_reports(reports)
-    summary_path = out / "summary.txt"
+    summary_path = cfg.out_dir / "summary.txt"
     summary_path.write_text(summary.render() + "\n")
     total = time.perf_counter() - t0
     log.info("processed %d frames in %.3f s", len(frames), total)

@@ -52,7 +52,7 @@ class TestLoadRig:
         assert cam.id == 0
         assert cam.intrinsics.fx == 600.0
         assert cam.intrinsics.width == 640
-        assert cam.distortion.is_zero
+        assert cam.distortion == DistortionCoeffs()
         assert np.array_equal(cam.pose.rotation, np.eye(3))
         assert np.array_equal(cam.pose.translation, np.zeros(3))
 

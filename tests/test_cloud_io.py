@@ -475,12 +475,12 @@ class TestMatchFrames:
         bundles = match_frames(_index("cloud", [10.0]), {0: _index("cam0", [9.98, 10.30])}, 0.05)
         assert len(bundles) == 1
         assert bundles[0].cameras[0].timestamp == 9.98
-        assert not bundles[0].is_empty
+        assert bundles[0].cameras
 
     def test_out_of_tolerance_omitted_and_flagged(self):
         bundles = match_frames(_index("cloud", [10.0]), {0: _index("cam0", [10.30])}, 0.05)
         assert bundles[0].cameras == {}
-        assert bundles[0].is_empty
+        assert not bundles[0].cameras
 
     def test_equidistant_tie_prefers_earlier(self):
         bundles = match_frames(_index("cloud", [10.0]), {0: _index("cam0", [9.95, 10.05])}, 0.1)
@@ -506,7 +506,7 @@ class TestMatchFrames:
 
     def test_no_cameras_yields_empty_bundles(self):
         bundles = match_frames(_index("cloud", [1.0, 2.0]), {}, 0.05)
-        assert [b.is_empty for b in bundles] == [True, True]
+        assert [not b.cameras for b in bundles] == [True, True]
 
     def test_at_most_one_match_per_camera_and_monotone(self):
         rng = np.random.default_rng(5)
