@@ -86,8 +86,9 @@ class ExtrinsicPose:
             raise CalibrationError(f"translation must have 3 components, got {t.shape}")
         if not np.isfinite(r).all() or not np.isfinite(t).all():
             raise CalibrationError("pose contains non-finite values")
-        err = np.abs(r.T @ r - np.eye(3)).max()
-        if err >= ROTATION_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge entry gives inf or NaN
+            err = np.abs(r.T @ r - np.eye(3)).max()
+        if not err < ROTATION_TOL:
             raise CalibrationError(f"rotation is not orthonormal (max |R^T R - I| = {err:.3e})")
         det = float(np.linalg.det(r))
         if abs(det - 1.0) >= ROTATION_TOL:
@@ -126,56 +127,51 @@ def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _number(entry: dict, key: str, where: str) -> float:
-    v = entry[key]
+def _number(v: object, key: str) -> float:
     if not _is_number(v):
-        raise CalibrationError(f"{where}: field '{key}' must be a number, got {v!r}")
-    return float(v)
+        raise CalibrationError(f"field '{key}' must hold numbers, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise CalibrationError(f"field '{key}' holds an integer too large for a float") from None
 
 
-def _integer(entry: dict, key: str, where: str) -> int:
-    v = entry[key]
+def _integer(v: object, key: str) -> int:
     if not (_is_number(v) and isinstance(v, int)):
-        raise CalibrationError(f"{where}: field '{key}' must be an integer, got {v!r}")
+        raise CalibrationError(f"field '{key}' must be an integer, got {v!r}")
     return v
 
 
-def _number_list(entry: dict, key: str, length: int, where: str) -> list[float]:
-    v = entry[key]
+def _number_list(v: object, key: str, length: int) -> list[float]:
     if not isinstance(v, list) or len(v) != length:
-        raise CalibrationError(f"{where}: field '{key}' must be a list of {length} numbers")
-    bad = [x for x in v if not _is_number(x)]
-    if bad:
-        raise CalibrationError(f"{where}: field '{key}' must contain only numbers, got {bad[0]!r}")
-    return [float(x) for x in v]
+        raise CalibrationError(f"field '{key}' must be a list of {length} numbers")
+    return [_number(x, key) for x in v]
 
 
-def _parse_camera(entry: object, position: int) -> CameraModel:
-    where = f"camera entry #{position}"
-    if not isinstance(entry, dict):
-        raise CalibrationError(f"{where}: expected an object")
-    unknown = set(entry) - _CAMERA_KEYS
-    if unknown:
-        raise CalibrationError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = _CAMERA_KEYS - set(entry)
-    if missing:
-        raise CalibrationError(f"{where}: missing keys {sorted(missing)}")
-    cam_id = _integer(entry, "id", where)
-    where = f"camera {cam_id}"
-    intr = Intrinsics(
-        fx=_number(entry, "fx", where),
-        fy=_number(entry, "fy", where),
-        cx=_number(entry, "cx", where),
-        cy=_number(entry, "cy", where),
-        width=_integer(entry, "width", where),
-        height=_integer(entry, "height", where),
-    )
-    k1, k2, p1, p2, k3 = _number_list(entry, "dist", 5, where)
-    dist = DistortionCoeffs(k1=k1, k2=k2, p1=p1, p2=p2, k3=k3)
-    rotation = _number_list(entry, "rotation", 9, where)
-    translation = _number_list(entry, "translation", 3, where)
+def _parse_camera(entry: object, position: int, path: Path) -> CameraModel:
+    """One "cameras" entry; an error names the file and the camera (its position until its id is read)."""
+    where = f"{path}: camera entry #{position}"
     try:
-        pose = ExtrinsicPose(rotation, translation)
+        if not isinstance(entry, dict):
+            raise CalibrationError("expected an object")
+        unknown = set(entry) - _CAMERA_KEYS
+        if unknown:
+            raise CalibrationError(f"unknown keys {sorted(unknown)}")
+        missing = _CAMERA_KEYS - set(entry)
+        if missing:
+            raise CalibrationError(f"missing keys {sorted(missing)}")
+        cam_id = _integer(entry["id"], "id")
+        where = f"{path}: camera {cam_id}"
+        intr = Intrinsics(
+            *(_number(entry[key], key) for key in ("fx", "fy", "cx", "cy")),
+            *(_integer(entry[key], key) for key in ("width", "height")),
+        )
+        # the file's dist order is DistortionCoeffs' field order
+        dist = DistortionCoeffs(*_number_list(entry["dist"], "dist", 5))
+        pose = ExtrinsicPose(
+            _number_list(entry["rotation"], "rotation", 9),
+            _number_list(entry["translation"], "translation", 3),
+        )
         return CameraModel(id=cam_id, intrinsics=intr, distortion=dist, pose=pose)
     except CalibrationError as e:
         raise CalibrationError(f"{where}: {e}") from e
@@ -187,12 +183,14 @@ def load_rig(path: str | Path) -> list[CameraModel]:
     The file holds a single top-level key "cameras": a list of 1 to 5
     entries, each with id, width, height, fx, fy, cx, cy,
     dist=[k1,k2,p1,p2,k3], rotation (9 row-major values, LIDAR to camera)
-    and translation (3 values, meters).  Unknown keys are rejected.
+    and translation (3 values, meters).  Unknown keys are rejected.  Any
+    violation raises CalibrationError naming the file, and the camera
+    where one is to blame.
     """
     p = Path(path)
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also bytes that are not UTF-8, and over-long integers
         raise CalibrationError(f"{p}: not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise CalibrationError(f"{p}: top level must be an object")
@@ -207,7 +205,7 @@ def load_rig(path: str | Path) -> list[CameraModel]:
     models = []
     seen: set[int] = set()
     for i, entry in enumerate(cameras):
-        model = _parse_camera(entry, i)
+        model = _parse_camera(entry, i, p)
         if model.id in seen:
             raise CalibrationError(f"{p}: duplicate camera id {model.id}")
         seen.add(model.id)

@@ -7,11 +7,12 @@ import json
 import logging
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import scene, segment
 from .detect_ingest import CLASS_NAME_TO_ID
-from .pipeline import PipelineConfig, PipelineError, run_pipeline
+from .pipeline import PipelineConfig, PipelineError, check_path, run_pipeline
 
 # Run settings by config-file key: the PipelineConfig field ("kmeans.<field>"
 # for KMeansConfig) and the JSON type.  A key's flag is --<key> with '-' for
@@ -110,7 +111,10 @@ def _convert(key: str, value):
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"{key} is too large for a float") from None
 
 
 def _with(cfg: PipelineConfig, field: str, value) -> PipelineConfig:
@@ -143,7 +147,11 @@ def _pipeline_config(args) -> PipelineConfig:
         except ValueError as e:
             raise ValueError(f"{source}: {e}") from e
 
-    cfg = PipelineConfig(**{_SETTINGS[key][0]: checked(key, Path) for key in _REQUIRED})
+    paths = {}
+    for key in _REQUIRED:
+        field = _SETTINGS[key][0]
+        paths[field] = checked(key, partial(check_path, field))
+    cfg = PipelineConfig(**paths)
     for key, (field, _kind) in _SETTINGS.items():
         if key in given and key not in _REQUIRED:
             cfg = checked(key, lambda value: _with(cfg, field, value))

@@ -404,8 +404,8 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
     Relative paths are resolved against the manifest's directory.  Lines
     starting with '#' and blank lines are skipped.  Returns one FrameIndex
     per stream, entries in file order.  A malformed line, a non-finite
-    timestamp or a frame id repeated within a stream raises ValueError
-    naming the file and line.
+    timestamp, a frame id repeated within a stream or a timestamp not later
+    than the stream's previous one raises ValueError naming the file and line.
     """
     p = Path(path)
     base = p.parent
@@ -428,6 +428,12 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
         entries = streams.setdefault(stream, {})
         if fid in entries:
             raise ValueError(f"{p}:{lineno}: duplicate frame id {fid} in stream '{stream}'")
+        last = next(reversed(entries.values()), None)
+        if last is not None and not ts > last.timestamp:
+            raise ValueError(
+                f"{p}:{lineno}: timestamps must be strictly increasing in stream '{stream}', "
+                f"got {ts_s} after {last.timestamp}"
+            )
         entry_path = Path(rel)
         if not entry_path.is_absolute():
             entry_path = base / entry_path

@@ -28,6 +28,13 @@ class PipelineError(RuntimeError):
     """A pipeline stage failed; the message names the frame or file."""
 
 
+def check_path(name: str, value: str | Path) -> Path:
+    """The path-setting rule: a non-empty string or path, returned as a Path."""
+    if not str(value):
+        raise ValueError(f"{name} must be a non-empty path")
+    return Path(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one pipeline run needs."""
@@ -46,10 +53,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for name in ("calibration", "cloud_manifest", "detection_manifest", "out_dir"):
-            value = getattr(self, name)
-            if not str(value):
-                raise ValueError(f"{name} must be a non-empty path")
-            object.__setattr__(self, name, Path(value))
+            object.__setattr__(self, name, check_path(name, getattr(self, name)))
         cloud_io.check_tolerance(self.tolerance)
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,32 @@ class TestLoadRig:
         with pytest.raises(CalibrationError, match="'fx'"):
             load_rig(_write_rig(tmp_path, [_camera_entry(fx="wide")]))
 
+    def test_integer_too_large_for_a_float_names_file_and_camera(self, tmp_path):
+        path = tmp_path / "rig.json"
+        path.write_text(json.dumps({"cameras": [_camera_entry(id=2, cy=0)]}).replace(
+            '"cy": 0', '"cy": ' + "9" * 401
+        ))
+        with pytest.raises(CalibrationError, match=re.escape(f"{path}: camera 2: field 'cy'")):
+            load_rig(path)
+
+    @pytest.mark.parametrize("entry, where", [
+        (_camera_entry(id=1, fx=-1.0), "camera 1: focal"),
+        (_camera_entry(id=1, dist=[0.0, 0.0, 0.0, 0.0, math.inf]), "camera 1: distortion"),
+        (_camera_entry(id=1, rotation=[1, 0, 0, 0, 1, 0, 0, 0, True]), "camera 1: field 'rotation'"),
+        (_camera_entry(id=1.0), "camera entry #0: field 'id'"),
+        ([1, 2], "camera entry #0: expected an object"),
+    ])
+    def test_camera_errors_name_the_file(self, tmp_path, entry, where):
+        path = _write_rig(tmp_path, [entry])
+        with pytest.raises(CalibrationError, match=re.escape(f"{path}: {where}")):
+            load_rig(path)
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "rig.json"
+        path.write_bytes(b'{"cameras": [\xff]}')
+        with pytest.raises(CalibrationError, match=re.escape(f"{path}: not valid JSON")):
+            load_rig(path)
+
 
 class TestIntrinsics:
     def test_negative_focal_rejected(self):
@@ -140,6 +167,15 @@ class TestExtrinsicPose:
         r = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(CalibrationError, match="determinant"):
             ExtrinsicPose(r, np.zeros(3))
+
+    @pytest.mark.parametrize("rotation", [
+        [1e308, 0, 0, 0, 1, 0, 0, 0, 1],
+        [1e308, -1e308, 0, 1e308, 1e308, 0, 0, 0, 1],  # inf - inf: NaN in R^T R
+    ])
+    def test_huge_entry_rejected_without_an_overflow_warning(self, rotation):
+        # the suite turns warnings into errors, so a RuntimeWarning fails this test
+        with pytest.raises(CalibrationError, match="orthonormal"):
+            ExtrinsicPose(rotation, np.zeros(3))
 
     def test_immutable_arrays(self):
         pose = ExtrinsicPose.identity()

@@ -300,3 +300,57 @@ def test_bad_conf_or_tol_flag_exits_two_naming_the_flag(tmp_path, capsys, flag, 
     assert main(_run_args(scene, tmp_path / "out", extra=(flag, value))) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag}: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_manifest_going_back_in_time_names_file_and_line(tmp_path, capsys):
+    scene = _gen(tmp_path)
+    manifest = scene / "clouds.manifest"
+    first, second, *rest = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join([second, first, *rest]))
+    capsys.readouterr()
+    assert main(_run_args(scene, tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {manifest}:2: ")
+
+
+def test_calibration_number_too_large_for_a_float_exits_one(tmp_path, capsys):
+    scene = _gen(tmp_path)
+    calib = scene / "calibration.json"
+    raw = json.loads(calib.read_text())
+    raw["cameras"][0]["cy"] = 10 ** 400
+    calib.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(_run_args(scene, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {calib}: camera 0: field 'cy'")
+    assert "Traceback" not in err
+
+
+def test_config_number_too_large_for_a_float_names_file(tmp_path, capsys):
+    scene = _gen(tmp_path)
+    config = _config(tmp_path, '{"tol": ' + "9" * 401 + "}")
+    capsys.readouterr()
+    assert main(_run_args(scene, tmp_path / "out", extra=("--config", str(config)))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: tol ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["calib", "clouds", "dets", "out"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_empty_path_setting_names_its_source(tmp_path, capsys, monkeypatch, key, from_config):
+    # Path("") is ".", so an empty --out would otherwise write into the working directory
+    scene = _gen(tmp_path)
+    args = _run_args(scene, tmp_path / "out")
+    i = args.index(f"--{key}")
+    if from_config:
+        source = str(_config(tmp_path, json.dumps({key: ""})))
+        args[i:i + 2] = ["--config", source]
+    else:
+        source = f"--{key}"
+        args[i + 1] = ""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {source}: ")
+    assert not list(cwd.iterdir()) and not (tmp_path / "out").exists()

@@ -462,6 +462,15 @@ class TestManifest:
         with pytest.raises(ValueError, match=re.escape(f"{manifest}:3: ") + "duplicate frame id 0"):
             read_manifest(manifest)
 
+    def test_timestamp_going_back_names_file_and_line(self, tmp_path):
+        # each stream is ordered on its own: cam0's 0.5 does not bound the cloud stream
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(
+            "cloud 0 0.0 a.pcd\ncam0 0 0.5 a.txt\ncloud 1 0.2 b.pcd\n\ncloud 2 0.2 c.pcd\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:5: ") + ".*'cloud'.*0.2 after 0.2"):
+            read_manifest(manifest)
+
 
 def _index(stream, stamps):
     return FrameIndex(
