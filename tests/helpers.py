@@ -21,6 +21,7 @@ from pclabel import (
     label_frame,
     project_points,
 )
+from pclabel.calib import DEFAULT_Z_MIN
 from pclabel.rng import SplitMix64
 from pclabel.scene import default_rig
 
@@ -206,6 +207,51 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
         centroids=centroids,
         inertia_history=tuple(history),
     )
+
+
+def reference_labels(points, rig, detections, distortion: bool) -> list[tuple[int, int, int]]:
+    """Per point, the (class id, camera id, detection index) that ``label_frame``
+    must give it, or (-1, -1, -1); one point and one camera at a time.
+
+    A camera sees a point through the pinhole model: the pose r[row] . p +
+    t[row], the division by depth, the Brown-Conrady polynomial when
+    ``distortion`` is on, then f * x + c.  A depth at or below
+    ``DEFAULT_Z_MIN`` never matches.  The image [0, width) x [0, height) and
+    every box are half-open.  Of the boxes that claim a point, the smallest
+    area wins, then the lower camera id, then the lower detection index.
+    Each step is one double operation in ``project_points``' order, so a
+    pixel on a box edge lands on the same side in both.
+    """
+    labels = []
+    for x, y, z in np.asarray(points, dtype=np.float64).tolist():
+        best = None  # ((area, camera id, detection index), class id)
+        for cam in rig:
+            (r0, r1, r2), t = cam.pose.rotation.tolist(), cam.pose.translation.tolist()
+            depth = r2[0] * x + r2[1] * y + r2[2] * z + t[2]
+            if not depth > DEFAULT_Z_MIN:
+                continue
+            xn = (r0[0] * x + r0[1] * y + r0[2] * z + t[0]) / depth
+            yn = (r1[0] * x + r1[1] * y + r1[2] * z + t[1]) / depth
+            if distortion:
+                d = cam.distortion
+                rr = xn * xn + yn * yn
+                radial = 1.0 + d.k1 * rr + d.k2 * rr * rr + d.k3 * rr * rr * rr
+                xn, yn = (
+                    xn * radial + 2.0 * d.p1 * xn * yn + d.p2 * (rr + 2.0 * xn * xn),
+                    yn * radial + d.p1 * (rr + 2.0 * yn * yn) + 2.0 * d.p2 * xn * yn,
+                )
+            intr = cam.intrinsics
+            u, v = xn * intr.fx + intr.cx, yn * intr.fy + intr.cy
+            if not (0 <= u < intr.width and 0 <= v < intr.height):
+                continue
+            for det_index, det in enumerate(detections.get(cam.id, ())):
+                box = det.box
+                if box.x_min <= u < box.x_max and box.y_min <= v < box.y_max:
+                    key = (box.area, cam.id, det_index)
+                    if best is None or key < best[0]:
+                        best = (key, det.class_id)
+        labels.append((-1, -1, -1) if best is None else (best[1], best[0][1], best[0][2]))
+    return labels
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -135,6 +135,27 @@ class TestLoadRig:
         with pytest.raises(CalibrationError, match=re.escape(f"{path}: {where}")):
             load_rig(path)
 
+    @pytest.mark.parametrize("raw, message", [
+        ([], "top level must be an object"),
+        ({"cameras": {}}, "'cameras' must be a list"),
+    ])
+    def test_top_level_shape_names_the_file(self, tmp_path, raw, message):
+        path = tmp_path / "rig.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(CalibrationError, match=re.escape(f"{path}: {message}")):
+            load_rig(path)
+
+    def test_camera_id_out_of_range_names_file_and_camera(self, tmp_path):
+        path = _write_rig(tmp_path, [_camera_entry(id=5)])
+        with pytest.raises(CalibrationError, match=re.escape(f"{path}: camera 5: camera id must be in [0, 5)")):
+            load_rig(path)
+
+    def test_non_finite_intrinsic_names_file_and_camera(self, tmp_path):
+        path = tmp_path / "rig.json"
+        path.write_text(json.dumps({"cameras": [_camera_entry(fx=math.nan)]}))  # JSON NaN
+        with pytest.raises(CalibrationError, match=re.escape(f"{path}: camera 0: fx must be finite")):
+            load_rig(path)
+
     def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
         path = tmp_path / "rig.json"
         path.write_bytes(b'{"cameras": [\xff]}')
@@ -167,6 +188,16 @@ class TestExtrinsicPose:
         r = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(CalibrationError, match="determinant"):
             ExtrinsicPose(r, np.zeros(3))
+
+    @pytest.mark.parametrize("rotation, translation, message", [
+        (np.eye(2), np.zeros(3), "rotation must be 3x3"),
+        (np.eye(3), np.zeros(2), "translation must have 3 components"),
+        (np.eye(3), [0.0, math.nan, 0.0], "non-finite"),
+        (np.full((3, 3), math.inf), np.zeros(3), "non-finite"),
+    ])
+    def test_shape_and_finiteness(self, rotation, translation, message):
+        with pytest.raises(CalibrationError, match=message):
+            ExtrinsicPose(rotation, translation)
 
     @pytest.mark.parametrize("rotation", [
         [1e308, 0, 0, 0, 1, 0, 0, 0, 1],
@@ -314,6 +345,10 @@ def _project_one(cam, p, **kwargs):
 
 
 class TestProject:
+    def test_points_must_have_three_columns(self):
+        with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+            project_points(simple_camera(), np.zeros((4, 2)))
+
     def test_optical_axis(self):
         cam = simple_camera()
         assert _project_one(cam, (0, 0, 1)) == ((50.0, 50.0), True)

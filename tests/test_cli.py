@@ -113,12 +113,27 @@ def test_unknown_class_name(tmp_path, capsys):
     assert "unknown class" in capsys.readouterr().err
 
 
+def test_classes_must_be_a_string_or_a_list(tmp_path, capsys):
+    scene = _gen(tmp_path)
+    config = _config(tmp_path, json.dumps({"classes": 2}))
+    capsys.readouterr()
+    assert main(_run_args(scene, tmp_path / "out", extra=("--config", str(config)))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: classes must be a string or a list")
+
+
 def test_class_names_accepted(tmp_path):
     scene = _gen(tmp_path)
     out = tmp_path / "out"
     assert main(_run_args(scene, out, extra=("--classes", "car,person,truck"))) == 0
     reports = read_report_csv(out / "report.csv")
     assert any(r.labeled_before > 0 for r in reports)
+
+
+def test_empty_class_entries_are_skipped(tmp_path):
+    scene = _gen(tmp_path)
+    assert main(_run_args(scene, tmp_path / "a", extra=("--classes", "car,person"))) == 0
+    assert main(_run_args(scene, tmp_path / "b", extra=("--classes", ",car,, person ,"))) == 0
+    assert (tmp_path / "a" / "report.csv").read_bytes() == (tmp_path / "b" / "report.csv").read_bytes()
 
 
 def test_run_failure_returns_one(tmp_path, capsys):
@@ -169,6 +184,19 @@ def test_stats_compare_lists_frames_only_the_second_report_has(tmp_path, capsys)
     assert rows == [
         "    0         50      40         50      45          -5",
         "    7  missing from first report",
+    ]
+
+
+def test_stats_compare_lists_frames_only_the_first_report_has(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_report_csv(a, [FrameReport(0, 100, 50, 40, {2: 50}, {2: 40}),
+                         FrameReport(3, 100, 20, 10, {2: 20}, {2: 10})])
+    write_report_csv(b, [FrameReport(0, 100, 50, 45, {2: 50}, {2: 45})])
+    assert main(["stats", str(a), "--compare", str(b)]) == 0
+    rows = capsys.readouterr().out.split("kept_delta\n")[1].splitlines()
+    assert rows == [
+        "    0         50      40         50      45          -5",
+        "    3  missing from second report",
     ]
 
 

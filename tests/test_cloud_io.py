@@ -214,6 +214,59 @@ class TestReadPcd:
         with pytest.raises(PcdError, match=re.escape(f"{path}: ") + "point count mismatch"):
             read_pcd(path)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("COUNT 1 1 1\n", "", "missing header key 'COUNT'"),
+        ("SIZE 4 4 4", "SIZE 4 4 four", "malformed SIZE/COUNT"),
+        ("SIZE 4 4 4", "SIZE 4 4", "FIELDS, SIZE, TYPE and COUNT lengths disagree"),
+        ("FIELDS x y z", "FIELDS x y y", "duplicate field names"),
+        ("COUNT 1 1 1", "COUNT 1 1 2", "field 'z' must have COUNT 1, got 2"),
+        ("POINTS 3", "POINTS three", "malformed point count"),
+        ("WIDTH 3\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 3\n", "", "missing header key 'POINTS'"),
+    ])
+    def test_header_check_names_file(self, tmp_path, old, new, message):
+        path = tmp_path / "a.pcd"
+        assert old in MINIMAL_PCD
+        path.write_text(MINIMAL_PCD.replace(old, new))
+        with pytest.raises(PcdError, match=re.escape(f"{path}: {message}")):
+            read_pcd(path)
+
+    @pytest.mark.parametrize("size, count, message", [
+        ("3", "1", "unsupported field type F3 for 'w'"),
+        ("4", "0", "field 'w' must have COUNT >= 1, got 0"),
+    ])
+    def test_unknown_field_checks_name_file(self, tmp_path, size, count, message):
+        path = tmp_path / "a.pcd"
+        path.write_text(
+            MINIMAL_PCD.replace("FIELDS x y z", "FIELDS x y z w")
+            .replace("SIZE 4 4 4", f"SIZE 4 4 4 {size}")
+            .replace("TYPE F F F", "TYPE F F F F")
+            .replace("COUNT 1 1 1", f"COUNT 1 1 1 {count}")
+        )
+        with pytest.raises(PcdError, match=re.escape(f"{path}: {message}")):
+            read_pcd(path)
+
+    def test_end_of_file_inside_header_names_file(self, tmp_path):
+        path = tmp_path / "a.pcd"
+        path.write_text(MINIMAL_PCD.split("DATA")[0])
+        with pytest.raises(PcdError, match=re.escape(f"{path}: unexpected end of file inside header")):
+            read_pcd(path)
+
+    def test_point_count_from_width_and_height(self, tmp_path):
+        # without POINTS, the count is WIDTH x HEIGHT
+        path = tmp_path / "a.pcd"
+        path.write_text(MINIMAL_PCD.replace("POINTS 3\n", "").replace("WIDTH 3\nHEIGHT 1", "WIDTH 1\nHEIGHT 3"))
+        assert read_pcd(path).xyz.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+
+    def test_non_finite_point_dropped_with_its_intensity(self, tmp_path):
+        frame = PointCloudFrame(0, 0.0, np.zeros((3, 3), dtype=np.float32),
+                                intensity=np.array([0.25, 0.5, 0.75], dtype=np.float32))
+        path = tmp_path / "a.pcd"
+        write_pcd(frame, path, data="ascii")
+        path.write_text(path.read_text().replace("0 0 0 0.5", "0 inf 0 0.5"))
+        back = read_pcd(path)
+        assert back.dropped_non_finite == 1
+        assert back.intensity.tolist() == [0.25, 0.75]
+
     def test_truncated_binary(self, tmp_path):
         frame = _random_frame(np.random.default_rng(0), 10)
         path = tmp_path / "a.pcd"
@@ -417,6 +470,15 @@ class TestFrameTypes:
         assert frame.xyz[0, 0] == 1.0 and frame.intensity[1] == 0.5
         assert not frame.xyz.flags.writeable and not frame.intensity.flags.writeable
 
+    def test_xyz_must_have_three_columns(self):
+        with pytest.raises(ValueError, match="shape"):
+            PointCloudFrame(frame_id=0, timestamp=0.0, xyz=np.zeros((2, 2), dtype=np.float32))
+
+    def test_write_rejects_an_unknown_data_mode(self, tmp_path):
+        frame = PointCloudFrame(frame_id=0, timestamp=0.0, xyz=np.zeros((1, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match="data mode"):
+            write_pcd(frame, tmp_path / "a.pcd", data="binary_compressed")
+
     def test_index_strictly_increasing(self):
         entries = [IndexEntry(0, 1.0, None), IndexEntry(1, 1.0, None)]
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -460,6 +522,13 @@ class TestManifest:
         manifest = tmp_path / "m.manifest"
         manifest.write_text("cloud 0 0.0 a.pcd\ncam0 0 0.0 a.txt\ncloud 0 0.1 b.pcd\n")
         with pytest.raises(ValueError, match=re.escape(f"{manifest}:3: ") + "duplicate frame id 0"):
+            read_manifest(manifest)
+
+    @pytest.mark.parametrize("line", ["cloud zero 0.0 a.pcd", "cloud 0 soon a.pcd"])
+    def test_malformed_frame_id_or_timestamp_names_file_and_line(self, tmp_path, line):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(f"# header\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:2: ")):
             read_manifest(manifest)
 
     def test_timestamp_going_back_names_file_and_line(self, tmp_path):
@@ -512,6 +581,10 @@ class TestMatchFrames:
     def test_empty_cloud_index_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             match_frames(FrameIndex("cloud", ()), {}, 0.05)
+
+    def test_camera_with_no_entries_matches_nothing(self):
+        bundles = match_frames(_index("cloud", [1.0]), {0: _index("cam0", []), 1: _index("cam1", [1.0])})
+        assert list(bundles[0].cameras) == [1]
 
     def test_no_cameras_yields_empty_bundles(self):
         bundles = match_frames(_index("cloud", [1.0, 2.0]), {}, 0.05)

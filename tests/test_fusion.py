@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclabel import (
     DistortionCoeffs,
+    ExtrinsicPose,
     KMeansConfig,
     LabeledCloud,
     PointCloudFrame,
+    camera_to_lidar,
     denoise_frame,
     frame_report,
     label_frame,
@@ -16,9 +20,11 @@ from helpers import (
     box_hits,
     criterion7_frame,
     detection,
+    reference_labels,
     simple_camera,
     traced_peak,
 )
+from pclabel.calib import DEFAULT_Z_MIN
 
 
 def _frame(points, frame_id=0):
@@ -235,3 +241,100 @@ def test_label_and_denoise_peak_memory_per_point():
     report, peak = traced_peak(label_and_denoise)
     assert report.labeled_before > 20_000
     assert peak / len(frame) < 40, f"peak {peak / len(frame):.1f} bytes per point"
+
+
+# A point is (lateral, lateral, depth): laterals are multiples of 1/8, and a
+# depth is 0.5, 1 or 2 (most often), -1 or next to DEFAULT_Z_MIN.  With a
+# power-of-two focal length and an integer principal point, a point at depth
+# 0.5, 1 or 2 lands on an exact pixel, so many land on the integer box edges.
+_F32_Z_MIN = float(np.float32(DEFAULT_Z_MIN))  # just below DEFAULT_Z_MIN
+_NEAR_Z_MIN = (
+    _F32_Z_MIN,
+    float(np.nextafter(np.float32(DEFAULT_Z_MIN), np.float32(1))),  # just above it
+    float(np.float32(1e-21)),  # above it by a translation of DEFAULT_Z_MIN, and
+    -float(np.float32(1e-21)),  # below it, both within one float64 step
+)
+_LATERALS = tuple(i / 8 for i in range(-4, 5))
+_DEPTHS = (0.5, 1.0, 2.0) * 4 + (-1.0,) + _NEAR_Z_MIN
+# identity, and camera 0 of the default rig (camera z is LIDAR x)
+_ROTATIONS = (np.eye(3), np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]))
+
+
+@st.composite
+def _small_frames(draw):
+    """(rig, xyz, detections by camera id, distortion): 1-5 cameras that share
+    one or two set-ups (pose, intrinsics, distortion) and a few boxes, so
+    boxes overlap within and across cameras."""
+    distortion = draw(st.booleans())
+    k = st.sampled_from((0.0, 0.05, -0.05)) if distortion else st.just(0.0)
+    setup = st.fixed_dictionaries({
+        "fx": st.sampled_from((8.0, 16.0)),
+        "fy": st.sampled_from((8.0, 16.0)),
+        "cx": st.sampled_from((8.0, 16.0)),
+        "cy": st.sampled_from((8.0, 16.0)),
+        "width": st.sampled_from((24, 32)),
+        "dist": st.builds(DistortionCoeffs, k, k, k, k, k),
+        "pose": st.builds(
+            ExtrinsicPose,
+            st.sampled_from(_ROTATIONS),
+            st.tuples(st.just(0.0), st.just(0.0), st.sampled_from((0.0, DEFAULT_Z_MIN, 0.25))),
+        ),
+    })
+    setups = draw(st.lists(setup, min_size=1, max_size=2))
+    # each box after the first is either drawn afresh or nested in an earlier one
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        if boxes and draw(st.booleans()):
+            x0, y0, x1, y1 = draw(st.sampled_from(boxes))[:4]
+            x0, y0 = x0 + draw(st.integers(0, 2)), y0 + draw(st.integers(0, 2))
+            x1, y1 = max(x0 + 1, x1 - draw(st.integers(0, 2))), max(y0 + 1, y1 - draw(st.integers(0, 2)))
+        else:
+            x0, y0 = draw(st.integers(-2, 16)), draw(st.integers(-2, 16))
+            x1, y1 = x0 + draw(st.integers(4, 16)), y0 + draw(st.integers(4, 16))
+        boxes.append((x0, y0, x1, y1, draw(st.integers(0, 79))))
+    rig, detections = [], {}
+    for cam_id in draw(st.permutations(range(5)))[:draw(st.integers(1, 5))]:
+        kw = draw(st.sampled_from(setups))
+        rig.append(simple_camera(cam_id, height=kw["width"], **kw))
+        picked = draw(st.lists(st.sampled_from(boxes), min_size=1, max_size=3))
+        detections[cam_id] = [detection(cam_id, box, class_id=c) for *box, c in picked]
+    point = st.tuples(st.sampled_from(_LATERALS), st.sampled_from(_LATERALS), st.sampled_from(_DEPTHS))
+    xyz = []
+    for _ in range(draw(st.integers(4, 30))):
+        if draw(st.booleans()):
+            xyz.append(draw(point))
+            continue
+        # aim at a corner, an edge midpoint or the centre of one camera's box
+        cam = draw(st.sampled_from(rig))
+        box = draw(st.sampled_from(detections[cam.id])).box
+        u = draw(st.sampled_from((box.x_min, box.x_max, (box.x_min + box.x_max) / 2)))
+        v = draw(st.sampled_from((box.y_min, box.y_max, (box.y_min + box.y_max) / 2)))
+        depth, intr = draw(st.sampled_from((0.5, 1.0, 2.0))), cam.intrinsics
+        aimed = [(u - intr.cx) / intr.fx * depth, (v - intr.cy) / intr.fy * depth, depth]
+        xyz.append(camera_to_lidar(cam, np.array([aimed]))[0])
+    return rig, np.array(xyz, dtype=np.float32), detections, distortion
+
+
+class TestLabelFrameMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_small_frames())
+    def test_every_label_column(self, case):
+        rig, xyz, detections, distortion = case
+        lc = label_frame(_frame(xyz), rig, detections, distortion_mode=distortion)
+        got = list(zip(lc.class_id.tolist(), lc.camera_id.tolist(), lc.det_index.tolist()))
+        assert got == reference_labels(xyz, rig, detections, distortion)
+        assert np.array_equal(lc.kept, lc.class_id >= 0)
+
+    @pytest.mark.parametrize("tz, depths", [
+        (0.0, _NEAR_Z_MIN[:2]),  # just behind and just in front of DEFAULT_Z_MIN
+        (DEFAULT_Z_MIN, (-_NEAR_Z_MIN[2], 0.0, _NEAR_Z_MIN[2])),  # behind, exactly at, in front
+    ])
+    def test_depth_gate(self, tz, depths):
+        # every depth projects to the principal point, inside the box
+        cam = simple_camera(pose=ExtrinsicPose(np.eye(3), (0.0, 0.0, tz)))
+        xyz = np.array([(0.0, 0.0, z) for z in depths], dtype=np.float32)
+        detections = {0: [detection(0, (40, 40, 60, 60))]}
+        expected = [(-1, -1, -1)] * (len(depths) - 1) + [(2, 0, 0)]
+        assert reference_labels(xyz, [cam], detections, False) == expected
+        lc = label_frame(_frame(xyz), [cam], detections)
+        assert list(zip(lc.class_id.tolist(), lc.camera_id.tolist(), lc.det_index.tolist())) == expected

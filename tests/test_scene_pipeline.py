@@ -124,6 +124,17 @@ class TestGenScene:
         with pytest.raises(ValueError, match="noise fraction"):
             gen_scene(tmp_path / "x", frames=1, objects=1, noise_fraction=1.0, seed=0)
 
+    def test_at_least_one_frame(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one frame"):
+            gen_scene(tmp_path / "x", frames=0)
+
+    def test_object_box_must_not_exceed_a_quarter_image(self, tmp_path):
+        # a 120 x 120 image at focal 500 holds this seed's blob, but its box is over 60 x 60
+        rig = default_rig(1, width=120, height=120, focal=500.0)
+        with pytest.raises(SceneError, match="exceeds a quarter of camera 0 image"):
+            gen_scene(tmp_path / "x", frames=1, objects=1, noise_fraction=0.0, seed=6, rig=rig,
+                      points_per_object=50)
+
     def test_object_must_fit_camera_view(self, tmp_path):
         # a very narrow image cannot contain a whole blob box
         rig = default_rig(1, width=40, height=30, focal=500.0)
@@ -303,6 +314,17 @@ class TestRunPipeline:
         bundle = _with_detection_file(bundles[0], cam_id, tmp_path / "dets.txt", text)
         got = load_bundle_detections(bundle, rig, confidence=threshold)[cam_id]
         assert [(d.class_id, d.confidence) for d in got] == [(2, threshold), (5, 1.0)]
+
+    def test_rejected_records_are_counted_in_a_warning(self, small_scene, tmp_path, caplog):
+        rig, bundles = _bundles(small_scene)
+        cam_id, entry = min(bundles[0].cameras.items())
+        dets = tmp_path / "dets.txt"
+        text = entry.path.read_text() + "not a record\n" + f"{cam_id} 0 2 0.9 50 50 10 10\n"
+        bundle = _with_detection_file(bundles[0], cam_id, dets, text)
+        with caplog.at_level("WARNING"):
+            got = load_bundle_detections(bundle, rig)[cam_id]
+        assert got == load_bundle_detections(bundles[0], rig)[cam_id]
+        assert f"{dets}: rejected 2 malformed detection records" in caplog.text
 
     def test_unknown_detection_stream_rejected(self, small_scene, tmp_path):
         dets = tmp_path / "bad.manifest"

@@ -79,6 +79,10 @@ class TestKMeansConfig:
 
 
 class TestKMeans:
+    def test_points_must_have_three_columns(self):
+        with pytest.raises(ValueError, match="shape"):
+            kmeans(np.zeros((4, 2)), KMeansConfig())
+
     def test_two_separated_blobs_reach_optimum(self):
         from itertools import product
 
@@ -457,6 +461,18 @@ class TestAggregateReports:
 
 
 class TestReportCsv:
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty report CSV"),
+        (",".join(("frame_id", "total_points", "labeled_before", "kept_after", "dropped",
+                   "drop_rate_percent", "class_2_during")) + "\n",
+         "unexpected CSV column 'class_2_during'"),
+    ])
+    def test_header_checks_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "report.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_report_csv(path)
+
     def test_roundtrip(self, tmp_path):
         reports = [
             FrameReport(0, 1000, 600, 420, {2: 400, 0: 200}, {2: 300, 0: 120}),
@@ -554,3 +570,13 @@ class TestFrameReportHelper:
         assert report.kept_after == 2
         assert report.dropped == 0
         assert report.drop_rate_percent == 0.0
+
+
+class TestSplitMix64:
+    def test_bound_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            SplitMix64(0).below(0)
+
+    def test_cannot_sample_more_than_the_population(self):
+        with pytest.raises(ValueError, match="cannot sample 3 distinct values from 2"):
+            SplitMix64(0).sample_distinct(2, 3)
