@@ -247,9 +247,8 @@ def test_label_and_denoise_peak_memory_per_point():
 # depth is 0.5, 1 or 2 (most often), -1 or next to DEFAULT_Z_MIN.  With a
 # power-of-two focal length and an integer principal point, a point at depth
 # 0.5, 1 or 2 lands on an exact pixel, so many land on the integer box edges.
-_F32_Z_MIN = float(np.float32(DEFAULT_Z_MIN))  # just below DEFAULT_Z_MIN
 _NEAR_Z_MIN = (
-    _F32_Z_MIN,
+    float(np.float32(DEFAULT_Z_MIN)),  # just below DEFAULT_Z_MIN
     float(np.nextafter(np.float32(DEFAULT_Z_MIN), np.float32(1))),  # just above it
     float(np.float32(1e-21)),  # above it by a translation of DEFAULT_Z_MIN, and
     -float(np.float32(1e-21)),  # below it, both within one float64 step
@@ -327,7 +326,7 @@ class TestLabelFrameMatchesReference:
 
     @pytest.mark.parametrize("tz, depths", [
         (0.0, _NEAR_Z_MIN[:2]),  # just behind and just in front of DEFAULT_Z_MIN
-        (DEFAULT_Z_MIN, (-_NEAR_Z_MIN[2], 0.0, _NEAR_Z_MIN[2])),  # behind, exactly at, in front
+        (DEFAULT_Z_MIN, (_NEAR_Z_MIN[3], 0.0, _NEAR_Z_MIN[2])),  # behind, exactly at, in front
     ])
     def test_depth_gate(self, tz, depths):
         # every depth projects to the principal point, inside the box
