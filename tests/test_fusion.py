@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,24 @@ def test_label_and_denoise_peak_memory_per_point():
     report, peak = traced_peak(label_and_denoise)
     assert report.labeled_before > 20_000
     assert peak / len(frame) < 40, f"peak {peak / len(frame):.1f} bytes per point"
+
+
+# sha256 of the label and denoise columns (class_id, camera_id, det_index,
+# cluster_id, kept) of the criterion-7 frame with k-means k=3, seed 7.  Its
+# ten detections hold 9,000-10,000 points each, so this pins projection, the
+# box tests and k-means (ties, sums, stop rule) at the scale the benchmark runs.
+GOLDEN_CRITERION7_FRAME_SHA256 = "55faa37aec0a44b6f6cc8f30d42f2f75af0d2a952c573aa1cfc6376a3109a79c"
+
+
+def test_criterion7_frame_matches_golden_digest():
+    rig, frame, dets_by_cam = criterion7_frame()
+    lc = label_frame(frame, rig, dets_by_cam)
+    lc, report = denoise_frame(frame, lc, KMeansConfig(k=3, seed=7))
+    assert (report.total_points, report.labeled_before, report.kept_after) == (232320, 96830, 44934)
+    digest = hashlib.sha256()
+    for column in (lc.class_id, lc.camera_id, lc.det_index, lc.cluster_id, lc.kept):
+        digest.update(column.tobytes())
+    assert digest.hexdigest() == GOLDEN_CRITERION7_FRAME_SHA256
 
 
 # A point is (lateral, lateral, depth): laterals are multiples of 1/8, and a

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from helpers import (
     partition_inertia,
     reference_kmeans,
     simple_camera,
+    traced_peak,
 )
 
 
@@ -84,8 +86,6 @@ class TestKMeans:
             kmeans(np.zeros((4, 2)), KMeansConfig())
 
     def test_two_separated_blobs_reach_optimum(self):
-        from itertools import product
-
         pts = np.array([[0, 0, 0]] * 5 + [[10, 10, 10]] * 5, dtype=float)
         # brute force over all 2-partitions: the optimum splits the blobs exactly
         best = min(
@@ -276,6 +276,72 @@ class TestKMeansMatchesReference:
         res = kmeans(pts, cfg)
         assert res.inertia_history[-1] != res.inertia_history[-2]  # the last step moved
         assert res.iterations_run < kmeans(pts, replace(cfg, tol=0.0)).iterations_run
+
+
+def _tie_cases():
+    """Integer points whose squared distances to the centroids tie exactly."""
+    grid = np.array(list(product((-1, 0, 1), repeat=3)), dtype=float)
+    # (2, 0, 0) is 2 from (0, 0, 0), (2, 2, 0) and (2, -2, 0), and (-2, 0, 0)
+    # balances it, so the mean of the first group stays at the origin
+    star = np.array(
+        [[0, 0, 0]] * 4 + [[-2, 0, 0], [2, 0, 0]] + [[2, 2, 0]] * 4 + [[2, -2, 0]] * 4, dtype=float
+    )
+    star5 = np.concatenate([star, [[-4, 3, 0]] * 3 + [[-4, -3, 0]] * 3 + [[-4, 0, 0]]])
+    cases = [(pts, KMeansConfig(k=k, seed=s)) for pts in (grid, star, star5) for k in (3, 5) for s in range(6)]
+    # seed 32 gives the origin's group the lowest id, so the 3-way tie at
+    # (2, 0, 0) holds through to the last pass
+    return cases + [(star, KMeansConfig(k=3, seed=32))]
+
+
+def _distance_ties(pts, cfg):
+    """Per assignment pass of the reference run, a (2, k) array: for each
+    cluster id, how many points it ties for nearest 2-way and 3-or-more-way."""
+    n_iter = reference_kmeans(pts, cfg.k, cfg.max_iter, cfg.seed, cfg.tol).iterations_run
+    passes = [pts[SplitMix64(cfg.seed).sample_distinct(len(pts), cfg.k)]]
+    passes += [reference_kmeans(pts, cfg.k, i, cfg.seed, cfg.tol).centroids for i in range(1, n_iter + 1)]
+    counts = []
+    for centroids in passes:
+        sq = (pts[:, None, :] - centroids[None, :, :]) ** 2
+        d2 = sq[..., 0] + sq[..., 2] + sq[..., 1]
+        nearest = d2 == d2.min(axis=1)[:, None]
+        ways = nearest.sum(axis=1)[:, None]
+        counts.append(np.stack([(nearest & (ways == 2)).sum(axis=0), (nearest & (ways >= 3)).sum(axis=0)]))
+    return counts
+
+
+class TestKMeansDistanceTies:
+    """A point at exactly the same distance from two or three centroids goes
+    to the lowest of their ids, as in helpers.reference_kmeans."""
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_ties_match_reference(self, k):
+        for pts, cfg in _tie_cases():
+            if cfg.k == k:
+                _assert_matches_reference(kmeans(pts, cfg), pts, cfg)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_cases_reach_two_and_three_way_ties(self, k):
+        first, later = np.zeros((2, k), dtype=int), np.zeros((2, k), dtype=int)
+        for pts, cfg in _tie_cases():
+            if cfg.k == k:
+                counts = _distance_ties(pts, cfg)
+                first += counts[0]
+                later += sum(counts[1:], np.zeros((2, k), dtype=int))
+        # both kinds of tie, before and after a centroid update
+        assert (first.sum(axis=1) > 0).all() and (later.sum(axis=1) > 0).all()
+        # ties that the highest id takes part in, and ties cluster 0 is not part of
+        assert (first + later)[:, k - 1].all()
+        assert (first + later).sum() > (first + later)[:, 0].sum()
+
+
+@pytest.mark.parametrize("n, parent_bytes", [(9_683, 76.4), (1_286, 99.8)])
+def test_kmeans_peak_memory_per_point(n, parent_bytes):
+    # the buffers of one call: (3, n) float64 points and squares, three n-long
+    # assignment and distance buffers, the int32 result; a change to the
+    # assignment step may add at most 12 bytes a point to this
+    pts = np.random.default_rng(n).normal(size=(n, 3)).astype(np.float32)
+    _result, peak = traced_peak(kmeans, pts, KMeansConfig(k=3, seed=7))
+    assert peak / n < parent_bytes + 12, f"peak {peak / n:.1f} bytes per point"
 
 
 class TestDenoiseDetection:
