@@ -277,9 +277,10 @@ def project_points(
     every step runs in float64, so float32 rows give the same bits as their
     exact float64 conversion.  Returns (uv, in_front): uv is (n, 2) float64
     with NaN rows where the point sits at or behind the camera plane
-    (camera-frame z <= z_min); in_front is the matching boolean mask.
-    Pixels outside the image are returned as-is; bounds are the caller's
-    concern.
+    (camera-frame z <= z_min); in_front is the matching boolean mask.  uv is
+    the transpose of a C-contiguous (2, n) array, so ``uv.T`` holds the u and
+    v rows contiguously.  Pixels outside the image are returned as-is;
+    bounds are the caller's concern.
     """
     pts = np.asarray(points)
     if pts.dtype != np.float32:
@@ -319,7 +320,7 @@ def project_points(
     xn += intr.cx
     yn *= intr.fy
     yn += intr.cy
-    uv = np.full((len(pts), 2), np.nan)
-    uv[front, 0] = xn
-    uv[front, 1] = yn
-    return uv, in_front
+    uv = np.full((2, len(pts)), np.nan)
+    uv[0, front] = xn
+    uv[1, front] = yn
+    return uv.T, in_front

@@ -69,7 +69,7 @@ class Clustering:
 
 def _assign(
     cols: np.ndarray, centroids: np.ndarray, assign: np.ndarray, best: np.ndarray,
-    d2: np.ndarray, sq: np.ndarray,
+    d2: np.ndarray, sq: np.ndarray, nearest: np.ndarray, closer: np.ndarray,
 ) -> float:
     """Nearest centroid of every point into ``assign`` (ties to the lowest id),
     the squared distance to it into ``best``, and the inertia returned.
@@ -77,18 +77,32 @@ def _assign(
     ``cols`` is (3, n).  The squared terms are added as (dx*dx + dz*dz) + dy*dy,
     the order in which numpy's AVX2/AVX-512 einsum reduced them in earlier
     releases, so assignments and inertia stay bit-identical with those.
+
+    Ids rise through the loop, so a centroid strictly closer than every
+    earlier one has a larger id than the running one: the running id is the
+    maximum of itself and c times the "strictly closer" flag, with no masked
+    store.  ``nearest`` and ``closer`` are scratch buffers of the narrowest
+    unsigned type that holds every id; ``nearest`` is cast into ``assign``
+    once per pass.
     """
-    assign.fill(0)
+    if len(centroids) == 1:
+        nearest.fill(0)
     for c, centroid in enumerate(centroids):
         out = best if c == 0 else d2
         np.subtract(cols, centroid[:, None], out=sq)
         np.multiply(sq, sq, out=sq)
         np.add(sq[0], sq[2], out=out)
         out += sq[1]
-        if c:
-            closer = d2 < best
-            assign[closer] = c
-            np.minimum(best, d2, out=best)
+        if c == 0:
+            continue
+        if c == 1:
+            np.less(d2, best, out=nearest)  # the flag is the running id
+        else:
+            np.less(d2, best, out=closer)
+            np.multiply(closer, c, out=closer)
+            np.maximum(nearest, closer, out=nearest)
+        np.minimum(best, d2, out=best)
+    np.copyto(assign, nearest)
     return float(best.sum())
 
 
@@ -122,12 +136,15 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     assign = np.empty(n, dtype=np.intp)
     best, d2 = np.empty(n), np.empty(n)
     sq = np.empty_like(cols)
-    history = [_assign(cols, centroids, assign, best, d2, sq)]
+    ids = np.min_scalar_type(k - 1)
+    nearest, closer = np.empty(n, dtype=ids), np.empty(n, dtype=ids)
+    history = [_assign(cols, centroids, assign, best, d2, sq, nearest, closer)]
     for _ in range(cfg.max_iter):
-        counts = np.bincount(assign, minlength=k)
-        sums = np.stack([np.bincount(assign, weights=axis, minlength=k) for axis in cols], axis=1)
-        with np.errstate(invalid="ignore"):
-            new_centroids = sums / counts[:, None]
+        # exact integer counts; each sum is a bincount, so it adds in point order
+        counts = np.array([np.count_nonzero(nearest == c) for c in range(k)])
+        sums = np.array([np.bincount(assign, weights=col, minlength=k) for col in cols])
+        # an empty cluster's 0 / 1 is re-seeded below
+        new_centroids = np.ascontiguousarray((sums / np.maximum(counts, 1)).T)
         for c in np.flatnonzero(counts == 0):
             far = int(np.argmax(((cols - centroids[c][:, None]) ** 2).sum(axis=0)))
             new_centroids[c] = cols[:, far]
@@ -136,7 +153,7 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
         if movement == 0.0:  # the assignment held is already nearest for these centroids
             history.append(history[-1])
             break
-        history.append(_assign(cols, centroids, assign, best, d2, sq))
+        history.append(_assign(cols, centroids, assign, best, d2, sq, nearest, closer))
         if movement < cfg.tol:
             break
 
