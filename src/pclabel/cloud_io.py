@@ -177,6 +177,16 @@ def _to_ints(tokens: np.ndarray, base: np.dtype) -> np.ndarray:
     raise ValueError(f"could not convert string {tokens[bad][0].decode()!r} to {base}")
 
 
+def read_text(path: Path, newline: str | None = None) -> str:
+    """The text of ``path``; bytes the text encoding cannot decode raise
+    ValueError naming the file.  ``newline`` is ``open``'s."""
+    with open(path, newline=newline) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not a text file: {e}") from None
+
+
 def _load_rows(lines: list[str], dtype: np.dtype) -> np.ndarray:
     """``lines`` as ``dtype`` records; raises ValueError or OverflowError on a bad token."""
     text = np.dtype([
@@ -405,12 +415,13 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
     starting with '#' and blank lines are skipped.  Returns one FrameIndex
     per stream, entries in file order.  A malformed line, a non-finite
     timestamp, a frame id repeated within a stream or a timestamp not later
-    than the stream's previous one raises ValueError naming the file and line.
+    than the stream's previous one raises ValueError naming the file and line;
+    bytes that are not text raise ValueError naming the file.
     """
     p = Path(path)
     base = p.parent
     streams: dict[str, dict[int, IndexEntry]] = {}  # per stream, frame id -> entry, file order
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(p).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .calib import CameraModel
+from .cloud_io import read_text
 
 COCO_CLASSES = (
     "person", "bicycle", "car", "motorbike", "aeroplane", "bus", "train",
@@ -97,11 +98,12 @@ def load_detections(path: str | Path) -> tuple[list[Detection], list[RejectedRec
 
     Returns (detections, rejected); each rejection carries the line number
     and reason (malformed value, unknown class id, confidence out of range,
-    degenerate box).
+    degenerate box).  Bytes that are not text raise ValueError naming the
+    file.
     """
     detections: list[Detection] = []
     rejected: list[RejectedRecord] = []
-    text = Path(path).read_text()
+    text = read_text(Path(path))
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

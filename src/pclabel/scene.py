@@ -19,7 +19,7 @@ import numpy as np
 from .calib import (
     CameraModel, DistortionCoeffs, ExtrinsicPose, Intrinsics, camera_to_lidar, project_points,
 )
-from .cloud_io import PointCloudFrame, parse_rows, write_manifest, write_pcd
+from .cloud_io import PointCloudFrame, parse_rows, read_text, write_manifest, write_pcd
 
 # The classes the detector sees most in road scenes.
 _OBJECT_CLASSES = (2, 0, 7)  # car, person, truck
@@ -304,11 +304,11 @@ def read_ground_truth(path: str | Path) -> dict[int, np.ndarray]:
     """Load a ground-truth file as {frame_id: object id per point index}.
 
     Indices a frame does not list read as -1.  A malformed line raises
-    ValueError naming the file and line; a negative index, or a point a
-    frame lists twice, naming the file.
+    ValueError naming the file and line; a negative index, a point a frame
+    lists twice, or bytes that are not text, naming the file.
     """
     p = Path(path)
-    rows = parse_rows(p.read_text(), _GROUND_TRUTH_ROW, p)
+    rows = parse_rows(read_text(p), _GROUND_TRUTH_ROW, p)
     if (rows["index"] < 0).any():
         raise ValueError(f"{p}: negative point index {rows['index'].min()}")
     rows = rows[np.lexsort((rows["index"], rows["frame"]))]

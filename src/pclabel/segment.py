@@ -11,6 +11,7 @@ are reproducible and schedule-independent.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cloud_io import PointCloudFrame
+from .cloud_io import PointCloudFrame, read_text
 from .fusion import LabeledCloud
 from .rng import SplitMix64, derive_seed
 
@@ -341,50 +342,50 @@ def write_report_csv(path: str | Path, reports: Sequence[FrameReport]) -> None:
 def read_report_csv(path: str | Path) -> list[FrameReport]:
     """Read a report written by ``write_report_csv``.
 
-    A repeated header column raises ValueError naming ``path``.  A row with
-    the wrong cell count, a cell that does not convert, a repeated frame id,
-    or cells that contradict each other raise ValueError naming ``path:line``.
+    A repeated header column, or bytes that are not text, raise ValueError
+    naming ``path``.  A row with the wrong cell count, a cell that does not
+    convert, a repeated frame id, or cells that contradict each other raise
+    ValueError naming ``path:line``.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_text(Path(path), newline=""), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty report CSV") from None
+    if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
+        raise ValueError(f"{path}: unexpected CSV header {header[:6]}")
+    class_cols: dict[tuple[int, str], int] = {}  # (class id, before|after) -> column
+    for col, name in enumerate(header[len(_BASE_COLUMNS):], start=len(_BASE_COLUMNS)):
+        m = _CLASS_COLUMN.match(name)
+        if not m:
+            raise ValueError(f"{path}: unexpected CSV column '{name}'")
+        if (int(m.group(1)), m.group(2)) in class_cols:
+            raise ValueError(f"{path}: repeated CSV column '{name}'")
+        class_cols[int(m.group(1)), m.group(2)] = col
+    reports: dict[int, FrameReport] = {}
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(row) != len(header):
+            raise ValueError(f"{where}: {len(row)} cells, the header has {len(header)}")
+        before: dict[int, int] = {}
+        after: dict[int, int] = {}
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty report CSV") from None
-        if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
-            raise ValueError(f"{path}: unexpected CSV header {header[:6]}")
-        class_cols: dict[tuple[int, str], int] = {}  # (class id, before|after) -> column
-        for col, name in enumerate(header[len(_BASE_COLUMNS):], start=len(_BASE_COLUMNS)):
-            m = _CLASS_COLUMN.match(name)
-            if not m:
-                raise ValueError(f"{path}: unexpected CSV column '{name}'")
-            if (int(m.group(1)), m.group(2)) in class_cols:
-                raise ValueError(f"{path}: repeated CSV column '{name}'")
-            class_cols[int(m.group(1)), m.group(2)] = col
-        reports: dict[int, FrameReport] = {}
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(header):
-                raise ValueError(f"{where}: {len(row)} cells, the header has {len(header)}")
-            before: dict[int, int] = {}
-            after: dict[int, int] = {}
-            try:
-                for (cid, kind), col in class_cols.items():
-                    count = int(row[col])
-                    if count:
-                        (before if kind == "before" else after)[cid] = count
-                r = FrameReport(*map(int, row[:4]), class_before=before, class_after=after)
-                # dropped and drop_rate_percent are derived: check them, store nothing
-                if int(row[4]) != r.dropped:
-                    raise ValueError(f"dropped is {row[4]}, labeled_before - kept_after is {r.dropped}")
-                rate = f"{r.drop_rate_percent:.6f}"
-                if f"{float(row[5]):.6f}" != rate:
-                    raise ValueError(f"drop_rate_percent is {row[5]}, the counts give {rate}")
-            except ValueError as e:
-                raise ValueError(f"{where}: {e}") from None
-            if r.frame_id in reports:
-                raise ValueError(f"{where}: repeated frame id {r.frame_id}")
-            reports[r.frame_id] = r
+            for (cid, kind), col in class_cols.items():
+                count = int(row[col])
+                if count:
+                    (before if kind == "before" else after)[cid] = count
+            r = FrameReport(*map(int, row[:4]), class_before=before, class_after=after)
+            # dropped and drop_rate_percent are derived: check them, store nothing
+            if int(row[4]) != r.dropped:
+                raise ValueError(f"dropped is {row[4]}, labeled_before - kept_after is {r.dropped}")
+            rate = f"{r.drop_rate_percent:.6f}"
+            if f"{float(row[5]):.6f}" != rate:
+                raise ValueError(f"drop_rate_percent is {row[5]}, the counts give {rate}")
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
+        if r.frame_id in reports:
+            raise ValueError(f"{where}: repeated frame id {r.frame_id}")
+        reports[r.frame_id] = r
     return list(reports.values())

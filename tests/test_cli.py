@@ -144,6 +144,25 @@ def test_run_failure_returns_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("victim", ["clouds.manifest", "dets/frame_000001_cam1.txt"])
+def test_run_names_a_file_that_is_not_utf8(tmp_path, capsys, victim):
+    scene = _gen(tmp_path)
+    path = scene / victim
+    path.write_bytes(path.read_bytes() + b"# \xff\n")
+    capsys.readouterr()
+    assert main(_run_args(scene, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}: " in err
+
+
+def test_stats_names_a_report_that_is_not_utf8(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    write_report_csv(report, [FrameReport(0, 100, 50, 40, {2: 50}, {2: 40})])
+    report.write_bytes(report.read_bytes() + b"\xff\n")
+    assert main(["stats", str(report)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {report}: ")
+
+
 def test_stats_missing_file(tmp_path, capsys):
     assert main(["stats", str(tmp_path / "nope.csv")]) == 1
     assert "error" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 Each test starts from a valid file, applies one to three random edits
 (delete a character, replace or insert a token, repeat or drop a line) and
-parses the result.  A parser may accept the edited file; if it rejects it,
+parses the result.  One token is the byte 0xff, so some files are not UTF-8.  A parser may accept the edited file; if it rejects it,
 it must raise only its documented error type, with a message that names
 the file.
 
@@ -12,6 +12,8 @@ ground-truth edits: a space written into one splits it into numbers that
 fit, and ``read_ground_truth`` allocates one entry per index up to the
 largest it reads.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -33,11 +35,13 @@ from pclabel import (
     write_pcd,
     write_report_csv,
 )
+from pclabel.detect_ingest import load_detections
 from pclabel.scene import save_rig
 
 _TOKENS = (
     " ", "\n", "\t", "-", "+", ".", ",", "#", ":", '"', "{", "}", "[", "]", "x", "e", "é",
     "0", "-1", "1e3", "nan", "inf", "true", "null",
+    "\udcff",  # written as the byte 0xff, which is not UTF-8 (see _encode)
 )
 _LONG_DIGITS = ("9" * 25, "9" * 400)  # past int64, and past float
 _FUZZ = settings(
@@ -60,6 +64,12 @@ def _edits(draw, text: str, tokens=_TOKENS + _LONG_DIGITS) -> str:
             lines[j:j + 1] = [lines[j]] * (2 if op == "repeat line" else 0)
             text = "".join(lines)
     return text
+
+
+def _encode(text: str) -> bytes:
+    """``text`` as UTF-8, except that a lone surrogate U+DC80-U+DCFF becomes
+    the single byte it escapes."""
+    return text.encode("utf-8", "surrogateescape")
 
 
 def _parses_or_names_file(parse, path, error: type) -> None:
@@ -96,6 +106,7 @@ def _reference_texts(tmp) -> dict[str, str]:
                     "cloud 1 0.1 clouds/b.pcd\ncam0 1 0.105 dets/b.txt\n",
         "ground truth": "0 0 1\n0 1 -1\n0 2 0\n1 0 2\n1 1 -1\n",
         "report": (tmp / "report.csv").read_text(),
+        "detections": "# cam frame class conf x0 y0 x1 y1\n0 0 2 0.9 10 10 50 50\n0 0 7 0.25 0 5.5 120 80\n",
     }
 
 
@@ -110,13 +121,14 @@ def reference(tmp_path_factory):
     ("manifest", read_manifest, ValueError),
     ("ground truth", read_ground_truth, ValueError),
     ("report", read_report_csv, ValueError),
+    ("detections", load_detections, ValueError),
 ])
 @_FUZZ
 @given(data=st.data())
 def test_edited_text_file(tmp_path, reference, data, name, parse, error):
     path = tmp_path / f"edited {name}"
     tokens = _TOKENS if name == "ground truth" else _TOKENS + _LONG_DIGITS
-    path.write_text(data.draw(_edits(reference[name], tokens)))
+    path.write_bytes(_encode(data.draw(_edits(reference[name], tokens))))
     _parses_or_names_file(parse, path, error)
 
 
@@ -132,5 +144,28 @@ def test_edited_binary_pcd(tmp_path, data):
     for _ in range(data.draw(st.integers(0, 2))):  # header edits are drawn below too
         i = data.draw(st.integers(0, len(body)))
         body[i:i + data.draw(st.integers(0, 1))] = data.draw(st.binary(max_size=2))
-    path.write_bytes(data.draw(_edits(header)).encode() + bytes(body))
+    path.write_bytes(_encode(data.draw(_edits(header))) + bytes(body))
     _parses_or_names_file(read_pcd, path, PcdError)
+
+
+# two lines each, the second holding a 0xff byte, which UTF-8 never uses
+_NOT_UTF8 = {
+    "manifest": b"# stream frame time path\ncloud 0 0.0 clouds/\xff.pcd\n",
+    "ground truth": b"0 0 1\n0 1 \xff\n",
+    "report": b"frame_id,total_points,labeled_before,kept_after,dropped,drop_rate_percent\n0,1,0,0,0,0\xff\n",
+    "detections": b"0 0 2 0.9 10 10 50 50\n0 0 2 0.9 \xff 10 50 50\n",
+}
+
+
+@pytest.mark.parametrize("name, parse", [
+    ("manifest", read_manifest),
+    ("ground truth", read_ground_truth),
+    ("report", read_report_csv),
+    ("detections", load_detections),
+])
+def test_text_that_is_not_utf8_names_the_file(tmp_path, name, parse):
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(_NOT_UTF8[name])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: ") as e:
+        parse(path)
+    assert not isinstance(e.value, UnicodeDecodeError)
