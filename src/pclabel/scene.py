@@ -30,6 +30,9 @@ _LIDAR_PERIOD = 0.1
 _CAMERA_OFFSET = 0.005
 # one ground-truth line: "frame_id point_index object_id"
 _GROUND_TRUTH_ROW = np.dtype([("frame", "<i8"), ("index", "<i8"), ("object", "<i8")])
+# ground truth may list point indices below this; a LIDAR sweep holds far fewer
+# points, and read_ground_truth allocates one entry per index up to the largest
+MAX_FRAME_POINTS = 1 << 24
 
 
 class SceneError(ValueError):
@@ -304,8 +307,9 @@ def read_ground_truth(path: str | Path) -> dict[int, np.ndarray]:
     """Load a ground-truth file as {frame_id: object id per point index}.
 
     Indices a frame does not list read as -1.  A malformed line raises
-    ValueError naming the file and line; a negative index, a point a frame
-    lists twice, or bytes that are not text, naming the file.
+    ValueError naming the file and line; a negative index, an index of
+    ``MAX_FRAME_POINTS`` or more, a point a frame lists twice, or bytes that
+    are not text, naming the file.
     """
     p = Path(path)
     rows = parse_rows(read_text(p), _GROUND_TRUTH_ROW, p)
@@ -319,6 +323,11 @@ def read_ground_truth(path: str | Path) -> dict[int, np.ndarray]:
     frames, starts = np.unique(rows["frame"], return_index=True)
     out = {}
     for f, group in zip(frames.tolist(), np.split(rows, starts[1:])):
-        out[f] = np.full(group["index"].max() + 1, -1, dtype=np.int64)
+        last = int(group["index"][-1])  # the sort puts each frame's largest index last
+        if last >= MAX_FRAME_POINTS:
+            raise ValueError(
+                f"{p}: frame {f} lists point {last}; a frame holds at most {MAX_FRAME_POINTS} points"
+            )
+        out[f] = np.full(last + 1, -1, dtype=np.int64)
         out[f][group["index"]] = group["object"]
     return out

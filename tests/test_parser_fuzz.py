@@ -7,10 +7,9 @@ it must raise only its documented error type, with a message that names
 the file.
 
 Inserted digits stay few, so no edit can declare a multi-gigabyte array.
-The long digit runs, too long for any integer type, are left out of the
-ground-truth edits: a space written into one splits it into numbers that
-fit, and ``read_ground_truth`` allocates one entry per index up to the
-largest it reads.
+Long digit runs, too long for any integer type, are inserted too: a space
+written into one splits it into numbers that fit, which a ground-truth
+file then lists as point indices past ``scene.MAX_FRAME_POINTS``.
 """
 
 import re
@@ -50,14 +49,14 @@ _FUZZ = settings(
 
 
 @st.composite
-def _edits(draw, text: str, tokens=_TOKENS + _LONG_DIGITS) -> str:
+def _edits(draw, text: str) -> str:
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(text)))
         op = draw(st.sampled_from(("delete", "replace", "insert", "repeat line", "drop line")))
         if op == "delete":
             text = text[:i] + text[i + 1:]
         elif op in ("replace", "insert"):
-            text = text[:i] + draw(st.sampled_from(tokens)) + text[i + (op == "replace"):]
+            text = text[:i] + draw(st.sampled_from(_TOKENS + _LONG_DIGITS)) + text[i + (op == "replace"):]
         else:
             lines = text.splitlines(keepends=True) or [""]
             j = draw(st.integers(0, len(lines) - 1))
@@ -127,8 +126,7 @@ def reference(tmp_path_factory):
 @given(data=st.data())
 def test_edited_text_file(tmp_path, reference, data, name, parse, error):
     path = tmp_path / f"edited {name}"
-    tokens = _TOKENS if name == "ground truth" else _TOKENS + _LONG_DIGITS
-    path.write_bytes(_encode(data.draw(_edits(reference[name], tokens))))
+    path.write_bytes(_encode(data.draw(_edits(reference[name]))))
     _parses_or_names_file(parse, path, error)
 
 

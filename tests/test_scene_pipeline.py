@@ -30,7 +30,7 @@ from pclabel import (
     write_manifest,
     write_pcd,
 )
-from pclabel import cloud_io, fusion
+from pclabel import cloud_io, fusion, scene
 from pclabel.pipeline import load_bundle_detections
 from pclabel.scene import SceneError, default_rig, format_ground_truth, save_rig
 
@@ -176,6 +176,21 @@ class TestGenScene:
         path = tmp_path / "gt.txt"
         path.write_text("0 0 1\n0 -1 5\n0 3 2\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + "negative point index"):
+            read_ground_truth(path)
+
+    def test_huge_ground_truth_index_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("1 0 2\n0 999999999999999990 1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: frame 0 lists point 999999999999999990")):
+            read_ground_truth(path)
+
+    def test_ground_truth_index_limit_is_exclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scene, "MAX_FRAME_POINTS", 4)
+        path = tmp_path / "gt.txt"
+        path.write_text("0 3 1\n2 1 2\n")
+        assert read_ground_truth(path)[0].tolist() == [-1, -1, -1, 1]
+        path.write_text("0 3 1\n2 4 2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: frame 2 lists point 4") + ".* 4 points"):
             read_ground_truth(path)
 
     def test_repeated_ground_truth_point_rejected(self, tmp_path):
