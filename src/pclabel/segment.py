@@ -137,8 +137,8 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     assign = np.empty(n, dtype=np.intp)
     best, d2 = np.empty(n), np.empty(n)
     sq = np.empty_like(cols)
-    ids = np.min_scalar_type(k - 1)
-    nearest, closer = np.empty(n, dtype=ids), np.empty(n, dtype=ids)
+    id_type = np.min_scalar_type(k - 1)
+    nearest, closer = np.empty(n, dtype=id_type), np.empty(n, dtype=id_type)
     history = [_assign(cols, centroids, assign, best, d2, sq, nearest, closer)]
     for _ in range(cfg.max_iter):
         # exact integer counts; each sum is a bincount, so it adds in point order
