@@ -177,6 +177,15 @@ def _to_ints(tokens: np.ndarray, base: np.dtype) -> np.ndarray:
     raise ValueError(f"could not convert string {tokens[bad][0].decode()!r} to {base}")
 
 
+def ascii_number(token: str, kind: type[int] | type[float]) -> int | float:
+    """``kind(token)`` for a token of ASCII characters other than '_', the
+    rule ``_to_ints`` applies to integers; Python's own int() and float()
+    also read '1_0' as 10, and read non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"{kind.__name__} must be ASCII without '_', got {token!r}")
+    return kind(token)
+
+
 def read_text(path: Path, newline: str | None = None) -> str:
     """The text of ``path``; bytes the text encoding cannot decode raise
     ValueError naming the file.  ``newline`` is ``open``'s."""
@@ -372,14 +381,14 @@ def write_pcd(
                 fh.write("".join(row % r for r in rec.tolist()).encode("ascii"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexEntry:
     frame_id: int
     timestamp: float
     path: Path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameIndex:
     """Ordered frame entries of one stream; timestamps strictly increasing."""
 
@@ -400,7 +409,7 @@ class FrameIndex:
         return np.array([e.timestamp for e in self.entries], dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameBundle:
     """One cloud frame with its nearest-in-time detection entry per camera."""
 
@@ -430,8 +439,8 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
             raise ValueError(f"{p}:{lineno}: expected '<stream> <frame_id> <timestamp> <path>'")
         stream, fid_s, ts_s, rel = tokens
         try:
-            fid = int(fid_s)
-            ts = float(ts_s)
+            fid = ascii_number(fid_s, int)
+            ts = ascii_number(ts_s, float)
         except ValueError as e:
             raise ValueError(f"{p}:{lineno}: {e}") from e
         if not math.isfinite(ts):

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .calib import CameraModel
-from .cloud_io import read_text
+from .cloud_io import ascii_number, read_text
 
 COCO_CLASSES = (
     "person", "bicycle", "car", "motorbike", "aeroplane", "bus", "train",
@@ -113,11 +113,11 @@ def load_detections(path: str | Path) -> tuple[list[Detection], list[RejectedRec
             rejected.append(RejectedRecord(line_no, raw, f"expected 8 fields, got {len(tokens)}"))
             continue
         try:
-            camera_id = int(tokens[0])
-            frame_id = int(tokens[1])
-            class_id = int(tokens[2])
-            confidence = float(tokens[3])
-            coords = [float(t) for t in tokens[4:8]]
+            camera_id = ascii_number(tokens[0], int)
+            frame_id = ascii_number(tokens[1], int)
+            class_id = ascii_number(tokens[2], int)
+            confidence = ascii_number(tokens[3], float)
+            coords = [ascii_number(t, float) for t in tokens[4:8]]
         except ValueError as e:
             rejected.append(RejectedRecord(line_no, raw, f"malformed value: {e}"))
             continue

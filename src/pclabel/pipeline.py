@@ -5,6 +5,9 @@ stream is derived from (seed, frame, camera, detection), each frame's PCD
 is written by the task that labeled it, and report rows follow frame order
 whatever the worker count.  A task holds one frame at a time and returns
 only its report, so at most ``workers`` frames are in memory at once.
+Frames are submitted at most two per worker ahead of the one awaited, and
+a frame's bundle is freed once the frame is written, so beyond the matched
+manifests a run keeps for each frame of its sequence only its result.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ from __future__ import annotations
 import logging
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import calib, cloud_io, detect_ingest, fusion, segment
 
@@ -67,7 +72,7 @@ class PipelineConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameResult:
     frame_id: int
     pcd_path: Path
@@ -169,11 +174,35 @@ def _process_bundle(
     return FrameResult(bundle.cloud.frame_id, pcd_path, report, seconds)
 
 
+def _drain(items: list) -> Iterator:
+    """Yield the items of ``items`` in order, removing each from the list as
+    it is yielded, so the list keeps no item alive after its consumer drops it."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
+def _window_map(executor: Executor, fn: Callable, items: Iterator, window: int) -> Iterator:
+    """``executor.map(fn, items)``, but an item is submitted only while fewer
+    than ``window`` results are pending, so at most ``window`` items, tasks and
+    results are held at once.  Results are yielded in item order."""
+    pending: deque[Future] = deque()
+    for item in items:
+        pending.append(executor.submit(fn, item))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Run the full pipeline and write labeled PCDs, report.csv and summary.txt.
 
     Outputs are byte-identical across reruns and across worker counts.
-    Raises PipelineError naming the frame or file on any stage failure.
+    The parsed manifests are freed once the frames are matched, and each
+    frame's bundle is released as its frame finishes; a bundle submitted to
+    a worker is held by its task alone.  Raises PipelineError naming the
+    frame or file on any stage failure.
     """
     t0 = time.perf_counter()
     rig = calib.load_rig(cfg.calibration)
@@ -181,16 +210,17 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     det_manifest = cloud_io.read_manifest(cfg.detection_manifest)
     camera_indices = _camera_indices(det_manifest, {cam.id for cam in rig}, cfg.detection_manifest)
     bundles = cloud_io.match_frames(cloud_index, camera_indices, cfg.tolerance)
+    del cloud_index, det_manifest, camera_indices
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     task = partial(_process_bundle, rig=rig, cfg=cfg)
     if cfg.workers == 1:
-        frames = list(map(task, bundles))
+        frames = list(map(task, _drain(bundles)))
     else:
         executor = ThreadPoolExecutor(max_workers=cfg.workers)
         try:
-            # executor.map yields in submission order, which is frame order
-            frames = list(executor.map(task, bundles))
+            # a frame queued behind each running one keeps every worker busy
+            frames = list(_window_map(executor, task, _drain(bundles), 2 * cfg.workers))
         finally:
             # drop the frames not yet started and let the running ones finish,
             # so no worker writes into out_dir after this call has returned

@@ -164,7 +164,7 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     return Clustering(assignments=assign, centroids=centroids, inertia_history=tuple(history))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameReport:
     """Per-frame labeling and denoising counts; the drop count and rate derive from them."""
 
@@ -210,8 +210,8 @@ def frame_report(frame: PointCloudFrame, lc: LabeledCloud) -> FrameReport:
     return FrameReport(
         frame_id=frame.frame_id,
         total_points=len(frame),
-        labeled_before=int(labeled.sum()),
-        kept_after=int(kept.sum()),
+        labeled_before=int(np.count_nonzero(labeled)),
+        kept_after=int(np.count_nonzero(kept)),
         class_before=_class_counts(lc.class_id[labeled]),
         class_after=_class_counts(lc.class_id[kept]),
     )
@@ -230,8 +230,11 @@ def denoise_frame(
     stream derived from (seed, frame_id, camera_id, detection index), so a
     detection's result depends on its own points only, and any parallel
     schedule over detections or frames reproduces the sequential result.
-    Mutates ``lc`` and returns it with the frame's report.
+    Mutates ``lc`` and returns it with the frame's report, tallied per
+    detection; it equals ``frame_report`` on the denoised labels.
     """
+    class_before: dict[int, int] = {}
+    class_after: dict[int, int] = {}
     labeled = np.flatnonzero(lc.labeled_mask)
     if labeled.size:
         # group once: a stable sort on one (camera, detection) key keeps each
@@ -253,6 +256,7 @@ def denoise_frame(
         del key
         for idx in np.split(members, bounds):
             cam_id, det_idx = int(lc.camera_id[idx[0]]), int(lc.det_index[idx[0]])
+            class_id = int(lc.class_id[idx[0]])
             det_cfg = replace(cfg, seed=derive_seed(cfg.seed, frame.frame_id, cam_id, det_idx))
             clustering = kmeans(np.take(frame.xyz, idx, axis=0), det_cfg)
             sizes = np.bincount(clustering.assignments, minlength=clustering.k)
@@ -260,7 +264,16 @@ def denoise_frame(
             keep = min(range(clustering.k), key=lambda c: (-int(sizes[c]), float(origin_d2[c]), c))
             lc.cluster_id[idx] = clustering.assignments
             lc.kept[idx] = clustering.assignments == keep
-    return lc, frame_report(frame, lc)
+            class_before[class_id] = class_before.get(class_id, 0) + len(idx)
+            class_after[class_id] = class_after.get(class_id, 0) + int(sizes[keep])
+    return lc, FrameReport(
+        frame_id=frame.frame_id,
+        total_points=len(frame),
+        labeled_before=sum(class_before.values()),
+        kept_after=sum(class_after.values()),
+        class_before=dict(sorted(class_before.items())),
+        class_after=dict(sorted(class_after.items())),
+    )
 
 
 @dataclass(frozen=True)

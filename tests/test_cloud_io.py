@@ -531,6 +531,18 @@ class TestManifest:
         with pytest.raises(ValueError, match=re.escape(f"{manifest}:2: ")):
             read_manifest(manifest)
 
+    @pytest.mark.parametrize("line", [
+        "cloud 1_0 0.1 b.pcd",  # Python's int() reads this as 10
+        "cloud 1 0_2.5 b.pcd",  # and float() this as 2.5
+        "cloud \u0663 0.1 b.pcd",  # an Arabic-Indic 3
+        "cloud 1 \uff12.5 b.pcd",  # a fullwidth 2
+    ])
+    def test_number_must_be_ascii_without_underscores(self, tmp_path, line):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(f"cloud 0 0.0 a.pcd\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:2: ")):
+            read_manifest(manifest)
+
     def test_timestamp_going_back_names_file_and_line(self, tmp_path):
         # each stream is ordered on its own: cam0's 0.5 does not bound the cloud stream
         manifest = tmp_path / "m.manifest"

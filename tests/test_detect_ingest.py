@@ -105,6 +105,19 @@ class TestLoadDetections:
         assert rejected[0].line_no == 2
         assert "malformed" in rejected[0].reason
 
+    @pytest.mark.parametrize("field", range(8))
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11"])
+    def test_number_must_be_ascii_without_underscores(self, tmp_path, field, token):
+        # Python's int() and float() read "1_0" as 10 and non-ASCII digits as digits
+        tokens = "0 5 2 0.5 10 20 300 400".split()
+        tokens[field] = token
+        path = tmp_path / "dets.txt"
+        path.write_text("# first\n" + " ".join(tokens) + "\n", encoding="utf-8")
+        dets, rejected = load_detections(path)
+        assert dets == []
+        assert [r.line_no for r in rejected] == [2]
+        assert "malformed" in rejected[0].reason
+
     def test_mixed_file(self, tmp_path):
         path = tmp_path / "dets.txt"
         path.write_text(

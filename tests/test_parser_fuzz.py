@@ -4,7 +4,9 @@ Each test starts from a valid file, applies one to three random edits
 (delete a character, replace or insert a token, repeat or drop a line) and
 parses the result.  One token is the byte 0xff, so some files are not UTF-8.  A parser may accept the edited file; if it rejects it,
 it must raise only its documented error type, with a message that names
-the file.
+the file.  A detection file is never rejected whole once it decodes: each
+of its record lines must come back as one valid ``Detection`` or one
+rejection carrying its line number.
 
 Inserted digits stay few, so no edit can declare a multi-gigabyte array.
 Long digit runs, too long for any integer type, are inserted too: a space
@@ -12,6 +14,7 @@ written into one splits it into numbers that fit, which a ground-truth
 file then lists as point indices past ``scene.MAX_FRAME_POINTS``.
 """
 
+import math
 import re
 
 import numpy as np
@@ -39,6 +42,7 @@ from pclabel.scene import save_rig
 
 _TOKENS = (
     " ", "\n", "\t", "-", "+", ".", ",", "#", ":", '"', "{", "}", "[", "]", "x", "e", "é",
+    "_", "\u0663",  # Python's int() and float() read "1_0" and "\u0663" (Arabic-Indic 3) as numbers
     "0", "-1", "1e3", "nan", "inf", "true", "null",
     "\udcff",  # written as the byte 0xff, which is not UTF-8 (see _encode)
 )
@@ -144,6 +148,35 @@ def test_edited_binary_pcd(tmp_path, data):
         body[i:i + data.draw(st.integers(0, 1))] = data.draw(st.binary(max_size=2))
     path.write_bytes(_encode(data.draw(_edits(header))) + bytes(body))
     _parses_or_names_file(read_pcd, path, PcdError)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_edited_detection_file_accounts_for_every_line(tmp_path, reference, data):
+    # a detection file is never rejected whole: each record line is read
+    # into a Detection or rejected with its line number
+    path = tmp_path / "edited detections"
+    raw = _encode(data.draw(_edits(reference["detections"])))
+    path.write_bytes(raw)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a text file"):
+            load_detections(path)
+        return
+    dets, rejected = load_detections(path)
+    lines = text.split("\n")  # the only line break an edit writes
+    records = [n for n, line in enumerate(lines, start=1) if line.strip() and not line.strip().startswith("#")]
+    assert len(dets) + len(rejected) == len(records)
+    rejected_lines = [r.line_no for r in rejected]
+    assert rejected_lines == sorted(set(rejected_lines)) and set(rejected_lines) <= set(records)
+    assert all(r.line == lines[r.line_no - 1] for r in rejected)
+    for d in dets:
+        box = (d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max)
+        assert all(math.isfinite(c) for c in box)
+        assert d.box.x_min < d.box.x_max and d.box.y_min < d.box.y_max
+        assert 0.0 <= d.confidence <= 1.0
+        assert 0 <= d.class_id <= 79
 
 
 # two lines each, the second holding a 0xff byte, which UTF-8 never uses

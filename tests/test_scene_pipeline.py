@@ -5,6 +5,7 @@ import re
 import time
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from pclabel import (
     PipelineError,
     PointCloudFrame,
     denoise_frame,
+    frame_report,
     gen_scene,
     label_frame,
     load_rig,
@@ -30,11 +32,11 @@ from pclabel import (
     write_manifest,
     write_pcd,
 )
-from pclabel import cloud_io, fusion, scene
+from pclabel import cloud_io, fusion, pipeline, scene
 from pclabel.pipeline import load_bundle_detections
 from pclabel.scene import SceneError, default_rig, format_ground_truth, save_rig
 
-from helpers import detection
+from helpers import detection, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +446,47 @@ class TestRunPipeline:
         assert one.report_csv.read_bytes() == four.report_csv.read_bytes()
 
 
+def test_window_map_yields_in_order_with_at_most_a_window_submitted():
+    pulled = []
+
+    def items():
+        for i in range(10):
+            pulled.append(i)
+            yield i
+
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        for i, square in enumerate(pipeline._window_map(executor, lambda x: x * x, items(), 3)):
+            assert square == i * i
+            assert len(pulled) <= i + 3  # item i is collected; at most 2 more are submitted
+    assert len(pulled) == 10
+
+
+@pytest.fixture(scope="module")
+def short_and_long_scenes(tmp_path_factory):
+    """10- and 40-frame scenes of one 100-point object a frame.  A frame's own
+    working set is small, so the growth of a run's peak is its run state, not
+    the largest frame or two threads' frames peaking at once."""
+    out = tmp_path_factory.mktemp("lengths")
+    return {n: gen_scene(out / f"{n}", frames=n, objects=1, points_per_object=100, seed=3) for n in (10, 40)}
+
+
+# While every bundle lived until the run ended and all frames were submitted
+# at once, this grew by 4,020-4,230 bytes a frame at 1 or 2 workers (Python
+# 3.11); with bundles released as frames finish, by 1,200-1,550.
+@pytest.mark.parametrize("workers, limit", [(1, 2600), (2, 3500)])
+def test_run_state_per_frame(short_and_long_scenes, tmp_path, workers, limit):
+    # what a run holds for each frame of its sequence: its manifest entries,
+    # and its queued task, until the frame is written, then its result
+    peaks = {}
+    for n, scene in short_and_long_scenes.items():
+        cfg = _pipeline_cfg(scene, tmp_path / f"{n}", workers=workers)
+        run_pipeline(cfg)  # warm-up: lazy imports and caches
+        gc.collect()
+        _result, peaks[n] = traced_peak(run_pipeline, cfg)
+    growth = (peaks[40] - peaks[10]) / 30
+    assert growth < limit, f"the traced peak grows by {growth:.0f} bytes a frame"
+
+
 # sha256 of every output of the 20-frame reference scene (gen_scene seed 0,
 # 30% noise, k=3, k-means seed 0).  Any change to projection, box membership,
 # k-means, PCD writing or the report shows up here byte for byte.
@@ -554,6 +597,7 @@ def _check_overlap_frame_golden():
     lc = label_frame(frame, rig, dets, distortion_mode=True)
     lc, report = denoise_frame(frame, lc, KMeansConfig(k=3, seed=7))
     assert (report.total_points, report.labeled_before, report.kept_after) == (20020, 14811, 8358)
+    assert report == frame_report(frame, lc)  # tallied per detection, counted over the frame
     digest = hashlib.sha256()
     for column in (lc.class_id, lc.camera_id, lc.det_index, lc.cluster_id, lc.kept):
         digest.update(column.tobytes())
