@@ -5,7 +5,7 @@ stream is derived from (seed, frame, camera, detection), each frame's PCD
 is written by the task that labeled it, and report rows follow frame order
 whatever the worker count.  A task holds one frame at a time and returns
 only its report, so at most ``workers`` frames are in memory at once.
-Frames are submitted at most two per worker ahead of the one awaited, and
+At most two frames per worker are submitted and unfinished at a time, and
 a frame's bundle is freed once the frame is written, so beyond the matched
 manifests a run keeps for each frame of its sequence only its result.
 """
@@ -16,7 +16,7 @@ import logging
 import re
 import time
 from collections import deque
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -184,12 +184,18 @@ def _drain(items: list) -> Iterator:
 
 def _window_map(executor: Executor, fn: Callable, items: Iterator, window: int) -> Iterator:
     """``executor.map(fn, items)``, but an item is submitted only while fewer
-    than ``window`` results are pending, so at most ``window`` items, tasks and
-    results are held at once.  Results are yielded in item order."""
+    than ``window`` submitted items are unfinished, so at most ``window`` tasks
+    hold their items at once.  Results are yielded in item order; a slow item
+    holds back the results behind it, not the submission of more items."""
     pending: deque[Future] = deque()
+    running: set[Future] = set()
     for item in items:
-        pending.append(executor.submit(fn, item))
-        if len(pending) == window:
+        future = executor.submit(fn, item)
+        pending.append(future)
+        running.add(future)
+        if len(running) == window:
+            running = wait(running, return_when=FIRST_COMPLETED).not_done
+        while pending and pending[0].done():
             yield pending.popleft().result()
     while pending:
         yield pending.popleft().result()
@@ -219,7 +225,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     else:
         executor = ThreadPoolExecutor(max_workers=cfg.workers)
         try:
-            # a frame queued behind each running one keeps every worker busy
+            # a frame queued behind each running one, so a worker that finishes
+            # starts its next frame at once
             frames = list(_window_map(executor, task, _drain(bundles), 2 * cfg.workers))
         finally:
             # drop the frames not yet started and let the running ones finish,

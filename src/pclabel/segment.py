@@ -231,7 +231,9 @@ def denoise_frame(
     detection's result depends on its own points only, and any parallel
     schedule over detections or frames reproduces the sequential result.
     Mutates ``lc`` and returns it with the frame's report, tallied per
-    detection; it equals ``frame_report`` on the denoised labels.
+    detection; it equals ``frame_report`` on the denoised labels.  Each
+    detection's points must share one class, as ``label_frame`` labels them;
+    raises ValueError naming the detection otherwise.
     """
     class_before: dict[int, int] = {}
     class_after: dict[int, int] = {}
@@ -257,6 +259,11 @@ def denoise_frame(
         for idx in np.split(members, bounds):
             cam_id, det_idx = int(lc.camera_id[idx[0]]), int(lc.det_index[idx[0]])
             class_id = int(lc.class_id[idx[0]])
+            if np.any(lc.class_id[idx] != class_id):
+                raise ValueError(
+                    f"frame {frame.frame_id}: camera {cam_id} detection {det_idx} "
+                    "has points of more than one class"
+                )
             det_cfg = replace(cfg, seed=derive_seed(cfg.seed, frame.frame_id, cam_id, det_idx))
             clustering = kmeans(np.take(frame.xyz, idx, axis=0), det_cfg)
             sizes = np.bincount(clustering.assignments, minlength=clustering.k)

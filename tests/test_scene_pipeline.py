@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import re
+import threading
 import time
 import warnings
 import weakref
@@ -446,19 +447,30 @@ class TestRunPipeline:
         assert one.report_csv.read_bytes() == four.report_csv.read_bytes()
 
 
-def test_window_map_yields_in_order_with_at_most_a_window_submitted():
-    pulled = []
+def test_window_map_yields_in_order_with_at_most_a_window_unfinished():
+    pulled, finished, first_waited_for = [], [], []
+    rest_ran = threading.Event()
 
     def items():
         for i in range(10):
+            # each finished item is counted before its future is done
+            assert len(pulled) - len(finished) < 3, "a fourth item submitted while three are unfinished"
             pulled.append(i)
             yield i
 
+    def square(x):
+        if x == 0:
+            # the first item finishes only after the last has run: a slow
+            # item must not stop the ones behind it from being submitted
+            first_waited_for.append(rest_ran.wait(timeout=10))
+        elif x == 9:
+            rest_ran.set()
+        finished.append(x)
+        return x * x
+
     with ThreadPoolExecutor(max_workers=2) as executor:
-        for i, square in enumerate(pipeline._window_map(executor, lambda x: x * x, items(), 3)):
-            assert square == i * i
-            assert len(pulled) <= i + 3  # item i is collected; at most 2 more are submitted
-    assert len(pulled) == 10
+        assert list(pipeline._window_map(executor, square, items(), 3)) == [i * i for i in range(10)]
+    assert first_waited_for == [True]
 
 
 @pytest.fixture(scope="module")

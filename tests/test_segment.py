@@ -457,6 +457,12 @@ class TestDenoiseFrame:
         assert np.array_equal(grouped.cluster_id, oracle.cluster_id)
         assert 0 < grouped.kept.sum() < len(refs)
 
+    def test_detection_of_mixed_classes_rejected(self):
+        frame, lc = _labeled_frame(np.ones((6, 3)), [(0, 0)] * 3 + [(1, 4)] * 3)
+        lc.class_id[4] = 7
+        with pytest.raises(ValueError, match="frame 0: camera 1 detection 4 has points of more than one class"):
+            denoise_frame(frame, lc, KMeansConfig())
+
     def test_report_counts_consistent(self):
         rng = np.random.default_rng(31)
         pts = np.concatenate([rng.normal(size=(50, 3)), rng.normal(size=(10, 3)) + 30])
