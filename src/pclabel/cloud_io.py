@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -90,11 +90,7 @@ class PointCloudFrame:
 def _parse_header(fh, path: Path) -> tuple[dict[str, list[str]], int]:
     """The header keys and the number of the DATA line, which ends the header."""
     header: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.decode("ascii", errors="replace").strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, tokens, _ in records(raw.decode("ascii", errors="replace") for raw in fh):
         key = tokens[0].upper()
         if key not in _HEADER_KEYS:
             raise PcdError(f"{path}:{lineno}: unknown header key '{tokens[0]}'")
@@ -113,8 +109,8 @@ def _field_layout(header: dict[str, list[str]]) -> np.dtype:
             raise PcdError(f"missing header key '{key}'")
     names = header["FIELDS"]
     try:
-        sizes = [int(s) for s in header["SIZE"]]
-        counts = [int(c) for c in header["COUNT"]]
+        sizes = [ascii_number(s, int) for s in header["SIZE"]]
+        counts = [ascii_number(c, int) for c in header["COUNT"]]
     except ValueError as e:
         raise PcdError(f"malformed SIZE/COUNT: {e}") from e
     types = header["TYPE"]
@@ -145,14 +141,23 @@ def _field_layout(header: dict[str, list[str]]) -> np.dtype:
 
 
 def _declared_points(header: dict[str, list[str]]) -> int:
-    try:
-        if "POINTS" in header:
-            return int(header["POINTS"][0])
-        if "WIDTH" in header and "HEIGHT" in header:
-            return int(header["WIDTH"][0]) * int(header["HEIGHT"][0])
-    except (ValueError, IndexError) as e:
-        raise PcdError(f"malformed point count: {e}") from e
-    raise PcdError("missing header key 'POINTS'")
+    """POINTS, or WIDTH x HEIGHT without it; all three, where given, must agree."""
+    counts: dict[str, int] = {}
+    for key in ("WIDTH", "HEIGHT", "POINTS"):
+        if key in header:
+            try:
+                if len(header[key]) != 1:
+                    raise ValueError(f"{key} takes one value, got {len(header[key])}")
+                counts[key] = ascii_number(header[key][0], int)
+            except ValueError as e:
+                raise PcdError(f"malformed point count: {e}") from e
+    if "WIDTH" in counts and "HEIGHT" in counts:
+        area = counts["WIDTH"] * counts["HEIGHT"]
+        if counts.setdefault("POINTS", area) != area:
+            raise PcdError(f"point count mismatch: POINTS {counts['POINTS']}, WIDTH x HEIGHT {area}")
+    if "POINTS" not in counts:
+        raise PcdError("missing header key 'POINTS'")
+    return counts["POINTS"]
 
 
 # Integer fields are read as text and converted by _to_ints, so a token such
@@ -178,22 +183,33 @@ def _to_ints(tokens: np.ndarray, base: np.dtype) -> np.ndarray:
 
 
 def ascii_number(token: str, kind: type[int] | type[float]) -> int | float:
-    """``kind(token)`` for a token of ASCII characters other than '_', the
-    rule ``_to_ints`` applies to integers; Python's own int() and float()
-    also read '1_0' as 10, and read non-ASCII digits."""
+    """``kind(token)`` for a token of ASCII characters other than '_': the
+    number rule of every text format (``_to_ints`` applies it to integer
+    columns).  Python's own int() and float() read '1_0' and '١0' as 10."""
     if not token.isascii() or "_" in token:
         raise ValueError(f"{kind.__name__} must be ASCII without '_', got {token!r}")
     return kind(token)
 
 
-def read_text(path: Path, newline: str | None = None) -> str:
-    """The text of ``path``; bytes the text encoding cannot decode raise
-    ValueError naming the file.  ``newline`` is ``open``'s."""
-    with open(path, newline=newline) as fh:
+def read_text(path: Path) -> str:
+    """The text of ``path``; undecodable bytes raise ValueError naming the file."""
+    with open(path) as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as e:
             raise ValueError(f"{path}: not a text file: {e}") from None
+
+
+def records(
+    lines: Iterable[str], sep: str | None = None, maxsplit: int = -1, comments: bool = True
+) -> Iterator[tuple[int, list[str], str]]:
+    """``(line number, tokens, raw line)`` for each non-blank line: the
+    stripped line split on ``sep`` (whitespace when None) at most
+    ``maxsplit`` times.  Lines starting with '#' are skipped if ``comments``."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not (comments and line.startswith("#")):
+            yield lineno, line.split(sep, maxsplit), raw
 
 
 def _load_rows(lines: list[str], dtype: np.dtype) -> np.ndarray:
@@ -256,8 +272,9 @@ def read_pcd_columns(path: str | Path) -> dict[str, np.ndarray]:
     label, cluster); unrecognized fields are skipped.  Row order and count
     match the file exactly.  The columns are strided views of one record
     array (a binary body is read straight into it), not copies: they keep
-    that whole array alive.  A malformed file raises PcdError naming the
-    file, and the line where one is to blame.
+    that whole array alive.  Header numbers are ASCII without '_', and
+    POINTS must equal WIDTH x HEIGHT, one value each.  A malformed file
+    raises PcdError naming the file, and the line where one is to blame.
     """
     p = Path(path)
     with open(p, "rb") as fh:
@@ -422,25 +439,20 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
 
     Relative paths are resolved against the manifest's directory.  Lines
     starting with '#' and blank lines are skipped.  Returns one FrameIndex
-    per stream, entries in file order.  A malformed line, a non-finite
-    timestamp, a frame id repeated within a stream or a timestamp not later
-    than the stream's previous one raises ValueError naming the file and line;
-    bytes that are not text raise ValueError naming the file.
+    per stream, entries in file order.  A malformed line (numbers are ASCII
+    without '_'), a non-finite timestamp, a frame id repeated within a
+    stream or a timestamp not later than the stream's previous one raises
+    ValueError naming the file and line; bytes that are not text, the file.
     """
     p = Path(path)
     base = p.parent
     streams: dict[str, dict[int, IndexEntry]] = {}  # per stream, frame id -> entry, file order
-    for lineno, line in enumerate(read_text(p).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split(maxsplit=3)
+    for lineno, tokens, _ in records(read_text(p).splitlines(), maxsplit=3):
         if len(tokens) != 4:
             raise ValueError(f"{p}:{lineno}: expected '<stream> <frame_id> <timestamp> <path>'")
         stream, fid_s, ts_s, rel = tokens
         try:
-            fid = ascii_number(fid_s, int)
-            ts = ascii_number(ts_s, float)
+            fid, ts = ascii_number(fid_s, int), ascii_number(ts_s, float)
         except ValueError as e:
             raise ValueError(f"{p}:{lineno}: {e}") from e
         if not math.isfinite(ts):
@@ -454,10 +466,7 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
                 f"{p}:{lineno}: timestamps must be strictly increasing in stream '{stream}', "
                 f"got {ts_s} after {last.timestamp}"
             )
-        entry_path = Path(rel)
-        if not entry_path.is_absolute():
-            entry_path = base / entry_path
-        entries[fid] = IndexEntry(fid, ts, entry_path)
+        entries[fid] = IndexEntry(fid, ts, base / rel)  # an absolute rel replaces base
     return {name: FrameIndex(name, tuple(entries.values())) for name, entries in streams.items()}
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .calib import CameraModel
-from .cloud_io import ascii_number, read_text
+from .cloud_io import ascii_number, read_text, records
 
 COCO_CLASSES = (
     "person", "bicycle", "car", "motorbike", "aeroplane", "bus", "train",
@@ -97,18 +97,13 @@ def load_detections(path: str | Path) -> tuple[list[Detection], list[RejectedRec
     """Parse a detection file; invalid records are collected, not fatal.
 
     Returns (detections, rejected); each rejection carries the line number
-    and reason (malformed value, unknown class id, confidence out of range,
-    degenerate box).  Bytes that are not text raise ValueError naming the
-    file.
+    and reason (malformed value, including a number that is not ASCII or
+    holds '_'; unknown class id, confidence out of range, degenerate box).
+    Bytes that are not text raise ValueError naming the file.
     """
     detections: list[Detection] = []
     rejected: list[RejectedRecord] = []
-    text = read_text(Path(path))
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for line_no, tokens, raw in records(read_text(Path(path)).splitlines()):
         if len(tokens) != 8:
             rejected.append(RejectedRecord(line_no, raw, f"expected 8 fields, got {len(tokens)}"))
             continue
@@ -122,8 +117,7 @@ def load_detections(path: str | Path) -> tuple[list[Detection], list[RejectedRec
             rejected.append(RejectedRecord(line_no, raw, f"malformed value: {e}"))
             continue
         try:
-            box = BBox(*coords)
-            detections.append(Detection(camera_id, frame_id, class_id, confidence, box))
+            detections.append(Detection(camera_id, frame_id, class_id, confidence, BBox(*coords)))
         except ValueError as e:
             rejected.append(RejectedRecord(line_no, raw, str(e)))
     return detections, rejected

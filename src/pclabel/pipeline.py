@@ -26,7 +26,7 @@ from . import calib, cloud_io, detect_ingest, fusion, segment
 
 log = logging.getLogger(__name__)
 
-_CAMERA_STREAM = re.compile(r"^cam(\d+)$")
+_CAMERA_STREAM = re.compile(r"^cam(0|[1-9][0-9]*)$")
 
 
 class PipelineError(RuntimeError):

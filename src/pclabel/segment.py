@@ -10,8 +10,6 @@ are reproducible and schedule-independent.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cloud_io import PointCloudFrame, read_text
+from .cloud_io import PointCloudFrame, ascii_number, read_text, records
 from .fusion import LabeledCloud
 from .rng import SplitMix64, derive_seed
 
@@ -337,18 +335,18 @@ def aggregate_reports(reports: Iterable[FrameReport]) -> SequenceSummary:
 _BASE_COLUMNS = (
     "frame_id", "total_points", "labeled_before", "kept_after", "dropped", "drop_rate_percent",
 )
-_CLASS_COLUMN = re.compile(r"^class_(\d+)_(before|after)$")
+_CLASS_COLUMN = re.compile(r"^class_([0-9]+)_(before|after)$")
 
 
 def write_report_csv(path: str | Path, reports: Sequence[FrameReport]) -> None:
-    """Write one CSV row per frame, plus before/after columns per class seen."""
+    """Write one CSV row per frame, plus before/after columns per class seen;
+    no cell needs quoting, and rows end in CR LF, as ``csv.writer``'s do."""
     class_ids = sorted({c for r in reports for c in (*r.class_before, *r.class_after)})
     header = list(_BASE_COLUMNS)
     for cid in class_ids:
         header += [f"class_{cid}_before", f"class_{cid}_after"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for r in reports:
             row = [
                 r.frame_id, r.total_points, r.labeled_before, r.kept_after, r.dropped,
@@ -356,22 +354,21 @@ def write_report_csv(path: str | Path, reports: Sequence[FrameReport]) -> None:
             ]
             for cid in class_ids:
                 row += [r.class_before.get(cid, 0), r.class_after.get(cid, 0)]
-            writer.writerow(row)
+            fh.write(",".join(map(str, row)) + "\r\n")
 
 
 def read_report_csv(path: str | Path) -> list[FrameReport]:
     """Read a report written by ``write_report_csv``.
 
     A repeated header column, or bytes that are not text, raise ValueError
-    naming ``path``.  A row with the wrong cell count, a cell that does not
-    convert, a repeated frame id, or cells that contradict each other raise
-    ValueError naming ``path:line``.
+    naming ``path``.  A row with the wrong cell count, a cell that is not an
+    ASCII number without '_' (a quoted one is not), a repeated frame id, or
+    cells that contradict each other raise ValueError naming ``path:line``.
     """
-    reader = csv.reader(io.StringIO(read_text(Path(path), newline=""), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty report CSV") from None
+    rows = records(read_text(Path(path)).splitlines(), sep=",", comments=False)
+    _, header, _ = next(rows, (0, None, ""))
+    if header is None:
+        raise ValueError(f"{path}: empty report CSV")
     if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
         raise ValueError(f"{path}: unexpected CSV header {header[:6]}")
     class_cols: dict[tuple[int, str], int] = {}  # (class id, before|after) -> column
@@ -383,25 +380,24 @@ def read_report_csv(path: str | Path) -> list[FrameReport]:
             raise ValueError(f"{path}: repeated CSV column '{name}'")
         class_cols[int(m.group(1)), m.group(2)] = col
     reports: dict[int, FrameReport] = {}
-    for row in reader:
-        if not row:
-            continue
-        where = f"{path}:{reader.line_num}"
+    for lineno, row, _ in rows:
+        where = f"{path}:{lineno}"
         if len(row) != len(header):
             raise ValueError(f"{where}: {len(row)} cells, the header has {len(header)}")
         before: dict[int, int] = {}
         after: dict[int, int] = {}
         try:
+            # every cell is a count but drop_rate_percent, column 5
+            cells = [ascii_number(cell, float if col == 5 else int) for col, cell in enumerate(row)]
             for (cid, kind), col in class_cols.items():
-                count = int(row[col])
-                if count:
-                    (before if kind == "before" else after)[cid] = count
-            r = FrameReport(*map(int, row[:4]), class_before=before, class_after=after)
+                if cells[col]:
+                    (before if kind == "before" else after)[cid] = cells[col]
+            r = FrameReport(*cells[:4], class_before=before, class_after=after)
             # dropped and drop_rate_percent are derived: check them, store nothing
-            if int(row[4]) != r.dropped:
+            if cells[4] != r.dropped:
                 raise ValueError(f"dropped is {row[4]}, labeled_before - kept_after is {r.dropped}")
             rate = f"{r.drop_rate_percent:.6f}"
-            if f"{float(row[5]):.6f}" != rate:
+            if f"{cells[5]:.6f}" != rate:
                 raise ValueError(f"drop_rate_percent is {row[5]}, the counts give {rate}")
         except ValueError as e:
             raise ValueError(f"{where}: {e}") from None

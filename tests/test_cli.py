@@ -321,6 +321,7 @@ def test_flag_value_overrides_bad_config_value(tmp_path):
     ("99", "unknown class ids [99]"),
     ("-1", "unknown class ids [-1]"),
     ("truck,80", "unknown class ids [80]"),
+    ("٣", "unknown class '٣'"),  # int() reads the Arabic-Indic 3 as 3
 ])
 def test_unknown_class_names_its_source(tmp_path, capsys, classes, message):
     scene = _gen(tmp_path)

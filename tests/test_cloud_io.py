@@ -123,7 +123,8 @@ class TestReadPcd:
         assert frame.intensity is None
         # an unknown field with COUNT 3 spans three tokens per row
         path.write_text(
-            text.replace("COUNT 1 1 1 1", "COUNT 1 1 1 3").replace("POINTS 1", "POINTS 2")
+            text.replace("COUNT 1 1 1 1", "COUNT 1 1 1 3")
+            .replace("WIDTH 1", "WIDTH 2").replace("POINTS 1", "POINTS 2")
             .replace("1 2 3 255\n", "1 2 3 4 5 6\n7 8 9 10 11 12\n")
         )
         frame = read_pcd(path)
@@ -222,6 +223,12 @@ class TestReadPcd:
         ("COUNT 1 1 1", "COUNT 1 1 2", "field 'z' must have COUNT 1, got 2"),
         ("POINTS 3", "POINTS three", "malformed point count"),
         ("WIDTH 3\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 3\n", "", "missing header key 'POINTS'"),
+        ("POINTS 3", "POINTS 5", "point count mismatch: POINTS 5, WIDTH x HEIGHT 3"),
+        ("WIDTH 3", "WIDTH 10", "point count mismatch: POINTS 3, WIDTH x HEIGHT 10"),
+        ("POINTS 3", "POINTS 3 7", "malformed point count: POINTS takes one value, got 2"),
+        ("WIDTH 3", "WIDTH 3 1", "malformed point count: WIDTH takes one value, got 2"),
+        ("HEIGHT 1", "HEIGHT 1 1", "malformed point count: HEIGHT takes one value, got 2"),
+        ("POINTS 3", "POINTS", "malformed point count: POINTS takes one value, got 0"),
     ])
     def test_header_check_names_file(self, tmp_path, old, new, message):
         path = tmp_path / "a.pcd"
@@ -243,6 +250,24 @@ class TestReadPcd:
             .replace("COUNT 1 1 1", f"COUNT 1 1 1 {count}")
         )
         with pytest.raises(PcdError, match=re.escape(f"{path}: {message}")):
+            read_pcd(path)
+
+    @pytest.mark.parametrize("edits", [
+        {"WIDTH 10": "WIDTH 1_0", "POINTS 10": "POINTS 1_0"},
+        {"HEIGHT 1": "HEIGHT ١"},  # Arabic-Indic 1
+        {"SIZE 4 4 4": "SIZE 4 4 ٤"},  # Arabic-Indic 4
+        {"COUNT 1 1 1": "COUNT 1 1 0_1"},
+    ])
+    def test_header_numbers_must_be_ascii_without_underscores(self, tmp_path, edits):
+        # int() reads each edited number as the value it replaces
+        text = MINIMAL_PCD.replace("WIDTH 3", "WIDTH 10").replace("POINTS 3", "POINTS 10") + "0 0 1\n" * 7
+        path = tmp_path / "a.pcd"
+        path.write_text(text)
+        assert len(read_pcd(path)) == 10
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path.write_text(text)
+        with pytest.raises(PcdError, match=re.escape(f"{path}: malformed ")):
             read_pcd(path)
 
     def test_end_of_file_inside_header_names_file(self, tmp_path):

@@ -344,9 +344,12 @@ class TestRunPipeline:
         assert got == load_bundle_detections(bundles[0], rig)[cam_id]
         assert f"{dets}: rejected 2 malformed detection records" in caplog.text
 
-    def test_unknown_detection_stream_rejected(self, small_scene, tmp_path):
+    # int() reads "cam01" as camera 1, a second stream beside "cam1", and
+    # the Arabic-Indic "cam١" as camera 1 too
+    @pytest.mark.parametrize("stream", ["lidar", "cam01", "cam١"])
+    def test_unknown_detection_stream_rejected(self, small_scene, tmp_path, stream):
         dets = tmp_path / "bad.manifest"
-        dets.write_text("lidar 0 0.0 nothing.txt\n")
+        dets.write_text(f"{stream} 0 0.0 nothing.txt\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="not of the form"):
             run_pipeline(_pipeline_cfg(small_scene, tmp_path / "out", detection_manifest=dets))
 

@@ -1,3 +1,4 @@
+import csv
 import re
 from dataclasses import replace
 from itertools import product
@@ -560,12 +561,54 @@ class TestAggregateReports:
         assert "min drop rate: 10.00% at frame 0" in text
 
 
+def _csv_module_report(path, reports):
+    """The report as ``csv.writer`` writes it: the reference for its bytes."""
+    class_ids = sorted({c for r in reports for c in (*r.class_before, *r.class_after)})
+    header = ["frame_id", "total_points", "labeled_before", "kept_after", "dropped", "drop_rate_percent"]
+    for cid in class_ids:
+        header += [f"class_{cid}_before", f"class_{cid}_after"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for r in reports:
+            row = [
+                r.frame_id, r.total_points, r.labeled_before, r.kept_after, r.dropped,
+                f"{r.drop_rate_percent:.6f}",
+            ]
+            for cid in class_ids:
+                row += [r.class_before.get(cid, 0), r.class_after.get(cid, 0)]
+            writer.writerow(row)
+
+
+@st.composite
+def _frame_reports(draw):
+    reports = []
+    for frame_id in draw(st.lists(st.integers(0, 10**6), max_size=5)):
+        before = draw(st.dictionaries(st.integers(0, 79), st.integers(0, 10**5), max_size=4))
+        after = {cid: draw(st.integers(0, n)) for cid, n in before.items()}
+        labeled, kept = sum(before.values()), sum(after.values())
+        total = labeled + draw(st.integers(0, 10**5))
+        reports.append(FrameReport(frame_id, total, labeled, kept, before, after))
+    return reports
+
+
 class TestReportCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(reports=_frame_reports())
+    def test_writes_the_bytes_csv_writer_writes(self, tmp_path_factory, reports):
+        tmp = tmp_path_factory.mktemp("report")
+        write_report_csv(tmp / "report.csv", reports)
+        _csv_module_report(tmp / "reference.csv", reports)
+        assert (tmp / "report.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
     @pytest.mark.parametrize("text, message", [
         ("", "empty report CSV"),
         (",".join(("frame_id", "total_points", "labeled_before", "kept_after", "dropped",
                    "drop_rate_percent", "class_2_during")) + "\n",
          "unexpected CSV column 'class_2_during'"),
+        (",".join(("frame_id", "total_points", "labeled_before", "kept_after", "dropped",
+                   "drop_rate_percent", "class_٢_before", "class_٢_after")) + "\n",  # Arabic-Indic 2
+         "unexpected CSV column 'class_٢_before'"),
     ])
     def test_header_checks_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "report.csv"
@@ -602,6 +645,8 @@ class TestReportCsv:
         "x,100,50,40,10,20.000000,50,40",
         "1,100,50,40,10,20.000000,5.5,40",
         "1,100,50,40,10,abc,50,40",
+        '1,"100",50,40,10,20.000000,50,40',  # pclabel never quotes a cell
+        "# the report format has no comments",
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, bad):
         path = tmp_path / "report.csv"
@@ -632,6 +677,13 @@ class TestReportCsv:
         path = tmp_path / "report.csv"
         path.write_text(f"{self._HEADER}0,100,50,40,10,20.000000,50,40\n{bad}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+            read_report_csv(path)
+
+    def test_cells_must_be_ascii_without_underscores(self, tmp_path):
+        # int() and float() read this row as 100 points, 50 labeled and 40 kept
+        path = tmp_path / "report.csv"
+        path.write_text(f"{self._HEADER}0,1_00,5_0,4_0,1_0,2_0.0,5_0,4_0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
             read_report_csv(path)
 
     def test_negative_class_count_rejected(self, tmp_path):
