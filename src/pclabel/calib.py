@@ -226,34 +226,42 @@ def distort_normalized(d: DistortionCoeffs, xn, yn):
 
 
 def undistort_normalized(d: DistortionCoeffs, xd, yd):
-    """Invert the distortion model by fixed-point iteration.
+    """Invert the distortion model by Newton's method.
 
-    Starting from the distorted coordinates, each step divides out the
-    radial factor and subtracts the tangential terms evaluated at the
-    current estimate.  Stops when the max-norm step falls below
-    ``UNDISTORT_STEP_TOL``; raises ValueError if ``UNDISTORT_MAX_ITER``
-    iterations do not converge (the input is outside the model's
-    invertible region).  Accepts scalars or numpy arrays; a scalar comes
-    back as a numpy float64.
+    Starting from the distorted coordinates, each step solves the 2x2
+    Jacobian of ``distort_normalized`` at the current estimate for the
+    correction that cancels its residual.  Stops when the max-norm step
+    falls below ``UNDISTORT_STEP_TOL``.  Raises ValueError if
+    ``UNDISTORT_MAX_ITER`` iterations do not converge, or converge where
+    the radial factor or the Jacobian determinant is not positive: either
+    way the input is outside the model's invertible region.  Accepts
+    scalars or numpy arrays; a scalar comes back as a numpy float64.
     """
     x = xd_a = np.asarray(xd, dtype=np.float64)
     y = yd_a = np.asarray(yd, dtype=np.float64)
-    for _ in range(UNDISTORT_MAX_ITER):
-        r2 = x * x + y * y
-        radial = 1.0 + d.k1 * r2 + d.k2 * r2 * r2 + d.k3 * r2 * r2 * r2
-        dx = 2.0 * d.p1 * x * y + d.p2 * (r2 + 2.0 * x * x)
-        dy = d.p1 * (r2 + 2.0 * y * y) + 2.0 * d.p2 * x * y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = (xd_a - dx) / radial
-            y_new = (yd_a - dy) / radial
-        step = max(np.max(np.abs(x_new - x), initial=0.0), np.max(np.abs(y_new - y), initial=0.0))
-        x, y = x_new, y_new
-        if step < UNDISTORT_STEP_TOL:
-            break
-    else:
+    # an estimate that runs off gives inf or NaN, whose step never converges
+    with np.errstate(all="ignore"):
+        for _ in range(UNDISTORT_MAX_ITER):
+            r2 = x * x + y * y
+            radial = 1.0 + d.k1 * r2 + d.k2 * r2 * r2 + d.k3 * r2 * r2 * r2
+            slope = d.k1 + 2.0 * d.k2 * r2 + 3.0 * d.k3 * r2 * r2  # d radial / d r2
+            # the Jacobian is symmetric: d xd / d y = d yd / d x = j_xy
+            j_xx = radial + 2.0 * x * x * slope + 2.0 * d.p1 * y + 6.0 * d.p2 * x
+            j_xy = 2.0 * x * y * slope + 2.0 * d.p1 * x + 2.0 * d.p2 * y
+            j_yy = radial + 2.0 * y * y * slope + 6.0 * d.p1 * y + 2.0 * d.p2 * x
+            det = j_xx * j_yy - j_xy * j_xy
+            fx, fy = distort_normalized(d, x, y)
+            ex, ey = fx - xd_a, fy - yd_a
+            dx = (j_yy * ex - j_xy * ey) / det
+            dy = (j_xx * ey - j_xy * ex) / det
+            x, y = x - dx, y - dy
+            step = max(np.max(np.abs(dx), initial=0.0), np.max(np.abs(dy), initial=0.0))
+            if step < UNDISTORT_STEP_TOL:
+                break
+    if not (step < UNDISTORT_STEP_TOL and np.all(radial > 0) and np.all(det > 0)):
         raise ValueError(
-            f"undistortion did not converge after {UNDISTORT_MAX_ITER} iterations; "
-            "point is outside the invertible region"
+            f"undistortion did not converge inside the invertible region "
+            f"in {UNDISTORT_MAX_ITER} iterations"
         )
     return x[()], y[()]
 
@@ -281,6 +289,11 @@ def project_points(
     the transpose of a C-contiguous (2, n) array, so ``uv.T`` holds the u and
     v rows contiguously.  Pixels outside the image are returned as-is;
     bounds are the caller's concern.
+
+    Every row is projected in place into the returned array; a row behind
+    the camera gets NaN by dividing by a NaN depth, so no row is gathered or
+    scattered.  Without distortion the call holds the result, the depth, one
+    scratch row and the mask: 33 bytes a point, with no hidden ufunc buffer.
     """
     pts = np.asarray(points)
     if pts.dtype != np.float32:
@@ -290,37 +303,45 @@ def project_points(
     r = cam.pose.rotation
     t = cam.pose.translation
 
-    def rotate(row: int, x, y, z, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-        """out = r[row, 0] * x + r[row, 1] * y + r[row, 2] * z + t[row], summed left to right."""
-        np.multiply(r[row, 0], x, out=out, dtype=np.float64)
-        out += np.multiply(r[row, 1], y, out=tmp, dtype=np.float64)
-        out += np.multiply(r[row, 2], z, out=tmp, dtype=np.float64)
+    cols = pts[:, 0], pts[:, 1], pts[:, 2]
+
+    def rotate(row: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """out = r[row, 0] * x + r[row, 1] * y + r[row, 2] * z + t[row], summed left to right.
+
+        Each column is cast into ``out`` or ``tmp`` before it is scaled:
+        a ufunc that casts float32 on the fly would allocate a hidden buffer.
+        """
+        for axis, col in enumerate(cols):
+            term = tmp if axis else out
+            np.copyto(term, col)
+            term *= r[row, axis]
+            if axis:
+                out += term
         out += t[row]
         return out
 
-    cols = pts[:, 0], pts[:, 1], pts[:, 2]
-    cam_z = rotate(2, *cols, np.empty(len(pts)), np.empty(len(pts)))
+    n = len(pts)
+    uv = np.empty((2, n))
+    x, y = uv
+    tmp = np.empty(n)
+    cam_z = rotate(2, np.empty(n), tmp)
     in_front = cam_z > z_min
-    # finish the projection for the rows in front of the camera only
-    front = np.flatnonzero(in_front)
-    cam_z = cam_z[front]
-    x, y, z = (c[front] for c in cols)
-    tmp = np.empty(len(front))
-    xn = rotate(0, x, y, z, np.empty(len(front)), tmp)
-    yn = rotate(1, x, y, z, np.empty(len(front)), tmp)
-    del x, y, z, tmp
+    rotate(0, x, tmp)
+    rotate(1, y, tmp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(xn, cam_z, out=xn)
-        np.divide(yn, cam_z, out=yn)
+        # 1.0 in front, 0 / 0 = NaN behind, so a row behind the camera divides
+        # by NaN; the mask is cast first, as a bool divide would buffer its cast
+        np.copyto(tmp, in_front)
+        cam_z *= np.divide(tmp, tmp, out=tmp)
+        del tmp
+        x /= cam_z
+        y /= cam_z
     del cam_z
     if use_distortion:
-        xn, yn = distort_normalized(cam.distortion, xn, yn)
+        x[:], y[:] = distort_normalized(cam.distortion, x, y)
     intr = cam.intrinsics
-    xn *= intr.fx
-    xn += intr.cx
-    yn *= intr.fy
-    yn += intr.cy
-    uv = np.full((2, len(pts)), np.nan)
-    uv[0, front] = xn
-    uv[1, front] = yn
+    x *= intr.fx
+    x += intr.cx
+    y *= intr.fy
+    y += intr.cy
     return uv.T, in_front

@@ -141,7 +141,8 @@ def _field_layout(header: dict[str, list[str]]) -> np.dtype:
 
 
 def _declared_points(header: dict[str, list[str]]) -> int:
-    """POINTS, or WIDTH x HEIGHT without it; all three, where given, must agree."""
+    """POINTS, or WIDTH x HEIGHT without it; all three, where given, must agree
+    and none may be negative."""
     counts: dict[str, int] = {}
     for key in ("WIDTH", "HEIGHT", "POINTS"):
         if key in header:
@@ -149,6 +150,8 @@ def _declared_points(header: dict[str, list[str]]) -> int:
                 if len(header[key]) != 1:
                     raise ValueError(f"{key} takes one value, got {len(header[key])}")
                 counts[key] = ascii_number(header[key][0], int)
+                if counts[key] < 0:
+                    raise ValueError(f"{key} must be >= 0, got {counts[key]}")
             except ValueError as e:
                 raise PcdError(f"malformed point count: {e}") from e
     if "WIDTH" in counts and "HEIGHT" in counts:

@@ -115,16 +115,15 @@ def label_frame(
 
     Each camera projects the frame ``cloud_io.BLOCK_ROWS`` rows at a time
     and keeps only the indices and pixels of its visible points, so the
-    working set beyond the frame and its labels is one block of projection
-    temporaries plus one camera's visible points; the labels do not depend
-    on the block size.
+    working set beyond the frame is one block of projection temporaries plus
+    one camera's visible points and the hits of the boxes so far; the labels
+    are allocated after the last projection and do not depend on the block
+    size.
     """
     rig_by_id = {cam.id: cam for cam in rig}
     unknown = sorted(set(detections) - set(rig_by_id))
     if unknown:
         raise ValueError(f"detections reference camera ids {unknown} absent from rig")
-    n = len(frame)
-    lc = LabeledCloud.empty(frame.frame_id, n)
     candidates = []
     for cam_id in sorted(detections):
         dets = detections[cam_id]
@@ -143,8 +142,10 @@ def label_frame(
         # each box keeps only its hits: free this camera's pixels before the next projection
         del visible, u, v
 
+    # the labels are allocated only now, so they never overlap a projection
+    lc = LabeledCloud.empty(frame.frame_id, len(frame))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    unassigned = np.ones(n, dtype=bool)
+    unassigned = np.ones(len(frame), dtype=bool)
     for _area, cam_id, det_idx, class_id, hit in candidates:
         hit = hit[unassigned[hit]]
         if not hit.size:

@@ -86,9 +86,13 @@ def _assign(
     """
     if len(centroids) == 1:
         nearest.fill(0)
-    for c, centroid in enumerate(centroids):
+    for c, centroid in enumerate(centroids.tolist()):
         out = best if c == 0 else d2
-        np.subtract(cols, centroid[:, None], out=sq)
+        # one axis at a time, less a Python float: below about 8k points the
+        # broadcast np.subtract(cols, centroid[:, None], out=sq) allocates a
+        # hidden buffer the size of sq
+        for axis in range(3):
+            np.subtract(cols[axis], centroid[axis], out=sq[axis])
         np.multiply(sq, sq, out=sq)
         np.add(sq[0], sq[2], out=out)
         out += sq[1]
@@ -156,6 +160,7 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
         if movement < cfg.tol:
             break
 
+    del best, d2, sq, nearest, closer  # before the int32 copy of the assignments
     assign = assign.astype(np.int32)
     centroids.flags.writeable = False
     assign.flags.writeable = False
@@ -239,7 +244,9 @@ def denoise_frame(
     if labeled.size:
         # group once: a stable sort on one (camera, detection) key keeps each
         # detection's members in ascending point order; every temporary is
-        # freed before the first k-means call
+        # freed before the first k-means call, and int32 indices halve the
+        # one list that lives through them all
+        labeled = labeled.astype(np.int32 if len(lc) <= 1 << 31 else np.intp)
         key = lc.camera_id[labeled].astype(np.int64)
         det = lc.det_index[labeled]
         key *= int(det.max()) + 1

@@ -209,39 +209,52 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
     )
 
 
+def reference_pixel(cam: CameraModel, point, distortion: bool) -> tuple[float, float] | None:
+    """The pixel (u, v) at which ``cam`` sees one LIDAR point, or None at a
+    depth of ``DEFAULT_Z_MIN`` or less; one double operation at a time.
+
+    The pinhole model: the pose r[row] . p + t[row], the division by depth,
+    the Brown-Conrady polynomial when ``distortion`` is on, then f * x + c,
+    each step in ``project_points``' order, so its bits are the same.
+    """
+    x, y, z = (float(c) for c in point)
+    (r0, r1, r2), t = cam.pose.rotation.tolist(), cam.pose.translation.tolist()
+    depth = r2[0] * x + r2[1] * y + r2[2] * z + t[2]
+    if not depth > DEFAULT_Z_MIN:
+        return None
+    xn = (r0[0] * x + r0[1] * y + r0[2] * z + t[0]) / depth
+    yn = (r1[0] * x + r1[1] * y + r1[2] * z + t[1]) / depth
+    if distortion:
+        d = cam.distortion
+        rr = xn * xn + yn * yn
+        radial = 1.0 + d.k1 * rr + d.k2 * rr * rr + d.k3 * rr * rr * rr
+        xn, yn = (
+            xn * radial + 2.0 * d.p1 * xn * yn + d.p2 * (rr + 2.0 * xn * xn),
+            yn * radial + d.p1 * (rr + 2.0 * yn * yn) + 2.0 * d.p2 * xn * yn,
+        )
+    intr = cam.intrinsics
+    return xn * intr.fx + intr.cx, yn * intr.fy + intr.cy
+
+
 def reference_labels(points, rig, detections, distortion: bool) -> list[tuple[int, int, int]]:
     """Per point, the (class id, camera id, detection index) that ``label_frame``
     must give it, or (-1, -1, -1); one point and one camera at a time.
 
-    A camera sees a point through the pinhole model: the pose r[row] . p +
-    t[row], the division by depth, the Brown-Conrady polynomial when
-    ``distortion`` is on, then f * x + c.  A depth at or below
-    ``DEFAULT_Z_MIN`` never matches.  The image [0, width) x [0, height) and
-    every box are half-open.  Of the boxes that claim a point, the smallest
-    area wins, then the lower camera id, then the lower detection index.
-    Each step is one double operation in ``project_points``' order, so a
-    pixel on a box edge lands on the same side in both.
+    A camera sees a point at ``reference_pixel``.  The image [0, width) x
+    [0, height) and every box are half-open.  Of the boxes that claim a
+    point, the smallest area wins, then the lower camera id, then the lower
+    detection index.  The pixel has ``project_points``' bits, so a pixel on
+    a box edge lands on the same side in both.
     """
     labels = []
-    for x, y, z in np.asarray(points, dtype=np.float64).tolist():
+    for point in np.asarray(points, dtype=np.float64).tolist():
         best = None  # ((area, camera id, detection index), class id)
         for cam in rig:
-            (r0, r1, r2), t = cam.pose.rotation.tolist(), cam.pose.translation.tolist()
-            depth = r2[0] * x + r2[1] * y + r2[2] * z + t[2]
-            if not depth > DEFAULT_Z_MIN:
+            pixel = reference_pixel(cam, point, distortion)
+            if pixel is None:
                 continue
-            xn = (r0[0] * x + r0[1] * y + r0[2] * z + t[0]) / depth
-            yn = (r1[0] * x + r1[1] * y + r1[2] * z + t[1]) / depth
-            if distortion:
-                d = cam.distortion
-                rr = xn * xn + yn * yn
-                radial = 1.0 + d.k1 * rr + d.k2 * rr * rr + d.k3 * rr * rr * rr
-                xn, yn = (
-                    xn * radial + 2.0 * d.p1 * xn * yn + d.p2 * (rr + 2.0 * xn * xn),
-                    yn * radial + d.p1 * (rr + 2.0 * yn * yn) + 2.0 * d.p2 * xn * yn,
-                )
+            u, v = pixel
             intr = cam.intrinsics
-            u, v = xn * intr.fx + intr.cx, yn * intr.fy + intr.cy
             if not (0 <= u < intr.width and 0 <= v < intr.height):
                 continue
             for det_index, det in enumerate(detections.get(cam.id, ())):

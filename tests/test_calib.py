@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pclabel import (
     CalibrationError,
@@ -19,7 +20,8 @@ from pclabel import (
     project_points,
     undistort_normalized,
 )
-from helpers import random_rotation, simple_camera
+from pclabel import cloud_io
+from helpers import random_rotation, reference_pixel, simple_camera, traced_peak
 
 
 def _camera_entry(**overrides):
@@ -331,6 +333,10 @@ class TestDistortion:
         p1=st.floats(-0.01, 0.01),
         p2=st.floats(-0.01, 0.01),
     )
+    # the radial map is still monotone here (1 + 3 k1 r^2 + 5 k2 r^4 is about
+    # 0.26 at r^2 = 0.705), but fixed-point iteration contracts by only about
+    # 0.68 a step and used to stop short of the tolerance
+    @example(xn=0.59375, yn=0.59375, k1=-0.28125, k2=-0.0625, p1=0.0, p2=0.0)
     def test_roundtrip_property(self, xn, yn, k1, k2, p1, p2):
         d = DistortionCoeffs(k1=k1, k2=k2, p1=p1, p2=p2)
         xr, yr = undistort_normalized(d, *distort_normalized(d, xn, yn))
@@ -422,6 +428,42 @@ class TestProject:
             assert np.array_equal(front32, front64)
             assert uv32.tobytes() == uv64.tobytes()
         assert front64[:4].tolist() == [False, False, False, True]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pts=hnp.arrays(
+            np.float32, st.tuples(st.integers(0, 40), st.just(3)), elements=st.floats(-30, 30, width=32)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        use_distortion=st.booleans(),
+    )
+    def test_rows_match_per_row_reference(self, pts, seed, use_distortion):
+        # every row is projected in place: a row in front has the bits of the
+        # per-row double arithmetic, a row behind the camera is NaN
+        rng = np.random.default_rng(seed)
+        dist = DistortionCoeffs(*rng.uniform(-0.1, 0.1, 5))
+        pose = ExtrinsicPose(random_rotation(rng), rng.normal(size=3))
+        cam = simple_camera(dist=dist, pose=pose)
+        uv, in_front = project_points(cam, pts, use_distortion=use_distortion)
+        for row, pixel, front in zip(pts.tolist(), uv, in_front):
+            ref = reference_pixel(cam, row, use_distortion)
+            assert front == (ref is not None)
+            if ref is None:
+                assert np.isnan(pixel).all()
+            else:
+                assert pixel.tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize("behind", [0.0, 0.5])
+    def test_float32_block_peak_memory_per_point(self, behind):
+        # the result (16 bytes a point), the depth and one scratch row (8 each)
+        # and the mask (1), whatever share of the rows is in front: nothing is
+        # gathered and no ufunc casts float32 through a hidden buffer
+        n = cloud_io.BLOCK_ROWS
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(-20, 20, size=(n, 3)).astype(np.float32)
+        pts[:, 2] = np.where(rng.random(n) < behind, -1.0, 1.0) * rng.uniform(1, 50, n)
+        _, peak = traced_peak(project_points, simple_camera(), pts)
+        assert peak / n <= 34, f"peak {peak / n:.1f} bytes per point"
 
     def test_behind_camera_mask_vectorized(self):
         cam = simple_camera()
