@@ -229,29 +229,17 @@ class TestReadPcd:
         ("WIDTH 3", "WIDTH 3 1", "malformed point count: WIDTH takes one value, got 2"),
         ("HEIGHT 1", "HEIGHT 1 1", "malformed point count: HEIGHT takes one value, got 2"),
         ("POINTS 3", "POINTS", "malformed point count: POINTS takes one value, got 0"),
+        # no count may be negative, even where WIDTH x HEIGHT matches POINTS
+        ("WIDTH 3\nHEIGHT 1", "WIDTH -3\nHEIGHT -1", "malformed point count: WIDTH must be >= 0, got -3"),
+        ("HEIGHT 1", "HEIGHT -1", "malformed point count: HEIGHT must be >= 0, got -1"),
+        ("WIDTH 3\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 3\n", "VIEWPOINT 0 0 0 1 0 0 0\nPOINTS -1\n",
+         "malformed point count: POINTS must be >= 0, got -1"),
     ])
     def test_header_check_names_file(self, tmp_path, old, new, message):
         path = tmp_path / "a.pcd"
         assert old in MINIMAL_PCD
         path.write_text(MINIMAL_PCD.replace(old, new))
         with pytest.raises(PcdError, match=re.escape(f"{path}: {message}")):
-            read_pcd(path)
-
-    @pytest.mark.parametrize("data", ["ascii", "binary"])
-    @pytest.mark.parametrize("counts, message", [
-        # WIDTH x HEIGHT matches POINTS, but no count may be negative
-        ("WIDTH -3\nHEIGHT -1\nPOINTS 3", "WIDTH must be >= 0, got -3"),
-        ("WIDTH 3\nHEIGHT -1\nPOINTS -3", "HEIGHT must be >= 0, got -1"),
-        ("POINTS -1", "POINTS must be >= 0, got -1"),
-        ("WIDTH -1", "WIDTH must be >= 0, got -1"),
-    ])
-    def test_negative_point_count_names_file(self, tmp_path, counts, message, data):
-        path = tmp_path / "a.pcd"
-        head, body = MINIMAL_PCD.split("VIEWPOINT 0 0 0 1 0 0 0\n")
-        head = head.replace("WIDTH 3\nHEIGHT 1\n", "")
-        body = body.replace("POINTS 3\n", "").replace("DATA ascii", f"DATA {data}")
-        path.write_text(f"{head}{counts}\nVIEWPOINT 0 0 0 1 0 0 0\n{body}")
-        with pytest.raises(PcdError, match=re.escape(f"{path}: malformed point count: {message}")):
             read_pcd(path)
 
     @pytest.mark.parametrize("size, count, message", [

@@ -348,8 +348,8 @@ def test_kmeans_peak_memory_per_point(n, parent_bytes):
 def test_kmeans_peak_memory_has_no_broadcast_buffer():
     # below about 8k points numpy's broadcast subtraction of a centroid from
     # the (3, n) points allocated a hidden buffer the size of the squares,
-    # 25 bytes a point at 1,286 points (99.8 in all); the call's own buffers
-    # take 74
+    # 25 bytes a point at 1,286 points (about 100 in all); the call's own
+    # buffers take 74
     n = 1_286
     pts = np.random.default_rng(n).normal(size=(n, 3)).astype(np.float32)
     _result, peak = traced_peak(kmeans, pts, KMeansConfig(k=3, seed=7))
