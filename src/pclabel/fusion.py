@@ -1,8 +1,8 @@
 """Label LIDAR points by projecting them into detection boxes.
 
-Every point is projected into every camera; a point whose pixel lands
-inside a kept detection box (and inside the image) is labeled with that
-detection's class.  When several boxes claim a point, the smallest box
+Every camera with detections projects every point; a point whose pixel
+lands inside a kept detection box (and inside the image) is labeled with
+that detection's class.  When several boxes claim a point, the smallest box
 wins, with ties broken by lower camera id and then lower detection index.
 """
 
@@ -57,45 +57,10 @@ class LabeledCloud:
     def n_labeled(self) -> int:
         return int(np.count_nonzero(self.labeled_mask))
 
-    def copy(self) -> "LabeledCloud":
-        return LabeledCloud(
-            frame_id=self.frame_id,
-            class_id=self.class_id.copy(),
-            camera_id=self.camera_id.copy(),
-            det_index=self.det_index.copy(),
-            cluster_id=self.cluster_id.copy(),
-            kept=self.kept.copy(),
-        )
-
 
 def _inside(u: np.ndarray, v: np.ndarray, box: BBox) -> np.ndarray:
     """The membership rule: half-open [x_min, x_max) x [y_min, y_max); NaN is outside."""
     return (u >= box.x_min) & (u < box.x_max) & (v >= box.y_min) & (v < box.y_max)
-
-
-def _visible_pixels(
-    cam: CameraModel, xyz: np.ndarray, distortion_mode: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices of the points that land inside ``cam``'s image, and their pixels.
-
-    Projects ``cloud_io.BLOCK_ROWS`` rows at a time, so projection
-    temporaries never span the whole frame; every step is per row, so the
-    result does not depend on the block size.
-    """
-    image = BBox(0, 0, cam.intrinsics.width, cam.intrinsics.height)
-    block = cloud_io.BLOCK_ROWS
-    visible, us, vs = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
-    for lo in range(0, len(xyz), block):
-        # the transpose of project_points' pixels is contiguous, so the image
-        # test and the gathers read contiguous u and v rows
-        u, v = project_points(cam, xyz[lo:lo + block], use_distortion=distortion_mode)[0].T
-        # a point at or behind the camera plane has a NaN pixel, which is never inside
-        hit = np.flatnonzero(_inside(u, v, image))
-        visible.append(hit + lo)
-        us.append(u[hit])
-        vs.append(v[hit])
-        del u, v, hit
-    return np.concatenate(visible), np.concatenate(us), np.concatenate(vs)
 
 
 def label_frame(
@@ -114,16 +79,17 @@ def label_frame(
     points start with kept=True; denoising happens downstream.
 
     Each camera projects the frame ``cloud_io.BLOCK_ROWS`` rows at a time
-    and keeps only the indices and pixels of its visible points, so the
-    working set beyond the frame is one block of projection temporaries plus
-    one camera's visible points and the hits of the boxes so far; the labels
-    are allocated after the last projection and do not depend on the block
-    size.
+    and tests its boxes on each block's visible pixels, so the working set
+    beyond the frame is one block of projection temporaries plus the hit
+    indices of the boxes so far; the labels are allocated after the last
+    projection.  Every step is per row, so the result does not depend on
+    the block size.
     """
     rig_by_id = {cam.id: cam for cam in rig}
     unknown = sorted(set(detections) - set(rig_by_id))
     if unknown:
         raise ValueError(f"detections reference camera ids {unknown} absent from rig")
+    block = cloud_io.BLOCK_ROWS
     candidates = []
     for cam_id in sorted(detections):
         dets = detections[cam_id]
@@ -135,24 +101,34 @@ def label_frame(
             raise ValueError(
                 f"detection list for camera {cam_id} contains records for camera {bad[0]}"
             )
-        visible, u, v = _visible_pixels(cam, frame.xyz, distortion_mode)
-        for det_idx, det in enumerate(dets):
-            hit = visible[_inside(u, v, det.box)]
-            candidates.append((det.box.area, cam_id, det_idx, det.class_id, hit))
-        # each box keeps only its hits: free this camera's pixels before the next projection
-        del visible, u, v
+        image = BBox(0, 0, cam.intrinsics.width, cam.intrinsics.height)
+        hits = [[np.empty(0, dtype=np.intp)] for _ in dets]  # each box's hits, block by block
+        for lo in range(0, len(frame), block):
+            # the transpose of project_points' pixels is contiguous, so the image
+            # test and the gathers read contiguous u and v rows
+            u, v = project_points(cam, frame.xyz[lo:lo + block], use_distortion=distortion_mode)[0].T
+            # a point at or behind the camera plane has a NaN pixel, which is never inside
+            visible = np.flatnonzero(_inside(u, v, image))
+            u, v = u[visible], v[visible]
+            visible += lo
+            for det, box_hits in zip(dets, hits):
+                box_hits.append(visible[_inside(u, v, det.box)])
+            # box_hits too: it would keep the last box's pieces alive past `del hits`
+            del u, v, visible, box_hits
+        candidates += [
+            (det.box.area, cam_id, det_idx, det.class_id, np.concatenate(box_hits))
+            for det_idx, (det, box_hits) in enumerate(zip(dets, hits))
+        ]
+        del hits  # free the blocks' pieces before the next camera projects
 
-    # the labels are allocated only now, so they never overlap a projection
+    # the labels are allocated only now, so they never overlap a projection;
+    # every box writes its hits, smallest last, so the smallest box wins, and
+    # of equal areas the lower camera, then the lower detection
     lc = LabeledCloud.empty(frame.frame_id, len(frame))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    unassigned = np.ones(len(frame), dtype=bool)
+    candidates.sort(key=lambda c: c[:3], reverse=True)
     for _area, cam_id, det_idx, class_id, hit in candidates:
-        hit = hit[unassigned[hit]]
-        if not hit.size:
-            continue
         lc.class_id[hit] = class_id
         lc.camera_id[hit] = cam_id
         lc.det_index[hit] = det_idx
         lc.kept[hit] = True
-        unassigned[hit] = False
     return lc

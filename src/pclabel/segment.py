@@ -236,7 +236,9 @@ def denoise_frame(
     Mutates ``lc`` and returns it with the frame's report, tallied per
     detection; it equals ``frame_report`` on the denoised labels.  Each
     detection's points must share one class, as ``label_frame`` labels them;
-    raises ValueError naming the detection otherwise.
+    raises ValueError naming the detection otherwise.  A labeled point must
+    carry a camera id and a detection index of at least 0; raises
+    ValueError naming the frame otherwise.
     """
     class_before: dict[int, int] = {}
     class_after: dict[int, int] = {}
@@ -249,6 +251,11 @@ def denoise_frame(
         labeled = labeled.astype(np.int32 if len(lc) <= 1 << 31 else np.intp)
         key = lc.camera_id[labeled].astype(np.int64)
         det = lc.det_index[labeled]
+        if min(int(key.min()), int(det.min())) < 0:
+            # such a point would take another detection's key, or a phantom one
+            raise ValueError(
+                f"frame {frame.frame_id}: labeled points with a negative camera id or detection index"
+            )
         key *= int(det.max()) + 1
         key += det
         del det

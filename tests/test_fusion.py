@@ -17,6 +17,7 @@ from pclabel import (
     label_frame,
     project_points,
 )
+from pclabel import cloud_io
 from helpers import (
     assert_label_invariants,
     box_hits,
@@ -245,6 +246,16 @@ def test_label_and_denoise_peak_memory_per_point():
     assert peak / len(frame) < 40, f"peak {peak / len(frame):.1f} bytes per point"
 
 
+def test_label_frame_peak_memory_is_the_labels_plus_the_box_hits():
+    # the labels take 17 bytes a point and each box's hit indices 8 bytes a
+    # hit; each block's pixels are tested against the boxes as it is
+    # projected, so no per-camera pixel buffer adds to them
+    rig, frame, dets_by_cam = criterion7_frame()
+    lc, peak = traced_peak(label_frame, frame, rig, dets_by_cam)
+    bound = 17 * len(frame) + 8 * lc.n_labeled + (64 << 10)
+    assert peak <= bound, f"peak {peak} B, {peak - bound} B over the bound"
+
+
 # sha256 of the label and denoise columns (class_id, camera_id, det_index,
 # cluster_id, kept) of the criterion-7 frame with k-means k=3, seed 7.  Its
 # ten detections hold 9,000-10,000 points each, so this pins projection, the
@@ -337,10 +348,13 @@ def _small_frames(draw):
 
 class TestLabelFrameMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(_small_frames())
-    def test_every_label_column(self, case):
+    @given(_small_frames(), st.sampled_from((1, 2, 7, 32768)))
+    def test_every_label_column(self, case, block_rows):
+        # blocks of 1, 2 and 7 rows put block edges inside these 4-30 point frames
         rig, xyz, detections, distortion = case
-        lc = label_frame(_frame(xyz), rig, detections, distortion_mode=distortion)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cloud_io, "BLOCK_ROWS", block_rows)
+            lc = label_frame(_frame(xyz), rig, detections, distortion_mode=distortion)
         got = list(zip(lc.class_id.tolist(), lc.camera_id.tolist(), lc.det_index.tolist()))
         assert got == reference_labels(xyz, rig, detections, distortion)
         assert np.array_equal(lc.kept, lc.class_id >= 0)

@@ -1,3 +1,4 @@
+import copy
 import csv
 import re
 from dataclasses import replace
@@ -52,13 +53,13 @@ def _single_detection_runs(frame, lc, cfg, refs):
     in ``refs`` order, each on ``lc`` with every other detection's labels
     cleared, merged.  Each run must leave the points outside its detection
     exactly as they were."""
-    merged = lc.copy()
+    merged = copy.deepcopy(lc)
     for cam, det in refs:
         mine = (lc.camera_id == cam) & (lc.det_index == det)
-        alone = lc.copy()
+        alone = copy.deepcopy(lc)
         alone.class_id[~mine] = alone.camera_id[~mine] = alone.det_index[~mine] = -1
         alone.kept[~mine] = False
-        before = alone.copy()
+        before = copy.deepcopy(alone)
         denoise_frame(frame, alone, cfg)
         for name in ("class_id", "camera_id", "det_index", "cluster_id", "kept"):
             assert np.array_equal(getattr(alone, name)[~mine], getattr(before, name)[~mine])
@@ -396,7 +397,7 @@ class TestDenoiseDetection:
         refs = [(0, 0)] * 20 + [(0, 1)] * 20
         frame, lc = _labeled_frame(pts, refs)
         cfg = KMeansConfig(k=2, seed=0)
-        both, _ = denoise_frame(frame, lc.copy(), cfg)
+        both, _ = denoise_frame(frame, copy.deepcopy(lc), cfg)
         # each single-detection run leaves the other detection's points as they were
         oracle = _single_detection_runs(frame, lc, cfg, [(0, 0), (0, 1)])
         assert np.array_equal(both.kept, oracle.kept)
@@ -448,7 +449,7 @@ class TestDenoiseFrame:
         frame, lc = _labeled_frame(pts, refs)
         cfg = KMeansConfig(k=2, seed=9)
 
-        forward, _ = denoise_frame(frame, lc.copy(), cfg)
+        forward, _ = denoise_frame(frame, copy.deepcopy(lc), cfg)
         # one run per detection, in reverse order, on the same derived streams
         reverse = _single_detection_runs(frame, lc, cfg, [(1, 2), (0, 0)])
         assert np.array_equal(forward.kept, reverse.kept)
@@ -463,7 +464,7 @@ class TestDenoiseFrame:
         frame, lc = _labeled_frame(pts, refs)
         cfg = KMeansConfig(k=2, seed=4)
 
-        grouped, _ = denoise_frame(frame, lc.copy(), cfg)
+        grouped, _ = denoise_frame(frame, copy.deepcopy(lc), cfg)
         oracle = _single_detection_runs(frame, lc, cfg, sorted(set(refs)))
         assert np.array_equal(grouped.kept, oracle.kept)
         assert np.array_equal(grouped.cluster_id, oracle.cluster_id)
@@ -473,6 +474,16 @@ class TestDenoiseFrame:
         frame, lc = _labeled_frame(np.ones((6, 3)), [(0, 0)] * 3 + [(1, 4)] * 3)
         lc.class_id[4] = 7
         with pytest.raises(ValueError, match="frame 0: camera 1 detection 4 has points of more than one class"):
+            denoise_frame(frame, lc, KMeansConfig())
+
+    def test_labeled_points_without_a_detection_rejected(self):
+        # camera 1 detection -1 would share camera 0 detection 0's grouping key
+        frame, lc = _labeled_frame(np.ones((20, 3)), [(0, 0)] * 10 + [None] * 10)
+        lc.class_id[10:] = 2
+        with pytest.raises(ValueError, match="frame 0: labeled points with a negative camera id or detection index"):
+            denoise_frame(frame, lc, KMeansConfig())
+        lc.camera_id[10:] = 1
+        with pytest.raises(ValueError, match="frame 0: labeled points with a negative"):
             denoise_frame(frame, lc, KMeansConfig())
 
     def test_report_counts_consistent(self):
