@@ -38,7 +38,7 @@ def _parse_classes(value) -> frozenset[int]:
             part = part.strip()
             if not part:
                 continue
-            if part.isascii() and part.lstrip("-").isdigit():
+            if part.isascii() and part.removeprefix("-").isdigit():
                 ids.add(int(part))
             elif part in CLASS_NAME_TO_ID:
                 ids.add(CLASS_NAME_TO_ID[part])

@@ -166,9 +166,9 @@ def _process_bundle(
             lc, report = segment.denoise_frame(frame, lc, cfg.kmeans)
         else:
             report = segment.frame_report(frame, lc)
-        seconds = time.perf_counter() - start
         pcd_path = cfg.out_dir / f"labeled_{bundle.cloud.frame_id:06d}.pcd"
         cloud_io.write_pcd(frame, pcd_path, labels=lc)
+        seconds = time.perf_counter() - start
     except Exception as e:
         raise PipelineError(f"frame {bundle.cloud.frame_id} ({bundle.cloud.path}): {e}") from e
     return FrameResult(bundle.cloud.frame_id, pcd_path, report, seconds)

@@ -6,6 +6,9 @@ clustered independently (Lloyd's algorithm on xyz only) and exactly the
 largest cluster is kept; everything else in that detection is dropped as
 frustum noise.  All randomness flows from an explicit 64-bit seed, so runs
 are reproducible and schedule-independent.
+
+``frame_report`` is the one way a frame's report is counted: from its label
+columns, whether or not they were denoised.
 """
 
 from __future__ import annotations
@@ -207,16 +210,18 @@ def _class_counts(class_ids: np.ndarray) -> dict[int, int]:
 
 
 def frame_report(frame: PointCloudFrame, lc: LabeledCloud) -> FrameReport:
-    """Build a report from the current label state of a frame."""
-    labeled = lc.labeled_mask
-    kept = labeled & lc.kept
+    """The frame's report, counted from its label columns: every labeled
+    point by class, and the kept ones among them by class."""
+    labeled = np.flatnonzero(lc.labeled_mask)
+    before = lc.class_id[labeled]
+    after = before[lc.kept[labeled]]
     return FrameReport(
         frame_id=frame.frame_id,
         total_points=len(frame),
-        labeled_before=int(np.count_nonzero(labeled)),
-        kept_after=int(np.count_nonzero(kept)),
-        class_before=_class_counts(lc.class_id[labeled]),
-        class_after=_class_counts(lc.class_id[kept]),
+        labeled_before=len(before),
+        kept_after=len(after),
+        class_before=_class_counts(before),
+        class_after=_class_counts(after),
     )
 
 
@@ -233,15 +238,11 @@ def denoise_frame(
     stream derived from (seed, frame_id, camera_id, detection index), so a
     detection's result depends on its own points only, and any parallel
     schedule over detections or frames reproduces the sequential result.
-    Mutates ``lc`` and returns it with the frame's report, tallied per
-    detection; it equals ``frame_report`` on the denoised labels.  Each
-    detection's points must share one class, as ``label_frame`` labels them;
-    raises ValueError naming the detection otherwise.  A labeled point must
-    carry a camera id and a detection index of at least 0; raises
-    ValueError naming the frame otherwise.
+    Mutates ``lc`` and returns it with the frame's report, which is
+    ``frame_report`` of the denoised labels.  A labeled point must carry a
+    camera id and a detection index of at least 0; raises ValueError naming
+    the frame otherwise.
     """
-    class_before: dict[int, int] = {}
-    class_after: dict[int, int] = {}
     labeled = np.flatnonzero(lc.labeled_mask)
     if labeled.size:
         # group once: a stable sort on one (camera, detection) key keeps each
@@ -270,12 +271,6 @@ def denoise_frame(
         del key
         for idx in np.split(members, bounds):
             cam_id, det_idx = int(lc.camera_id[idx[0]]), int(lc.det_index[idx[0]])
-            class_id = int(lc.class_id[idx[0]])
-            if np.any(lc.class_id[idx] != class_id):
-                raise ValueError(
-                    f"frame {frame.frame_id}: camera {cam_id} detection {det_idx} "
-                    "has points of more than one class"
-                )
             det_cfg = replace(cfg, seed=derive_seed(cfg.seed, frame.frame_id, cam_id, det_idx))
             clustering = kmeans(np.take(frame.xyz, idx, axis=0), det_cfg)
             sizes = np.bincount(clustering.assignments, minlength=clustering.k)
@@ -283,16 +278,8 @@ def denoise_frame(
             keep = min(range(clustering.k), key=lambda c: (-int(sizes[c]), float(origin_d2[c]), c))
             lc.cluster_id[idx] = clustering.assignments
             lc.kept[idx] = clustering.assignments == keep
-            class_before[class_id] = class_before.get(class_id, 0) + len(idx)
-            class_after[class_id] = class_after.get(class_id, 0) + int(sizes[keep])
-    return lc, FrameReport(
-        frame_id=frame.frame_id,
-        total_points=len(frame),
-        labeled_before=sum(class_before.values()),
-        kept_after=sum(class_after.values()),
-        class_before=dict(sorted(class_before.items())),
-        class_after=dict(sorted(class_after.items())),
-    )
+        del members, idx, clustering  # before frame_report's gathers
+    return lc, frame_report(frame, lc)
 
 
 @dataclass(frozen=True)

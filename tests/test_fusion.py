@@ -268,7 +268,7 @@ def test_criterion7_frame_matches_golden_digest():
     lc = label_frame(frame, rig, dets_by_cam)
     lc, report = denoise_frame(frame, lc, KMeansConfig(k=3, seed=7))
     assert (report.total_points, report.labeled_before, report.kept_after) == (232320, 96830, 44934)
-    assert report == frame_report(frame, lc)  # tallied per detection, counted over the frame
+    assert report == frame_report(frame, lc)  # denoise_frame reports what it wrote
     digest = hashlib.sha256()
     for column in (lc.class_id, lc.camera_id, lc.det_index, lc.cluster_id, lc.kept):
         digest.update(column.tobytes())

@@ -238,6 +238,17 @@ class TestRunPipeline:
         assert result.summary_path.exists()
         assert all(r.seconds >= 0 for r in result.frames)
 
+    def test_frame_seconds_include_the_pcd_write(self, small_scene, tmp_path, monkeypatch):
+        write = pipeline.cloud_io.write_pcd
+
+        def slow_write(*args, **kwargs):
+            time.sleep(0.05)
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.cloud_io, "write_pcd", slow_write)
+        result = run_pipeline(_pipeline_cfg(small_scene, tmp_path / "out"))
+        assert all(r.seconds >= 0.05 for r in result.frames)
+
     def test_kept_clusters_sit_on_planted_objects(self, small_scene, tmp_path):
         result = run_pipeline(_pipeline_cfg(small_scene, tmp_path / "out"))
         gt = read_ground_truth(small_scene.ground_truth)
@@ -626,7 +637,7 @@ def _check_overlap_frame_golden():
     lc = label_frame(frame, rig, dets, distortion_mode=True)
     lc, report = denoise_frame(frame, lc, KMeansConfig(k=3, seed=7))
     assert (report.total_points, report.labeled_before, report.kept_after) == (20020, 14811, 8358)
-    assert report == frame_report(frame, lc)  # tallied per detection, counted over the frame
+    assert report == frame_report(frame, lc)  # denoise_frame reports what it wrote
     digest = hashlib.sha256()
     for column in (lc.class_id, lc.camera_id, lc.det_index, lc.cluster_id, lc.kept):
         digest.update(column.tobytes())

@@ -470,11 +470,11 @@ class TestDenoiseFrame:
         assert np.array_equal(grouped.cluster_id, oracle.cluster_id)
         assert 0 < grouped.kept.sum() < len(refs)
 
-    def test_detection_of_mixed_classes_rejected(self):
+    def test_detection_of_mixed_classes_counted_per_point(self):
         frame, lc = _labeled_frame(np.ones((6, 3)), [(0, 0)] * 3 + [(1, 4)] * 3)
         lc.class_id[4] = 7
-        with pytest.raises(ValueError, match="frame 0: camera 1 detection 4 has points of more than one class"):
-            denoise_frame(frame, lc, KMeansConfig())
+        lc, report = denoise_frame(frame, lc, KMeansConfig())
+        assert report.class_before == report.class_after == {2: 5, 7: 1}
 
     def test_labeled_points_without_a_detection_rejected(self):
         # camera 1 detection -1 would share camera 0 detection 0's grouping key
@@ -502,20 +502,20 @@ class TestDenoiseFrame:
 
 @st.composite
 def _labeled_frames(draw):
-    """Up to 60 points over up to 8 detections of 2 cameras, each detection
-    of one class of 4, some points unlabeled; and a k-means config."""
+    """Up to 60 points over up to 8 detections of 2 cameras, each point of
+    one class of 4, so a detection may mix classes; some points unlabeled;
+    and a k-means config."""
     n = draw(st.integers(1, 60))
     refs = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)), min_size=1, max_size=8))
-    classes = draw(st.lists(st.integers(0, 3), min_size=len(refs), max_size=len(refs)))
     owner = draw(st.lists(st.integers(-1, len(refs) - 1), min_size=n, max_size=n))
+    classes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     pts = draw(st.lists(st.tuples(_coord, _coord, _coord), min_size=n, max_size=n))
     frame = PointCloudFrame(frame_id=draw(st.integers(0, 9)), timestamp=0.0, xyz=np.array(pts, dtype=np.float32))
     lc = LabeledCloud.empty(frame.frame_id, n)
-    cls_of = {ref: cls for ref, cls in zip(refs, classes)}  # a repeated ref keeps one class
     for i, j in enumerate(owner):
         if j >= 0:
             lc.camera_id[i], lc.det_index[i] = refs[j]
-            lc.class_id[i] = cls_of[refs[j]]
+            lc.class_id[i] = classes[i]
             lc.kept[i] = True
     return frame, lc, KMeansConfig(k=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**64 - 1)))
 
