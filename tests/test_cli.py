@@ -318,11 +318,11 @@ def test_flag_value_overrides_bad_config_value(tmp_path):
     (["car", "dragon"], "unknown class 'dragon'"),
     ([99], "unknown class ids [99]"),
     (["truck", -1, 80], "unknown class ids [-1, 80]"),
+    (["--5"], "unknown class '--5'"),
     ("99", "unknown class ids [99]"),
     ("-1", "unknown class ids [-1]"),
     ("truck,80", "unknown class ids [80]"),
     ("٣", "unknown class '٣'"),  # int() reads the Arabic-Indic 3 as 3
-    ("--5", "unknown class '--5'"),
 ])
 def test_unknown_class_names_its_source(tmp_path, capsys, classes, message):
     scene = _gen(tmp_path)
@@ -331,8 +331,7 @@ def test_unknown_class_names_its_source(tmp_path, capsys, classes, message):
         source = str(_config(tmp_path, json.dumps({"classes": classes})))
         extra = ("--config", source)
     else:
-        # "--classes=..." so that argparse takes a value starting with "--" as the value
-        source, extra = "--classes", (f"--classes={classes}",)
+        source, extra = "--classes", ("--classes", classes)
     assert main(_run_args(scene, tmp_path / "out", extra=extra)) == 2
     assert capsys.readouterr().err.startswith(f"error: {source}: {message}")
     assert not (tmp_path / "out").exists()

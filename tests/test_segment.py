@@ -500,34 +500,6 @@ class TestDenoiseFrame:
         assert sum(report.class_after.values()) == report.kept_after
 
 
-@st.composite
-def _labeled_frames(draw):
-    """Up to 60 points over up to 8 detections of 2 cameras, each point of
-    one class of 4, so a detection may mix classes; some points unlabeled;
-    and a k-means config."""
-    n = draw(st.integers(1, 60))
-    refs = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)), min_size=1, max_size=8))
-    owner = draw(st.lists(st.integers(-1, len(refs) - 1), min_size=n, max_size=n))
-    classes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    pts = draw(st.lists(st.tuples(_coord, _coord, _coord), min_size=n, max_size=n))
-    frame = PointCloudFrame(frame_id=draw(st.integers(0, 9)), timestamp=0.0, xyz=np.array(pts, dtype=np.float32))
-    lc = LabeledCloud.empty(frame.frame_id, n)
-    for i, j in enumerate(owner):
-        if j >= 0:
-            lc.camera_id[i], lc.det_index[i] = refs[j]
-            lc.class_id[i] = classes[i]
-            lc.kept[i] = True
-    return frame, lc, KMeansConfig(k=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**64 - 1)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_labeled_frames())
-def test_denoise_report_equals_frame_report(inputs):
-    frame, lc, cfg = inputs
-    lc, report = denoise_frame(frame, lc, cfg)
-    assert report == frame_report(frame, lc)
-
-
 class TestAggregateReports:
     @staticmethod
     def _report(frame_id, before, dropped, total=10000):
