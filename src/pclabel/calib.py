@@ -285,10 +285,11 @@ def project_points(
     every step runs in float64, so float32 rows give the same bits as their
     exact float64 conversion.  Returns (uv, in_front): uv is (n, 2) float64
     with NaN rows where the point sits at or behind the camera plane
-    (camera-frame z <= z_min); in_front is the matching boolean mask.  uv is
-    the transpose of a C-contiguous (2, n) array, so ``uv.T`` holds the u and
-    v rows contiguously.  Pixels outside the image are returned as-is;
-    bounds are the caller's concern.
+    (camera-frame z <= z_min) or has a NaN or +-inf coordinate; in_front is
+    the matching boolean mask.  Neither kind of row raises a numpy warning,
+    with or without distortion.  uv is the transpose of a C-contiguous
+    (2, n) array, so ``uv.T`` holds the u and v rows contiguously.  Pixels
+    outside the image are returned as-is; bounds are the caller's concern.
 
     Every row is projected in place into the returned array; a row behind
     the camera gets NaN by dividing by a NaN depth, so no row is gathered or
@@ -324,11 +325,16 @@ def project_points(
     uv = np.empty((2, n))
     x, y = uv
     tmp = np.empty(n)
-    cam_z = rotate(2, np.empty(n), tmp)
-    in_front = cam_z > z_min
-    rotate(0, x, tmp)
-    rotate(1, y, tmp)
+    # a non-finite coordinate gives inf * 0 or inf - inf in the rotations,
+    # then a NaN or +-inf depth
     with np.errstate(divide="ignore", invalid="ignore"):
+        cam_z = rotate(2, np.empty(n), tmp)
+        in_front = cam_z > z_min
+        # +inf is not in front either; the flags go to tmp's first n bytes,
+        # which the next rotation overwrites
+        in_front &= np.less(cam_z, np.inf, out=tmp.view(np.bool_)[:n])
+        rotate(0, x, tmp)
+        rotate(1, y, tmp)
         # 1.0 in front, 0 / 0 = NaN behind, so a row behind the camera divides
         # by NaN; the mask is cast first, as a bool divide would buffer its cast
         np.copyto(tmp, in_front)

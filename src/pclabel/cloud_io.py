@@ -2,12 +2,11 @@
 
 Coordinates are stored as float32, matching the 4-byte PCD fields, so a
 binary write/read cycle is bit-exact.  ASCII mode prints 9 significant
-digits, which also round-trips float32 exactly.
+digits, which also round-trips every finite float32 exactly.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -18,8 +17,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .fusion import LabeledCloud
-
-log = logging.getLogger(__name__)
 
 DEFAULT_MATCH_TOLERANCE = 0.05
 # Rows per block wherever a frame-sized temporary would otherwise be built:
@@ -53,8 +50,9 @@ class PointCloudFrame:
     """A timestamped, immutable point cloud.
 
     ``xyz`` is an (n, 3) float32 array in file order; point index is a
-    stable identifier.  ``dropped_non_finite`` counts points the parser
-    rejected for NaN/Inf coordinates.
+    stable identifier.  A row with a NaN or +-inf coordinate, such as a
+    driver's missing return, is kept in its place and never labeled: it
+    projects to no pixel (``calib.project_points``).
 
     The frame holds read-only views.  An ``xyz`` or ``intensity`` already
     stored as contiguous float32 is aliased, not copied: the caller's
@@ -65,14 +63,11 @@ class PointCloudFrame:
     timestamp: float
     xyz: np.ndarray
     intensity: np.ndarray | None = None
-    dropped_non_finite: int = 0
 
     def __post_init__(self) -> None:
         xyz = np.asarray(self.xyz, dtype=np.float32)
         if xyz.ndim != 2 or xyz.shape[1] != 3:
             raise ValueError(f"xyz must have shape (n, 3), got {xyz.shape}")
-        if not np.isfinite(xyz).all():
-            raise ValueError("frame coordinates must be finite")
         xyz = np.ascontiguousarray(xyz).view()
         xyz.flags.writeable = False
         object.__setattr__(self, "xyz", xyz)
@@ -313,29 +308,21 @@ def read_pcd_columns(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def read_pcd(path: str | Path, frame_id: int = 0, timestamp: float = 0.0) -> PointCloudFrame:
-    """Read a PCD file into a frame, dropping non-finite points with a warning.
+    """Read a PCD file into a frame, one row per file row.
 
-    The frame id and timestamp are not stored in PCD files; callers supply
-    them (normally from the manifest entry).  The frame holds contiguous
-    copies of its columns (``PointCloudFrame`` copies a strided view), so
-    it does not keep the file's record array alive.
+    A row with a NaN or +-inf coordinate is kept in its place, unlabeled
+    (see ``PointCloudFrame``), so frame row i is file row i.  The frame id
+    and timestamp are not stored in PCD files; callers supply them
+    (normally from the manifest entry).  The frame holds contiguous copies
+    of its columns (``PointCloudFrame`` copies a strided view), so it does
+    not keep the file's record array alive.
     """
     cols = read_pcd_columns(path)
-    xyz = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
-    finite = np.isfinite(cols["x"]) & np.isfinite(cols["y"]) & np.isfinite(cols["z"])
-    dropped = int(len(finite) - finite.sum())
-    if dropped:
-        log.warning("%s: dropped %d non-finite points of %d", path, dropped, len(finite))
-        xyz = xyz[finite]
-    intensity = cols.get("intensity")
-    if intensity is not None and dropped:
-        intensity = intensity[finite]
     return PointCloudFrame(
         frame_id=frame_id,
         timestamp=timestamp,
-        xyz=xyz,
-        intensity=intensity,
-        dropped_non_finite=dropped,
+        xyz=np.stack([cols["x"], cols["y"], cols["z"]], axis=1),
+        intensity=cols.get("intensity"),
     )
 
 
@@ -350,7 +337,9 @@ def write_pcd(
     The label column carries the class id (-1 unlabeled); the cluster
     column carries the kept cluster id (-1 for unlabeled or dropped
     points).  Binary output is little-endian and bit-exact under read_pcd;
-    ASCII output prints floats at 9 significant digits, also bit-exact.
+    ASCII output prints floats at 9 significant digits, also bit-exact
+    except that a NaN is printed as plain ``nan``, so its payload bits do
+    not round-trip.
     Records are built and written ``BLOCK_ROWS`` rows at a time, so the
     writer holds one block of them, never a frame-sized copy; the bytes do
     not depend on the block size.

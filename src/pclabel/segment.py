@@ -85,10 +85,15 @@ def _assign(
     maximum of itself and c times the "strictly closer" flag, with no masked
     store.  ``nearest`` and ``closer`` are scratch buffers of the narrowest
     unsigned type that holds every id; ``nearest`` is cast into ``assign``
-    once per pass.
+    once per pass.  One-byte ids take the flags through a bool view, which
+    numpy writes without casting through a buffer; wider ones, past k = 256,
+    take numpy's cast.
     """
     if len(centroids) == 1:
         nearest.fill(0)
+    near_flags, closer_flags = (
+        ids.view(np.bool_) if ids.itemsize == 1 else ids for ids in (nearest, closer)
+    )
     for c, centroid in enumerate(centroids.tolist()):
         out = best if c == 0 else d2
         # one axis at a time, less a Python float: below about 8k points the
@@ -102,9 +107,9 @@ def _assign(
         if c == 0:
             continue
         if c == 1:
-            np.less(d2, best, out=nearest)  # the flag is the running id
+            np.less(d2, best, out=near_flags)  # the flag is the running id
         else:
-            np.less(d2, best, out=closer)
+            np.less(d2, best, out=closer_flags)
             np.multiply(closer, c, out=closer)
             np.maximum(nearest, closer, out=nearest)
         np.minimum(best, d2, out=best)
@@ -209,9 +214,17 @@ def _class_counts(class_ids: np.ndarray) -> dict[int, int]:
     return {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
 
 
+def _check_length(frame: PointCloudFrame, lc: LabeledCloud) -> None:
+    if len(lc) != len(frame):
+        raise ValueError(f"frame {frame.frame_id}: {len(lc)} labels for {len(frame)} points")
+
+
 def frame_report(frame: PointCloudFrame, lc: LabeledCloud) -> FrameReport:
     """The frame's report, counted from its label columns: every labeled
-    point by class, and the kept ones among them by class."""
+    point by class, and the kept ones among them by class.  ``total_points``
+    counts every row, a non-finite one included.  Labels whose length is not
+    the frame's raise ValueError naming the frame."""
+    _check_length(frame, lc)
     labeled = np.flatnonzero(lc.labeled_mask)
     before = lc.class_id[labeled]
     after = before[lc.kept[labeled]]
@@ -239,10 +252,12 @@ def denoise_frame(
     detection's result depends on its own points only, and any parallel
     schedule over detections or frames reproduces the sequential result.
     Mutates ``lc`` and returns it with the frame's report, which is
-    ``frame_report`` of the denoised labels.  A labeled point must carry a
-    camera id and a detection index of at least 0; raises ValueError naming
-    the frame otherwise.
+    ``frame_report`` of the denoised labels.  The labels must hold one row
+    per frame row, and a labeled point must carry a camera id and a
+    detection index of at least 0; raises ValueError naming the frame
+    otherwise, before any label changes.
     """
+    _check_length(frame, lc)
     labeled = np.flatnonzero(lc.labeled_mask)
     if labeled.size:
         # group once: a stable sort on one (camera, detection) key keeps each

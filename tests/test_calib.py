@@ -477,3 +477,30 @@ class TestProject:
         uv, in_front = project_points(cam, np.array([[0.0, 0.0, math.nan]]))
         assert not in_front[0]
         assert np.isnan(uv[0]).all()
+
+    @pytest.mark.parametrize("use_distortion", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_rows_are_absent_without_a_warning(self, use_distortion, dtype):
+        # NaN, +inf and -inf in each coordinate.  On the identity pose inf * 0
+        # is NaN and (0, 0, +inf) has a depth of +inf; on a posed camera inf
+        # terms of both signs meet in the sums.  The suite turns numpy's
+        # RuntimeWarning into an error
+        rows = []
+        for axis in range(3):
+            for bad in (math.nan, math.inf, -math.inf):
+                row = [0.0, 0.0, 5.0]
+                row[axis] = bad
+                rows.append(row)
+        pts = np.array(rows + [[0.0, 0.0, 5.0]], dtype=dtype)
+        rng = np.random.default_rng(29)
+        dist = DistortionCoeffs(k1=-0.05, k2=0.01, p1=0.002)
+        posed = simple_camera(dist=dist, pose=ExtrinsicPose(random_rotation(rng), rng.normal(size=3)))
+        for cam in (simple_camera(dist=dist), posed):
+            uv, in_front = project_points(cam, pts, use_distortion=use_distortion)
+            assert not in_front[:-1].any()
+            assert np.isnan(uv[:-1]).all()
+            # the finite row is projected as on its own
+            alone, alone_front = project_points(cam, pts[-1:], use_distortion=use_distortion)
+            assert in_front[-1] == alone_front[0]
+            assert uv[-1].tobytes() == alone[0].tobytes()
+            assert in_front[-1] or cam is posed

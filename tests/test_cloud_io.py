@@ -69,7 +69,6 @@ class TestReadPcd:
         assert len(frame) == 3
         assert frame.xyz.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
         assert frame.intensity is None
-        assert frame.dropped_non_finite == 0
 
     def test_point_count_mismatch(self, tmp_path):
         path = tmp_path / "a.pcd"
@@ -101,14 +100,14 @@ class TestReadPcd:
         with pytest.raises(PcdError, match="unsupported DATA mode"):
             read_pcd(path)
 
-    def test_non_finite_points_dropped_with_count(self, tmp_path, caplog):
+    def test_non_finite_points_kept_in_place(self, tmp_path, caplog):
+        # frame row i is file row i, so per-row joins such as ground truth hold
         path = tmp_path / "a.pcd"
-        path.write_text(MINIMAL_PCD.replace("1 0 0", "nan 0 0"))
+        path.write_text(MINIMAL_PCD.replace("1 0 0", "nan 0 0").replace("0 1 0", "0 -inf 0"))
         with caplog.at_level("WARNING"):
             frame = read_pcd(path)
-        assert len(frame) == 2
-        assert frame.dropped_non_finite == 1
-        assert "non-finite" in caplog.text
+        assert np.array_equal(frame.xyz, [[0, 0, 0], [np.nan, 0, 0], [0, -np.inf, 0]], equal_nan=True)
+        assert caplog.text == ""
 
     def test_unknown_field_skipped(self, tmp_path):
         text = (
@@ -287,15 +286,15 @@ class TestReadPcd:
         path.write_text(MINIMAL_PCD.replace("POINTS 3\n", "").replace("WIDTH 3\nHEIGHT 1", "WIDTH 1\nHEIGHT 3"))
         assert read_pcd(path).xyz.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
-    def test_non_finite_point_dropped_with_its_intensity(self, tmp_path):
+    def test_non_finite_point_kept_with_its_intensity(self, tmp_path):
         frame = PointCloudFrame(0, 0.0, np.zeros((3, 3), dtype=np.float32),
                                 intensity=np.array([0.25, 0.5, 0.75], dtype=np.float32))
         path = tmp_path / "a.pcd"
         write_pcd(frame, path, data="ascii")
         path.write_text(path.read_text().replace("0 0 0 0.5", "0 inf 0 0.5"))
         back = read_pcd(path)
-        assert back.dropped_non_finite == 1
-        assert back.intensity.tolist() == [0.25, 0.75]
+        assert back.xyz.tolist() == [[0, 0, 0], [0, np.inf, 0], [0, 0, 0]]
+        assert back.intensity.tolist() == [0.25, 0.5, 0.75]
 
     def test_truncated_binary(self, tmp_path):
         frame = _random_frame(np.random.default_rng(0), 10)
@@ -472,9 +471,11 @@ class TestPeakMemory:
 
 
 class TestFrameTypes:
-    def test_non_finite_coordinates_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            PointCloudFrame(frame_id=0, timestamp=0.0, xyz=np.array([[np.inf, 0, 0]]))
+    def test_non_finite_coordinates_kept(self):
+        # such a row is never labeled, since it projects to no pixel
+        xyz = np.array([[np.inf, 0, 0], [0, np.nan, 0], [0, 0, -np.inf]])
+        frame = PointCloudFrame(frame_id=0, timestamp=0.0, xyz=xyz)
+        assert np.array_equal(frame.xyz, xyz, equal_nan=True)
 
     def test_intensity_length_mismatch(self):
         with pytest.raises(ValueError, match="intensity"):

@@ -475,6 +475,43 @@ class TestRunPipeline:
         assert one.report_csv.read_bytes() == four.report_csv.read_bytes()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("data", ["binary", "ascii"])
+def test_every_input_row_is_a_labeled_output_row(tmp_path, bad, data):
+    # a driver marks a missing return with a NaN row; it keeps its place,
+    # unlabeled, so labeled row i is input row i, as ground truth counts them
+    scene = gen_scene(tmp_path / "scene", frames=1, objects=3, noise_fraction=0.3, seed=0)
+    rig, (bundle,) = _bundles(scene)
+    path = bundle.cloud.path
+    xyz = read_pcd(path).xyz.copy()
+    xyz[0, 0] = float(bad)
+    # the input PCD in ``data`` mode, with the first x patched in its text or bytes
+    write_pcd(read_pcd(path), path, data=data)
+    raw = path.read_bytes()
+    if data == "binary":
+        body = len(raw) - 16 * len(xyz)  # x y z intensity, 4 bytes each
+        raw = raw[:body] + xyz[0, 0].tobytes() + raw[body + 4:]
+    else:
+        header, data_line, body = raw.partition(b"DATA ascii\n")
+        raw = header + data_line + bad.encode() + b" " + body.partition(b" ")[2]
+    path.write_bytes(raw)
+
+    result = run_pipeline(_pipeline_cfg(scene, tmp_path / "out"))
+    assert result.frames[0].report.total_points == len(xyz)
+    frame = read_pcd(path, frame_id=bundle.cloud.frame_id)
+    lc = label_frame(frame, rig, load_bundle_detections(bundle, rig))
+    denoise_frame(frame, lc, KMeansConfig(k=3, seed=11))
+    for mode in ("binary", "ascii"):
+        out = tmp_path / f"labeled_{mode}.pcd"
+        write_pcd(frame, out, labels=lc, data=mode)
+        if mode == "binary":
+            assert out.read_bytes() == result.frames[0].pcd_path.read_bytes()
+        cols = read_pcd_columns(out)
+        assert np.array_equal(np.stack([cols["x"], cols["y"], cols["z"]], axis=1), xyz, equal_nan=True)
+        assert (cols["label"][0], cols["cluster"][0]) == (-1, -1)
+        assert (cols["cluster"] >= 0).any()
+
+
 def test_window_map_yields_in_order_with_at_most_a_window_unfinished():
     pulled, finished, first_waited_for = [], [], []
     rest_ran = threading.Event()

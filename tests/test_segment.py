@@ -210,6 +210,8 @@ def _reference_cases():
             (rng.normal(size=(n, 3)) * 3, KMeansConfig(k=1, seed=s))
             for n in (2, 3, 4) for s in range(10)
         ],
+        # ids past 255 take two bytes
+        "k_above_256": [(rng.normal(size=(600, 3)), KMeansConfig(k=300, seed=4))],
     }
 
 
@@ -272,6 +274,8 @@ class TestKMeansMatchesReference:
         assert kmeans(pts, cfg).iterations_run == cfg.max_iter
         pts, cfg = cases["k_above_n"][0]
         assert kmeans(pts, cfg).k == len(pts)
+        pts, cfg = cases["k_above_256"][0]
+        assert kmeans(pts, cfg).assignments.max() > 255
         pts, cfg = cases["empty_cluster_reseeded"][0]
         assert kmeans(pts, cfg).assignments.tolist() == [0, 0, 1]
         pts, cfg = cases["tol_stop"][0]
@@ -350,11 +354,15 @@ def test_kmeans_peak_memory_has_no_broadcast_buffer():
     # below about 8k points numpy's broadcast subtraction of a centroid from
     # the (3, n) points allocated a hidden buffer the size of the squares,
     # 25 bytes a point at 1,286 points (about 100 in all); the call's own
-    # buffers take 74
+    # buffers take 74.  A first call in the process adds about 1.1 for
+    # one-time allocations, so the call is measured warm.  Writing the bool
+    # "closer" flags into uint8 ids cast them through a buffer, 77.5 in all;
+    # through a bool view it is 76.9
     n = 1_286
     pts = np.random.default_rng(n).normal(size=(n, 3)).astype(np.float32)
+    kmeans(pts, KMeansConfig(k=3, seed=7))
     _result, peak = traced_peak(kmeans, pts, KMeansConfig(k=3, seed=7))
-    assert peak / n < 80, f"peak {peak / n:.1f} bytes per point"
+    assert peak / n < 77.2, f"peak {peak / n:.1f} bytes per point"
 
 
 class TestDenoiseDetection:
@@ -402,6 +410,22 @@ class TestDenoiseDetection:
         oracle = _single_detection_runs(frame, lc, cfg, [(0, 0), (0, 1)])
         assert np.array_equal(both.kept, oracle.kept)
         assert np.array_equal(both.cluster_id, oracle.cluster_id)
+
+    def test_mirror_image_tie_keeps_the_lower_cluster_id(self):
+        # two clusters of equal size whose centroids are exact mirror images,
+        # so equally far from the origin: only the last link of the tie
+        # chain, the cluster id, decides
+        blob = np.random.default_rng(5).normal(scale=0.1, size=(20, 3)) + [0.0, 5.0, 2.0]
+        first_ids = set()
+        for seed in range(4):
+            frame, lc = _labeled_frame(np.concatenate([blob, -blob]), [(0, 0)] * 40)
+            denoise_frame(frame, lc, KMeansConfig(k=2, seed=seed))
+            assert lc.cluster_id[:20].tolist() == [lc.cluster_id[0]] * 20
+            assert lc.cluster_id[20:].tolist() == [1 - lc.cluster_id[0]] * 20
+            assert lc.kept.tolist() == (lc.cluster_id == 0).tolist()
+            first_ids.add(int(lc.cluster_id[0]))
+        # each blob takes the lower id on some seed, so keeping one side fails
+        assert first_ids == {0, 1}
 
     def test_kept_never_exceeds_labeled(self):
         frame, lc = self._blob_and_ray()
@@ -485,6 +509,19 @@ class TestDenoiseFrame:
         lc.camera_id[10:] = 1
         with pytest.raises(ValueError, match="frame 0: labeled points with a negative"):
             denoise_frame(frame, lc, KMeansConfig())
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_labels_of_another_length_rejected(self, extra):
+        frame = PointCloudFrame(frame_id=7, timestamp=0.0, xyz=np.ones((6, 3), dtype=np.float32))
+        lc = LabeledCloud.empty(7, 6 + extra)
+        lc.class_id[:5] = lc.camera_id[:5] = lc.det_index[:5] = 0
+        lc.kept[:5] = True
+        message = f"frame 7: {6 + extra} labels for 6 points"
+        with pytest.raises(ValueError, match=message):
+            frame_report(frame, lc)
+        with pytest.raises(ValueError, match=message):
+            denoise_frame(frame, lc, KMeansConfig())
+        assert lc.cluster_id.tolist() == [-1] * (6 + extra)  # rejected before any change
 
     def test_report_counts_consistent(self):
         rng = np.random.default_rng(31)
