@@ -3,24 +3,22 @@
 The pipeline is deterministic for a fixed configuration: every k-means
 stream is derived from (seed, frame, camera, detection), each frame's PCD
 is written by the task that labeled it, and report rows follow frame order
-whatever the worker count.  A task holds one frame at a time and returns
-only its report, so at most ``workers`` frames are in memory at once.
-At most two frames per worker are submitted and unfinished at a time, and
-a frame's bundle is freed once the frame is written, so beyond the matched
-manifests a run keeps for each frame of its sequence only its result.
+whatever the worker count.  The calling thread and ``workers - 1`` helper
+threads each take the next frame when they finish one, so at most
+``workers`` frames are alive at once; beyond the matched manifests a run
+keeps for each frame of its sequence only its result.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import calib, cloud_io, detect_ingest, fusion, segment
 
@@ -174,41 +172,54 @@ def _process_bundle(
     return FrameResult(bundle.cloud.frame_id, pcd_path, report, seconds)
 
 
-def _drain(items: list) -> Iterator:
-    """Yield the items of ``items`` in order, removing each from the list as
-    it is yielded, so the list keeps no item alive after its consumer drops it."""
-    items.reverse()
-    while items:
-        yield items.pop()
+def _run_frames(task: Callable, bundles: list, workers: int) -> list[FrameResult]:
+    """``task`` of each bundle, in order.  The calling thread and
+    ``min(workers, len(bundles)) - 1`` helper threads each pop the next
+    bundle under one lock.  After a failure no thread starts a frame; the
+    running ones finish, and the earliest failed frame's error is raised."""
+    results: list = [None] * len(bundles)
+    bundles.reverse()  # pop() takes the earliest frame left
+    lock = threading.Lock()
 
+    def work() -> None:
+        while True:
+            with lock:
+                if not bundles:
+                    return
+                bundle = bundles.pop()
+                i = len(results) - len(bundles) - 1
+            try:
+                results[i] = task(bundle)
+            except BaseException as e:  # raised below, once every thread has stopped
+                results[i] = e
+                with lock:
+                    bundles.clear()
 
-def _window_map(executor: Executor, fn: Callable, items: Iterator, window: int) -> Iterator:
-    """``executor.map(fn, items)``, but an item is submitted only while fewer
-    than ``window`` submitted items are unfinished, so at most ``window`` tasks
-    hold their items at once.  Results are yielded in item order; a slow item
-    holds back the results behind it, not the submission of more items."""
-    pending: deque[Future] = deque()
-    running: set[Future] = set()
-    for item in items:
-        future = executor.submit(fn, item)
-        pending.append(future)
-        running.add(future)
-        if len(running) == window:
-            running = wait(running, return_when=FIRST_COMPLETED).not_done
-        while pending and pending[0].done():
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    threads = []
+    try:
+        for _ in range(min(workers, len(results)) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        with lock:  # an interrupt between frames: no thread starts another
+            bundles.clear()
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Run the full pipeline and write labeled PCDs, report.csv and summary.txt.
 
     Outputs are byte-identical across reruns and across worker counts.
-    The parsed manifests are freed once the frames are matched, and each
-    frame's bundle is released as its frame finishes; a bundle submitted to
-    a worker is held by its task alone.  Raises PipelineError naming the
-    frame or file on any stage failure.
+    The parsed manifests are freed once the frames are matched, and at most
+    ``cfg.workers`` frames, with their bundles, are alive at once.  Raises
+    PipelineError naming the frame or file on any stage failure.
     """
     t0 = time.perf_counter()
     rig = calib.load_rig(cfg.calibration)
@@ -219,19 +230,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     del cloud_index, det_manifest, camera_indices
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    task = partial(_process_bundle, rig=rig, cfg=cfg)
-    if cfg.workers == 1:
-        frames = list(map(task, _drain(bundles)))
-    else:
-        executor = ThreadPoolExecutor(max_workers=cfg.workers)
-        try:
-            # a frame queued behind each running one, so a worker that finishes
-            # starts its next frame at once
-            frames = list(_window_map(executor, task, _drain(bundles), 2 * cfg.workers))
-        finally:
-            # drop the frames not yet started and let the running ones finish,
-            # so no worker writes into out_dir after this call has returned
-            executor.shutdown(wait=True, cancel_futures=True)
+    frames = _run_frames(partial(_process_bundle, rig=rig, cfg=cfg), bundles, cfg.workers)
     reports = [fr.report for fr in frames]
 
     report_csv = cfg.out_dir / "report.csv"

@@ -6,8 +6,8 @@ import threading
 import time
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -512,30 +512,134 @@ def test_every_input_row_is_a_labeled_output_row(tmp_path, bad, data):
         assert (cols["cluster"] >= 0).any()
 
 
-def test_window_map_yields_in_order_with_at_most_a_window_unfinished():
-    pulled, finished, first_waited_for = [], [], []
-    rest_ran = threading.Event()
+@pytest.fixture(scope="module")
+def loop_scenes(tmp_path_factory):
+    """2- and 6-frame scenes of one 100-point object a frame, for the frame loop."""
+    out = tmp_path_factory.mktemp("loop")
+    return {n: gen_scene(out / f"{n}", frames=n, objects=1, points_per_object=100, seed=3) for n in (2, 6)}
 
-    def items():
-        for i in range(10):
-            # each finished item is counted before its future is done
-            assert len(pulled) - len(finished) < 3, "a fourth item submitted while three are unfinished"
-            pulled.append(i)
-            yield i
 
-    def square(x):
-        if x == 0:
-            # the first item finishes only after the last has run: a slow
-            # item must not stop the ones behind it from being submitted
-            first_waited_for.append(rest_ran.wait(timeout=10))
-        elif x == 9:
-            rest_ran.set()
-        finished.append(x)
-        return x * x
+def _around_frames(monkeypatch, around):
+    """Run each frame's task as ``around(frame_id, task)``; ``around`` calls ``task()``."""
+    process = pipeline._process_bundle
 
-    with ThreadPoolExecutor(max_workers=2) as executor:
-        assert list(pipeline._window_map(executor, square, items(), 3)) == [i * i for i in range(10)]
-    assert first_waited_for == [True]
+    def wrapped(bundle, rig, cfg):
+        return around(bundle.cloud.frame_id, partial(process, bundle, rig, cfg))
+
+    monkeypatch.setattr(pipeline, "_process_bundle", wrapped)
+
+
+class TestFrameLoop:
+    def test_results_come_back_in_frame_order(self, loop_scenes, tmp_path, monkeypatch):
+        finished = []
+
+        def around(frame_id, task):
+            time.sleep(0.02 * (6 - frame_id))  # later frames finish first
+            result = task()
+            finished.append(frame_id)
+            return result
+
+        _around_frames(monkeypatch, around)
+        result = run_pipeline(_pipeline_cfg(loop_scenes[6], tmp_path / "out", workers=3))
+        assert finished != sorted(finished)
+        assert [fr.frame_id for fr in result.frames] == list(range(6))
+        assert [r.frame_id for r in read_report_csv(result.report_csv)] == list(range(6))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_workers_frames_run_at_once(self, loop_scenes, tmp_path, monkeypatch, workers):
+        lock, full = threading.Lock(), threading.Event()
+        running, most = set(), []
+
+        def around(frame_id, task):
+            with lock:
+                running.add(frame_id)
+                most.append(len(running))
+                if len(running) == workers:
+                    full.set()
+            # hold every frame until ``workers`` of them have run at once
+            assert full.wait(timeout=10)
+            result = task()
+            with lock:
+                running.remove(frame_id)
+            return result
+
+        _around_frames(monkeypatch, around)
+        run_pipeline(_pipeline_cfg(loop_scenes[6], tmp_path / "out", workers=workers))
+        assert max(most) == workers
+
+    def test_a_slow_first_frame_holds_back_no_other_start(self, loop_scenes, tmp_path, monkeypatch):
+        last_started, waited = threading.Event(), []
+
+        def around(frame_id, task):
+            if frame_id == 0:
+                waited.append(last_started.wait(timeout=10))
+            elif frame_id == 5:
+                last_started.set()
+            return task()
+
+        _around_frames(monkeypatch, around)
+        result = run_pipeline(_pipeline_cfg(loop_scenes[6], tmp_path / "out", workers=2))
+        assert waited == [True]
+        assert [fr.frame_id for fr in result.frames] == list(range(6))
+
+    @pytest.mark.parametrize("workers, frames, helpers", [(1, 6, 0), (3, 6, 2), (64, 2, 1)])
+    def test_helper_threads_started(self, loop_scenes, tmp_path, monkeypatch, workers, frames, helpers):
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        result = run_pipeline(_pipeline_cfg(loop_scenes[frames], tmp_path / "out", workers=workers))
+        assert len(result.frames) == frames
+        assert len(started) == helpers
+
+    def test_of_two_failed_frames_the_earlier_ones_error_is_raised(self, loop_scenes, tmp_path, monkeypatch):
+        started, frame_2_failed = [], threading.Event()
+
+        def around(frame_id, task):
+            started.append(frame_id)
+            if frame_id == 1:
+                # fail only after frame 2 has failed
+                frame_2_failed.wait(timeout=10)
+                raise RuntimeError("frame 1 broke")
+            if frame_id == 2:
+                frame_2_failed.set()
+                raise RuntimeError("frame 2 broke")
+            return task()
+
+        _around_frames(monkeypatch, around)
+        with pytest.raises(RuntimeError, match="frame 1 broke"):
+            run_pipeline(_pipeline_cfg(loop_scenes[6], tmp_path / "out", workers=2))
+        assert frame_2_failed.is_set()
+        # no frame starts after a failure
+        assert sorted(started) == [0, 1, 2]
+
+    def test_a_base_exception_stops_the_other_threads(self, loop_scenes, tmp_path, monkeypatch):
+        # not KeyboardInterrupt itself: one that escaped would end the test session
+        class Halt(BaseException):
+            pass
+
+        started, both_running, halting = [], threading.Barrier(2, timeout=10), threading.Event()
+
+        def around(frame_id, task):
+            started.append(frame_id)
+            if frame_id < 2:
+                both_running.wait()
+                if threading.current_thread() is not threading.main_thread():
+                    halting.set()
+                    raise Halt
+                # give the helper's failure time to land before this thread looks for a next frame
+                assert halting.wait(timeout=10)
+                time.sleep(0.1)
+            return task()
+
+        _around_frames(monkeypatch, around)
+        with pytest.raises(Halt):
+            run_pipeline(_pipeline_cfg(loop_scenes[6], tmp_path / "out", workers=2))
+        assert sorted(started) == [0, 1]
 
 
 @pytest.fixture(scope="module")
@@ -552,8 +656,8 @@ def short_and_long_scenes(tmp_path_factory):
 # 3.11); with bundles released as frames finish, by 1,200-1,550.
 @pytest.mark.parametrize("workers, limit", [(1, 2600), (2, 3500)])
 def test_run_state_per_frame(short_and_long_scenes, tmp_path, workers, limit):
-    # what a run holds for each frame of its sequence: its manifest entries,
-    # and its queued task, until the frame is written, then its result
+    # what a run holds for each frame of its sequence: its manifest entries
+    # until the frame is written, then its result
     peaks = {}
     for n, scene in short_and_long_scenes.items():
         cfg = _pipeline_cfg(scene, tmp_path / f"{n}", workers=workers)
