@@ -60,6 +60,7 @@ class PipelineConfig:
         cloud_io.check_tolerance(self.tolerance)
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+        object.__setattr__(self, "workers", segment.check_count("workers", self.workers))
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "classes", frozenset(self.classes))

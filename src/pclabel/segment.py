@@ -25,6 +25,13 @@ from .fusion import LabeledCloud
 from .rng import SplitMix64, derive_seed
 
 
+def check_count(name: str, value) -> int:
+    """The count rule: an int or a numpy integer, never a bool; returned as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class KMeansConfig:
     """k-means knobs: cluster count, iteration cap, seed, stop threshold (meters)."""
@@ -35,6 +42,8 @@ class KMeansConfig:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("k", "max_iter", "seed"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.max_iter < 1:
@@ -130,7 +139,8 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     below ``cfg.tol`` (or reaches an exact fixed point, or ``cfg.max_iter``).
 
     If fewer points than k are given, k is lowered to the point count for
-    the call (visible as ``result.k``).
+    the call (visible as ``result.k``).  A point that is not finite raises
+    ValueError naming the first such row.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -138,6 +148,9 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     n = len(pts)
     if n == 0:
         raise ValueError("kmeans requires at least one point")
+    if not np.isfinite(pts).all():
+        row = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
+        raise ValueError(f"point {row} is not finite: {pts[row]}")
     cols = np.ascontiguousarray(pts.T, dtype=np.float64)  # one contiguous row per axis
     k = min(cfg.k, n)
     rng = SplitMix64(cfg.seed)

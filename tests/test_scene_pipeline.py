@@ -467,6 +467,15 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="workers"):
             _pipeline_cfg(small_scene, tmp_path / "out", workers=0)
 
+    @pytest.mark.parametrize("workers", [2.5, 2.0, True, "2", None])
+    def test_workers_must_be_an_integer(self, small_scene, tmp_path, workers):
+        with pytest.raises(ValueError, match="^workers must be an integer, got "):
+            _pipeline_cfg(small_scene, tmp_path / "out", workers=workers)
+
+    def test_numpy_integer_workers_kept_as_an_int(self, small_scene, tmp_path):
+        cfg = _pipeline_cfg(small_scene, tmp_path / "out", workers=np.int32(2))
+        assert (type(cfg.workers), cfg.workers) == (int, 2)
+
     def test_multiworker_matches_single(self, small_scene, tmp_path):
         one = run_pipeline(_pipeline_cfg(small_scene, tmp_path / "w1"))
         four = run_pipeline(_pipeline_cfg(small_scene, tmp_path / "w4", workers=4))
