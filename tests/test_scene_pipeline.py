@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import re
+import sys
 import threading
 import time
 import warnings
@@ -625,6 +626,34 @@ class TestFrameLoop:
         assert frame_2_failed.is_set()
         # no frame starts after a failure
         assert sorted(started) == [0, 1, 2]
+
+    def test_more_threads_than_cores_run_each_frame_once(self, short_and_long_scenes, tmp_path, monkeypatch):
+        # a lost update on the shared list would run a frame twice or skip one
+        runs, lock = [], threading.Lock()
+
+        def around(frame_id, task):
+            with lock:
+                runs.append(frame_id)
+            return task()
+
+        _around_frames(monkeypatch, around)
+        scene = short_and_long_scenes[40]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: results.append(run_pipeline(_pipeline_cfg(scene, tmp_path / "w8", workers=8)))
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(results) == 1
+        assert sorted(runs) == list(range(40))
+        one = run_pipeline(_pipeline_cfg(scene, tmp_path / "w1"))
+        assert [fr.frame_id for fr in results[0].frames] == list(range(40))
+        assert results[0].report_csv.read_bytes() == one.report_csv.read_bytes()
 
     def test_a_base_exception_stops_the_other_threads(self, loop_scenes, tmp_path, monkeypatch):
         # not KeyboardInterrupt itself: one that escaped would end the test session
