@@ -15,6 +15,7 @@ from .calib import (
     distort_normalized,
     load_rig,
     project_points,
+    save_rig,
     undistort_normalized,
 )
 from .cloud_io import (
@@ -41,7 +42,7 @@ from .detect_ingest import (
 )
 from .fusion import LabeledCloud, label_frame
 from .pipeline import PipelineConfig, PipelineError, PipelineResult, run_pipeline
-from .scene import ScenePaths, default_rig, gen_scene, read_ground_truth, save_rig
+from .scene import ScenePaths, default_rig, gen_scene, read_ground_truth
 from .segment import (
     Clustering,
     FrameReport,

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+from .cloud_io import check_count, check_number, read_json_object
 
 DEFAULT_Z_MIN = 1e-6
 ROTATION_TOL = 1e-9
@@ -118,34 +120,14 @@ class CameraModel:
 
 
 _CAMERA_KEYS = {
-    "id", "width", "height", "fx", "fy", "cx", "cy", "dist", "rotation", "translation",
+    "id", *(f.name for f in fields(Intrinsics)), "dist", "rotation", "translation",
 }
-
-
-def _is_number(v: object) -> bool:
-    """JSON's number rule: an int or a float, never a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _number(v: object, key: str) -> float:
-    if not _is_number(v):
-        raise CalibrationError(f"field '{key}' must hold numbers, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise CalibrationError(f"field '{key}' holds an integer too large for a float") from None
-
-
-def _integer(v: object, key: str) -> int:
-    if not (_is_number(v) and isinstance(v, int)):
-        raise CalibrationError(f"field '{key}' must be an integer, got {v!r}")
-    return v
 
 
 def _number_list(v: object, key: str, length: int) -> list[float]:
     if not isinstance(v, list) or len(v) != length:
         raise CalibrationError(f"field '{key}' must be a list of {length} numbers")
-    return [_number(x, key) for x in v]
+    return [check_number(f"field '{key}'", x) for x in v]
 
 
 def _parse_camera(entry: object, position: int, path: Path) -> CameraModel:
@@ -160,11 +142,11 @@ def _parse_camera(entry: object, position: int, path: Path) -> CameraModel:
         missing = _CAMERA_KEYS - set(entry)
         if missing:
             raise CalibrationError(f"missing keys {sorted(missing)}")
-        cam_id = _integer(entry["id"], "id")
+        cam_id = check_count("field 'id'", entry["id"])
         where = f"{path}: camera {cam_id}"
         intr = Intrinsics(
-            *(_number(entry[key], key) for key in ("fx", "fy", "cx", "cy")),
-            *(_integer(entry[key], key) for key in ("width", "height")),
+            *(check_number(f"field '{key}'", entry[key]) for key in ("fx", "fy", "cx", "cy")),
+            *(check_count(f"field '{key}'", entry[key]) for key in ("width", "height")),
         )
         # the file's dist order is DistortionCoeffs' field order
         dist = DistortionCoeffs(*_number_list(entry["dist"], "dist", 5))
@@ -173,7 +155,7 @@ def _parse_camera(entry: object, position: int, path: Path) -> CameraModel:
             _number_list(entry["translation"], "translation", 3),
         )
         return CameraModel(id=cam_id, intrinsics=intr, distortion=dist, pose=pose)
-    except CalibrationError as e:
+    except ValueError as e:  # CalibrationError, or a number or count rule
         raise CalibrationError(f"{where}: {e}") from e
 
 
@@ -188,16 +170,7 @@ def load_rig(path: str | Path) -> list[CameraModel]:
     where one is to blame.
     """
     p = Path(path)
-    try:
-        raw = json.loads(p.read_text())
-    except ValueError as e:  # also bytes that are not UTF-8, and over-long integers
-        raise CalibrationError(f"{p}: not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise CalibrationError(f"{p}: top level must be an object")
-    unknown = set(raw) - {"cameras"}
-    if unknown:
-        raise CalibrationError(f"{p}: unknown top-level keys {sorted(unknown)}")
-    cameras = raw.get("cameras")
+    cameras = read_json_object(p, {"cameras"}, CalibrationError).get("cameras")
     if not isinstance(cameras, list):
         raise CalibrationError(f"{p}: 'cameras' must be a list")
     if not 1 <= len(cameras) <= MAX_CAMERAS:
@@ -211,6 +184,21 @@ def load_rig(path: str | Path) -> list[CameraModel]:
         seen.add(model.id)
         models.append(model)
     return models
+
+
+def save_rig(rig: list[CameraModel], path: str | Path) -> None:
+    """Write a rig as a calibration JSON file that ``load_rig`` reads back."""
+    cameras = [
+        {
+            "id": cam.id,
+            **asdict(cam.intrinsics),
+            "dist": astuple(cam.distortion),
+            "rotation": cam.pose.rotation.reshape(-1).tolist(),
+            "translation": cam.pose.translation.tolist(),
+        }
+        for cam in rig
+    ]
+    Path(path).write_text(json.dumps({"cameras": cameras}, indent=2) + "\n")
 
 
 def distort_normalized(d: DistortionCoeffs, xn, yn):

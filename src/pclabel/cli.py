@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import replace
@@ -11,6 +10,7 @@ from functools import partial
 from pathlib import Path
 
 from . import scene, segment
+from .cloud_io import check_count, check_number, read_json_object
 from .detect_ingest import CLASS_NAME_TO_ID
 from .pipeline import PipelineConfig, PipelineError, check_path, run_pipeline
 
@@ -90,31 +90,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        return read_json_object(Path(path), _SETTINGS)
     except OSError as e:
         raise ValueError(f"{path}: {e.strerror or e}") from e
-    except ValueError as e:
-        raise ValueError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: top level must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(_SETTINGS))
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {unknown}")
-    return raw
 
 
 def _convert(key: str, value):
-    """``value`` as the setting's type; a JSON int passes for a float, a bool only for a bool."""
+    """``value`` as the setting's type: a float by the number rule, an int by
+    the count rule, a bool or a string only as itself."""
     kind = _SETTINGS[key][1]
+    if kind is float:
+        return check_number(key, value)
+    if kind is int:
+        return check_count(key, value)
     if kind is list:
         return _parse_classes(value)
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+    if not isinstance(value, kind):
         raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:  # a JSON integer past the float range
-        raise ValueError(f"{key} is too large for a float") from None
+    return value
 
 
 def _with(cfg: PipelineConfig, field: str, value) -> PipelineConfig:

@@ -7,11 +7,12 @@ digits, which also round-trips every finite float32 exactly.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -196,6 +197,43 @@ def read_text(path: Path) -> str:
             return fh.read()
         except UnicodeDecodeError as e:
             raise ValueError(f"{path}: not a text file: {e}") from None
+
+
+def read_json_object(path: Path, keys: Collection[str], error: type = ValueError) -> dict:
+    """The JSON object in ``path``, every key of which is one of ``keys``.
+
+    Text that is not JSON (bytes that are not UTF-8 included), a top level
+    that is not an object, or an unknown key raise ``error`` naming ``path``;
+    a file that cannot be opened raises OSError.
+    """
+    try:
+        raw = json.loads(path.read_text())
+    except ValueError as e:  # also bytes that are not UTF-8, and over-long integers
+        raise error(f"{path}: not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise error(f"{path}: top level must be an object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise error(f"{path}: unknown top-level keys {unknown}")
+    return raw
+
+
+def check_count(name: str, value) -> int:
+    """The count rule: an int or a numpy integer, never a bool; returned as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_number(name: str, value) -> float:
+    """The number rule of the JSON files: an int or a float, never a bool;
+    returned as a float.  An int past the float range raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def records(

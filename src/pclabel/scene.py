@@ -9,7 +9,6 @@ mapping every point to its planted object (or -1 for noise).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .calib import (
-    CameraModel, DistortionCoeffs, ExtrinsicPose, Intrinsics, camera_to_lidar, project_points,
+    CameraModel, DistortionCoeffs, ExtrinsicPose, Intrinsics,
+    camera_to_lidar, project_points, save_rig,
 )
 from .cloud_io import PointCloudFrame, parse_rows, read_text, write_manifest, write_pcd
 
@@ -75,28 +75,6 @@ def default_rig(
             )
         )
     return rig
-
-
-def save_rig(rig: list[CameraModel], path: str | Path) -> None:
-    """Write a rig as a calibration JSON file loadable by load_rig."""
-    cameras = []
-    for cam in rig:
-        d = cam.distortion
-        cameras.append(
-            {
-                "id": cam.id,
-                "width": cam.intrinsics.width,
-                "height": cam.intrinsics.height,
-                "fx": cam.intrinsics.fx,
-                "fy": cam.intrinsics.fy,
-                "cx": cam.intrinsics.cx,
-                "cy": cam.intrinsics.cy,
-                "dist": [d.k1, d.k2, d.p1, d.p2, d.k3],
-                "rotation": [float(v) for v in cam.pose.rotation.reshape(-1)],
-                "translation": [float(v) for v in cam.pose.translation],
-            }
-        )
-    Path(path).write_text(json.dumps({"cameras": cameras}, indent=2) + "\n")
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cloud_io import PointCloudFrame, ascii_number, read_text, records
+from .cloud_io import PointCloudFrame, ascii_number, check_count, read_text, records
 from .fusion import LabeledCloud
 from .rng import SplitMix64, derive_seed
-
-
-def check_count(name: str, value) -> int:
-    """The count rule: an int or a numpy integer, never a bool; returned as an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def test_config_unknown_key(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"calib": "a", "clouds": "b", "dets": "c", "out": "d", "mode": 1}))
     assert main(["run", "--config", str(config)]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    assert "unknown top-level keys" in capsys.readouterr().err
 
 
 def test_flag_overrides_config(tmp_path):
@@ -262,7 +262,7 @@ def test_config_top_level_list_rejected(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: ")
-    assert "object" in err and "unknown config keys" not in err
+    assert "object" in err and "unknown top-level keys" not in err
 
 
 def test_config_missing_file_exits_cleanly(tmp_path, capsys):

@@ -34,11 +34,11 @@ from pclabel import (
     read_manifest,
     read_pcd,
     read_report_csv,
+    save_rig,
     write_pcd,
     write_report_csv,
 )
 from pclabel.detect_ingest import load_detections
-from pclabel.scene import save_rig
 
 _TOKENS = (
     " ", "\n", "\t", "-", "+", ".", ",", "#", ":", '"', "{", "}", "[", "]", "x", "e", "é",

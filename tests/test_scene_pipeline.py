@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from pclabel import (
+    CameraModel,
     DistortionCoeffs,
+    ExtrinsicPose,
+    Intrinsics,
     KMeansConfig,
     PipelineConfig,
     PipelineError,
@@ -31,14 +34,15 @@ from pclabel import (
     read_pcd_columns,
     read_report_csv,
     run_pipeline,
+    save_rig,
     write_manifest,
     write_pcd,
 )
 from pclabel import cloud_io, fusion, pipeline, scene
 from pclabel.pipeline import load_bundle_detections
-from pclabel.scene import SceneError, default_rig, format_ground_truth, save_rig
+from pclabel.scene import SceneError, default_rig, format_ground_truth
 
-from helpers import detection, traced_peak
+from helpers import detection, random_rotation, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -218,14 +222,30 @@ class TestGenScene:
             read_ground_truth(path)
 
     def test_save_rig_roundtrip(self, tmp_path):
-        rig = default_rig(3)
-        path = tmp_path / "rig.json"
-        save_rig(rig, path)
-        back = load_rig(path)
-        assert [c.id for c in back] == [0, 1, 2]
-        for a, b in zip(rig, back):
-            assert np.allclose(a.pose.rotation, b.pose.rotation)
-            assert np.allclose(a.pose.translation, b.pose.translation)
+        # a ring of plain cameras, and five cameras that differ in every field
+        rng = np.random.default_rng(23)
+        distorted = [
+            CameraModel(
+                id=4 - i,
+                intrinsics=Intrinsics(
+                    fx=400.0 + 37.1 * i, fy=410.3 - 5.7 * i, cx=300.25 + i / 3, cy=200.5 + i / 7,
+                    width=640 + 16 * i, height=480 + 8 * i,
+                ),
+                distortion=DistortionCoeffs(*rng.uniform(-0.2, 0.2, size=5).tolist()),
+                pose=ExtrinsicPose(random_rotation(rng), rng.normal(size=3)),
+            )
+            for i in range(5)
+        ]
+        for rig in (default_rig(3), distorted):
+            path = tmp_path / "rig.json"
+            save_rig(rig, path)
+            back = load_rig(path)
+            assert [c.id for c in back] == [c.id for c in rig]
+            for a, b in zip(rig, back):
+                assert b.intrinsics == a.intrinsics
+                assert b.distortion == a.distortion
+                assert np.array_equal(b.pose.rotation, a.pose.rotation)
+                assert np.array_equal(b.pose.translation, a.pose.translation)
 
 
 class TestRunPipeline:
