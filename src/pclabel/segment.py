@@ -261,7 +261,8 @@ def denoise_frame(
     ``frame_report`` of the denoised labels.  The labels must hold one row
     per frame row, and a labeled point must carry a camera id and a
     detection index of at least 0; raises ValueError naming the frame
-    otherwise, before any label changes.
+    otherwise, before any label changes.  A labeled point that is not
+    finite raises ValueError naming the frame, its detection and its row.
     """
     _check_length(frame, lc)
     labeled = np.flatnonzero(lc.labeled_mask)
@@ -293,7 +294,14 @@ def denoise_frame(
         for idx in np.split(members, bounds):
             cam_id, det_idx = int(lc.camera_id[idx[0]]), int(lc.det_index[idx[0]])
             det_cfg = replace(cfg, seed=derive_seed(cfg.seed, frame.frame_id, cam_id, det_idx))
-            clustering = kmeans(np.take(frame.xyz, idx, axis=0), det_cfg)
+            try:
+                clustering = kmeans(np.take(frame.xyz, idx, axis=0), det_cfg)
+            except ValueError as e:  # a non-finite point: find its frame row
+                row = int(idx[~np.isfinite(frame.xyz[idx]).all(axis=1)][0])
+                raise ValueError(
+                    f"frame {frame.frame_id}: camera {cam_id} detection {det_idx}: "
+                    f"row {row} is not finite: {frame.xyz[row]}"
+                ) from e
             sizes = np.bincount(clustering.assignments, minlength=clustering.k)
             origin_d2 = (clustering.centroids ** 2).sum(axis=1)
             keep = min(range(clustering.k), key=lambda c: (-int(sizes[c]), float(origin_d2[c]), c))

@@ -534,11 +534,14 @@ class TestDenoiseFrame:
 
     def test_labeled_non_finite_point_rejected(self):
         # the pipeline leaves such rows unlabeled; a hand-built label must not
-        # turn them into NaN centroids
-        pts = np.ones((6, 3))
-        pts[4, 0] = np.nan
-        frame, lc = _labeled_frame(pts, [(0, 0)] * 6)
-        with pytest.raises(ValueError, match="is not finite"):
+        # turn them into NaN centroids, and the error names the frame row,
+        # not the point's place among its detection's points
+        pts = np.ones((10, 3))
+        pts[6, 0] = np.nan
+        frame, lc = _labeled_frame(pts, [None] * 4 + [(0, 0)] * 4 + [(1, 0)] * 2)
+        frame, lc = replace(frame, frame_id=9), replace(lc, frame_id=9)
+        message = "frame 9: camera 0 detection 0: row 6 is not finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             denoise_frame(frame, lc, KMeansConfig())
 
     @pytest.mark.parametrize("extra", [-1, 1])
