@@ -2,7 +2,8 @@
 
 Projects LIDAR points into calibrated cameras, labels every point whose
 pixel falls inside a 2D detection box, then clusters each detection's
-points and keeps only the dominant cluster to strip frustum noise.
+points and keeps only the most compact cluster of those big enough to be
+the object, to strip frustum noise.
 """
 
 from .calib import (

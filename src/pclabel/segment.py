@@ -2,10 +2,11 @@
 
 ``denoise_frame`` is the one way points are grouped by detection: one
 stable sort of the frame's labeled points.  Each detection's points are
-clustered independently (Lloyd's algorithm on xyz only) and exactly the
-largest cluster is kept; everything else in that detection is dropped as
-frustum noise.  All randomness flows from an explicit 64-bit seed, so runs
-are reproducible and schedule-independent.
+clustered independently (Lloyd's algorithm on xyz only) and exactly one
+cluster is kept: the most compact of those big enough to be the object.
+Everything else in that detection is dropped as frustum noise.  All
+randomness flows from an explicit 64-bit seed, so runs are reproducible
+and schedule-independent.
 
 ``frame_report`` is the one way a frame's report is counted: from its label
 columns, whether or not they were denoised.
@@ -13,6 +14,7 @@ columns, whether or not they were denoised.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,6 +25,12 @@ import numpy as np
 from .cloud_io import PointCloudFrame, ascii_number, check_count, read_text, records
 from .fusion import LabeledCloud
 from .rng import SplitMix64, derive_seed
+
+# A cluster may be kept when it holds at least this many of its detection's
+# points and at least this percentage of them, or is the largest cluster:
+# a one-point cluster is perfectly compact, so compactness alone would keep it.
+KEEP_MIN_POINTS = 10
+KEEP_MIN_PERCENT = 5
 
 
 @dataclass(frozen=True)
@@ -51,12 +59,15 @@ class Clustering:
 
     ``inertia_history`` holds the assignment-step inertia of every
     iteration followed by the final assignment's inertia; Lloyd's
-    algorithm makes the sequence non-increasing.
+    algorithm makes the sequence non-increasing.  ``cluster_inertia``
+    holds, per cluster, the sum of its points' squared distances to its
+    centroid under the final assignment.
     """
 
     assignments: np.ndarray
     centroids: np.ndarray
     inertia_history: tuple[float, ...]
+    cluster_inertia: np.ndarray
 
     @property
     def k(self) -> int:
@@ -174,11 +185,16 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
         if movement < cfg.tol:
             break
 
+    # best holds each point's squared distance to its centroid, so this adds in point order
+    cluster_inertia = np.bincount(assign, weights=best, minlength=k)
     del best, d2, sq, nearest, closer  # before the int32 copy of the assignments
     assign = assign.astype(np.int32)
-    centroids.flags.writeable = False
-    assign.flags.writeable = False
-    return Clustering(assignments=assign, centroids=centroids, inertia_history=tuple(history))
+    for array in (centroids, assign, cluster_inertia):
+        array.flags.writeable = False
+    return Clustering(
+        assignments=assign, centroids=centroids, inertia_history=tuple(history),
+        cluster_inertia=cluster_inertia,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,10 +263,16 @@ def frame_report(frame: PointCloudFrame, lc: LabeledCloud) -> FrameReport:
 def denoise_frame(
     frame: PointCloudFrame, lc: LabeledCloud, cfg: KMeansConfig
 ) -> tuple[LabeledCloud, FrameReport]:
-    """Cluster each detection's labeled points and keep exactly the largest cluster.
+    """Cluster each detection's labeled points and keep exactly one cluster.
 
-    Ties on size pick the cluster whose centroid is nearest the sensor
-    origin (then the lowest cluster id).  Kept members get kept=True,
+    The candidates are the clusters that hold at least ``KEEP_MIN_POINTS``
+    and ``KEEP_MIN_PERCENT`` % of the detection's points, or the largest
+    clusters where none does.  The kept one is the candidate whose points
+    lie closest to its centroid: the smallest mean squared distance, then
+    the larger size, then the centroid nearest the sensor origin, then the
+    lowest cluster id.  A box holds its object and whatever lies behind it
+    in the frustum, which may outnumber the object but spreads over a long
+    depth range.  Kept members get kept=True,
     dropped members kept=False; both get their cluster id recorded, and
     unlabeled points are untouched.  Detections are processed in
     (camera_id, detection index) order; each k-means call runs on its own
@@ -303,8 +325,16 @@ def denoise_frame(
                     f"row {row} is not finite: {frame.xyz[row]}"
                 ) from e
             sizes = np.bincount(clustering.assignments, minlength=clustering.k)
+            floor = max(KEEP_MIN_POINTS, math.ceil(len(idx) * KEEP_MIN_PERCENT / 100))
+            floor = min(floor, sizes.max())  # the largest cluster is always a candidate
             origin_d2 = (clustering.centroids ** 2).sum(axis=1)
-            keep = min(range(clustering.k), key=lambda c: (-int(sizes[c]), float(origin_d2[c]), c))
+            keep = min(
+                np.flatnonzero(sizes >= floor).tolist(),
+                key=lambda c: (
+                    float(clustering.cluster_inertia[c] / sizes[c]), -int(sizes[c]),
+                    float(origin_d2[c]), c,
+                ),
+            )
             lc.cluster_id[idx] = clustering.assignments
             lc.kept[idx] = clustering.assignments == keep
         del members, idx, clustering  # before frame_report's gathers

@@ -202,10 +202,12 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
 
     d2 = squared_distances(centroids)
     history.append(float(d2.min(axis=1).sum()))
+    assign = d2.argmin(axis=1)
     return Clustering(
-        assignments=d2.argmin(axis=1).astype(np.int32),
+        assignments=assign.astype(np.int32),
         centroids=centroids,
         inertia_history=tuple(history),
+        cluster_inertia=np.bincount(assign, weights=d2.min(axis=1), minlength=k),
     )
 
 

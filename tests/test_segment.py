@@ -25,6 +25,7 @@ from pclabel import (
 from pclabel.rng import SplitMix64
 
 from helpers import (
+    criterion7_frame,
     detection,
     enumerate_local_optima,
     partition_inertia,
@@ -241,6 +242,7 @@ def _assert_matches_reference(got, pts, cfg):
     assert np.array_equal(got.assignments, want.assignments)
     assert got.centroids.tobytes() == want.centroids.tobytes()
     assert got.inertia_history == want.inertia_history
+    assert got.cluster_inertia.tobytes() == want.cluster_inertia.tobytes()
     assert got.inertia == want.inertia
     assert got.iterations_run == want.iterations_run
 
@@ -419,6 +421,29 @@ class TestDenoiseDetection:
         denoise_frame(frame, lc, KMeansConfig(k=3, seed=0))
         assert lc.kept.tolist() == [True, False, False]
 
+    @pytest.mark.parametrize("n_tight, n_loose, tight_kept", [
+        (8, 200, False),  # under 10 points
+        (12, 400, False),  # under 5 % of the detection
+        (12, 200, True),
+    ])
+    def test_size_floor_of_the_compact_cluster(self, n_tight, n_loose, tight_kept):
+        # a point-sized cluster is the most compact, but is kept only when big enough
+        loose = np.random.default_rng(3).normal(size=(n_loose, 3)) + [20.0, 0.0, 0.0]
+        pts = np.concatenate([np.tile([5.0, 0.0, 0.0], (n_tight, 1)), loose])
+        frame, lc = _labeled_frame(pts, [(0, 0)] * len(pts))
+        denoise_frame(frame, lc, KMeansConfig(k=2, seed=0))
+        assert len(set(lc.cluster_id[:n_tight].tolist())) == 1
+        assert lc.cluster_id[n_tight] not in lc.cluster_id[:n_tight]
+        assert lc.kept.tolist() == [tight_kept] * n_tight + [not tight_kept] * n_loose
+
+    def test_spread_tie_prefers_the_larger_cluster(self):
+        # both clusters are single repeated points, so neither has any spread;
+        # the larger one lies farther from the origin and is kept
+        pts = np.concatenate([np.tile([1.0, 0.0, 0.0], (12, 1)), np.tile([0.0, 9.0, 0.0], (20, 1))])
+        frame, lc = _labeled_frame(pts, [(0, 0)] * 32)
+        denoise_frame(frame, lc, KMeansConfig(k=2, seed=0))
+        assert lc.kept.tolist() == [False] * 12 + [True] * 20
+
     def test_other_detections_untouched(self):
         pts = np.concatenate(
             [np.random.default_rng(1).normal(size=(20, 3)),
@@ -556,6 +581,15 @@ class TestDenoiseFrame:
         with pytest.raises(ValueError, match=message):
             denoise_frame(frame, lc, KMeansConfig())
         assert lc.cluster_id.tolist() == [-1] * (6 + extra)  # rejected before any change
+
+    def test_criterion7_frame_keeps_each_blob(self):
+        # each box holds a 2,000-point blob and about 7,500 points of the
+        # background shell behind it: the blob is the object to keep, although
+        # the shell outnumbers it
+        rig, frame, dets_by_cam = criterion7_frame()
+        lc, _ = denoise_frame(frame, label_frame(frame, rig, dets_by_cam), KMeansConfig(k=3, seed=7))
+        kept = lc.kept[:20_000].reshape(10, 2000).mean(axis=1)  # the blobs come first
+        assert kept.min() >= 0.95, kept.tolist()
 
     def test_report_counts_consistent(self):
         rng = np.random.default_rng(31)
