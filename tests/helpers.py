@@ -201,13 +201,13 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
             break
 
     d2 = squared_distances(centroids)
-    history.append(float(d2.min(axis=1).sum()))
-    assign = d2.argmin(axis=1)
+    assign, best = d2.argmin(axis=1), d2.min(axis=1)
+    history.append(float(best.sum()))
     return Clustering(
         assignments=assign.astype(np.int32),
         centroids=centroids,
         inertia_history=tuple(history),
-        cluster_inertia=np.bincount(assign, weights=d2.min(axis=1), minlength=k),
+        cluster_inertia=np.bincount(assign, weights=best, minlength=k),
     )
 
 
