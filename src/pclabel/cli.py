@@ -10,20 +10,19 @@ from functools import partial
 from pathlib import Path
 
 from . import scene, segment
-from .cloud_io import check_count, check_number, read_json_object
+from .cloud_io import ascii_number, read_json_object
 from .detect_ingest import CLASS_NAME_TO_ID
 from .pipeline import PipelineConfig, PipelineError, check_path, run_pipeline
 
 # Run settings by config-file key: the PipelineConfig field ("kmeans.<field>"
-# for KMeansConfig) and the JSON type.  A key's flag is --<key> with '-' for
-# '_' (--no-denoise for "denoise").  Defaults live in those dataclasses only:
-# the CLI passes on just the values that a flag or the config file sets.
+# for KMeansConfig) that checks the value.  A key's flag is --<key> with '-'
+# for '_' (--no-denoise for "denoise").  Defaults live in those dataclasses
+# only: the CLI passes on just the values that a flag or the config file sets.
 _SETTINGS = {
-    "calib": ("calibration", str), "clouds": ("cloud_manifest", str),
-    "dets": ("detection_manifest", str), "out": ("out_dir", str),
-    "tol": ("tolerance", float), "conf": ("confidence", float), "classes": ("classes", list),
-    "k": ("kmeans.k", int), "max_iter": ("kmeans.max_iter", int), "seed": ("kmeans.seed", int),
-    "denoise": ("denoise", bool), "distortion": ("distortion", bool), "workers": ("workers", int),
+    "calib": "calibration", "clouds": "cloud_manifest", "dets": "detection_manifest",
+    "out": "out_dir", "tol": "tolerance", "conf": "confidence", "classes": "classes",
+    "k": "kmeans.k", "max_iter": "kmeans.max_iter", "seed": "kmeans.seed",
+    "denoise": "denoise", "distortion": "distortion", "workers": "workers",
 }
 _REQUIRED = ("calib", "clouds", "dets", "out")
 
@@ -47,6 +46,13 @@ def _parse_classes(value) -> frozenset[int]:
     return frozenset(ids)
 
 
+def _number(kind: type):
+    """An argparse type: a flag's ``kind`` by the number rule of the text formats."""
+    parse = partial(ascii_number, kind=kind)
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: '1_0'"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pclabel",
@@ -61,26 +67,26 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dets", help="detection manifest file")
     run.add_argument("--out", help="output directory")
     run.add_argument("--config", help="JSON config file; flags override its values")
-    run.add_argument("--tol", type=float, default=None, help="frame matching tolerance, seconds")
-    run.add_argument("--conf", type=float, default=None, help="detection confidence threshold")
-    run.add_argument("--classes", default=None, help="comma-separated class ids or names to keep")
-    run.add_argument("--k", type=int, default=None, help="k-means cluster count")
-    run.add_argument("--max-iter", type=int, default=None, help="k-means iteration cap")
-    run.add_argument("--seed", type=int, default=None, help="k-means RNG seed")
+    run.add_argument("--tol", type=_number(float), help="frame matching tolerance, seconds")
+    run.add_argument("--conf", type=_number(float), help="detection confidence threshold")
+    run.add_argument("--classes", help="comma-separated class ids or names to keep")
+    run.add_argument("--k", type=_number(int), help="k-means cluster count")
+    run.add_argument("--max-iter", type=_number(int), help="k-means iteration cap")
+    run.add_argument("--seed", type=_number(int), help="k-means RNG seed")
     run.add_argument("--no-denoise", dest="denoise", action="store_false", default=None,
                      help="skip clustering")
     run.add_argument("--distortion", action="store_true", default=None,
                      help="apply lens distortion when projecting (raw-image boxes)")
-    run.add_argument("--workers", type=int, default=None, help="worker thread count")
+    run.add_argument("--workers", type=_number(int), help="worker thread count")
 
     gen = sub.add_parser("gen-scene", help="generate a synthetic scene with ground truth")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--frames", type=int, default=20)
-    gen.add_argument("--objects", type=int, default=3, help="planted objects per frame")
-    gen.add_argument("--noise", type=float, default=0.3, help="noise fraction of labeled points")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--cameras", type=int, default=5)
-    gen.add_argument("--points-per-object", type=int, default=900)
+    gen.add_argument("--frames", type=_number(int), default=20)
+    gen.add_argument("--objects", type=_number(int), default=3, help="planted objects per frame")
+    gen.add_argument("--noise", type=_number(float), default=0.3, help="noise fraction of labeled points")
+    gen.add_argument("--seed", type=_number(int), default=0)
+    gen.add_argument("--cameras", type=_number(int), default=5)
+    gen.add_argument("--points-per-object", type=_number(int), default=900)
 
     stats = sub.add_parser("stats", help="summarize a report CSV")
     stats.add_argument("csv", help="report CSV written by 'run'")
@@ -93,21 +99,6 @@ def _load_config(path: str) -> dict:
         return read_json_object(Path(path), _SETTINGS)
     except OSError as e:
         raise ValueError(f"{path}: {e.strerror or e}") from e
-
-
-def _convert(key: str, value):
-    """``value`` as the setting's type: a float by the number rule, an int by
-    the count rule, a bool or a string only as itself."""
-    kind = _SETTINGS[key][1]
-    if kind is float:
-        return check_number(key, value)
-    if kind is int:
-        return check_count(key, value)
-    if kind is list:
-        return _parse_classes(value)
-    if not isinstance(value, kind):
-        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
-    return value
 
 
 def _with(cfg: PipelineConfig, field: str, value) -> PipelineConfig:
@@ -136,17 +127,15 @@ def _pipeline_config(args) -> PipelineConfig:
             raise ValueError(f"--{key} is required (flag or config file)")
         value, source = given[key]
         try:
-            return build(_convert(key, value))
+            return build(_parse_classes(value) if key == "classes" else value)
         except ValueError as e:
             raise ValueError(f"{source}: {e}") from e
 
-    paths = {}
-    for key in _REQUIRED:
-        field = _SETTINGS[key][0]
-        paths[field] = checked(key, partial(check_path, field))
-    cfg = PipelineConfig(**paths)
-    for key, (field, _kind) in _SETTINGS.items():
-        if key in given and key not in _REQUIRED:
+    cfg = PipelineConfig(**{
+        _SETTINGS[key]: checked(key, partial(check_path, _SETTINGS[key])) for key in _REQUIRED
+    })
+    for key, field in _SETTINGS.items():
+        if key in given:
             cfg = checked(key, lambda value: _with(cfg, field, value))
     return cfg
 

@@ -15,6 +15,7 @@ import logging
 import re
 import threading
 import time
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -33,14 +34,14 @@ class PipelineError(RuntimeError):
 
 def check_path(name: str, value: str | Path) -> Path:
     """The path-setting rule: a non-empty string or path, returned as a Path."""
-    if not str(value):
-        raise ValueError(f"{name} must be a non-empty path")
+    if not isinstance(value, (str, Path)) or not str(value):
+        raise ValueError(f"{name} must be a non-empty path, got {value!r}")
     return Path(value)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one pipeline run needs."""
+    """Everything one pipeline run needs; every value is type- and range-checked here."""
 
     calibration: Path
     cloud_manifest: Path
@@ -57,13 +58,20 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         for name in ("calibration", "cloud_manifest", "detection_manifest", "out_dir"):
             object.__setattr__(self, name, check_path(name, getattr(self, name)))
+        for name in ("tolerance", "confidence"):
+            object.__setattr__(self, name, cloud_io.check_number(name, getattr(self, name)))
         cloud_io.check_tolerance(self.tolerance)
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
         object.__setattr__(self, "workers", cloud_io.check_count("workers", self.workers))
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        object.__setattr__(self, "classes", frozenset(self.classes))
+        kinds = {"distortion": bool, "denoise": bool, "classes": Set, "kmeans": segment.KMeansConfig}
+        for name, kind in kinds.items():
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        ids = frozenset(cloud_io.check_count("classes entry", c) for c in self.classes)
+        object.__setattr__(self, "classes", ids)
         unknown = sorted(c for c in self.classes if not 0 <= c < len(detect_ingest.COCO_CLASSES))
         if unknown:
             raise ValueError(

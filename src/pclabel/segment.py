@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cloud_io import PointCloudFrame, ascii_number, check_count, read_text, records
+from .cloud_io import PointCloudFrame, ascii_number, check_count, check_number, read_text, records
 from .fusion import LabeledCloud
 from .rng import SplitMix64, derive_seed
 
@@ -45,11 +45,12 @@ class KMeansConfig:
     def __post_init__(self) -> None:
         for name in ("k", "max_iter", "seed"):
             object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        object.__setattr__(self, "tol", check_number("tol", self.tol))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol < 0:
+        if not self.tol >= 0:  # NaN too
             raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 

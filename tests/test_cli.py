@@ -351,6 +351,52 @@ def test_bad_conf_or_tol_flag_exits_two_naming_the_flag(tmp_path, capsys, flag, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--k", "1_0"), ("--seed", "٣"), ("--tol", "0.0_5"),  # int() and float() read 10, 3 and 0.05
+    ("--conf", "0.5_0"), ("--max-iter", "1_0"), ("--workers", "١"),
+])
+def test_numeric_run_flag_follows_the_number_rule(tmp_path, capsys, flag, value):
+    scene = _gen(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit:
+        main(_run_args(scene, tmp_path / "out", extra=(flag, value)))
+    assert exit.value.code == 2
+    assert f"argument {flag}: invalid " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--frames", "٢"), ("--objects", "1_0"), ("--noise", "0.1_0"), ("--seed", "1_0"),
+    ("--cameras", "٢"), ("--points-per-object", "9_00"),
+])
+def test_numeric_gen_scene_flag_follows_the_number_rule(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit:
+        main(["gen-scene", "--out", str(tmp_path / "s"), flag, value])
+    assert exit.value.code == 2
+    assert f"argument {flag}: invalid " in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("out", 3, "out_dir must be a non-empty path, got 3"),
+    ("denoise", 0, "denoise must be a bool, got 0"),
+    ("distortion", "true", "distortion must be a bool, got 'true'"),
+    ("tol", True, "tolerance must be a number, got True"),
+    ("conf", "0.5", "confidence must be a number, got '0.5'"),
+])
+def test_config_value_is_checked_by_the_dataclass(tmp_path, capsys, key, value, message):
+    scene = _gen(tmp_path)
+    config = _config(tmp_path, json.dumps({key: value}))
+    args = _run_args(scene, tmp_path / "out", extra=("--config", str(config)))
+    if key == "out":
+        i = args.index("--out")
+        del args[i:i + 2]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_going_back_in_time_names_file_and_line(tmp_path, capsys):
     scene = _gen(tmp_path)
     manifest = scene / "clouds.manifest"
@@ -379,7 +425,7 @@ def test_config_number_too_large_for_a_float_names_file(tmp_path, capsys):
     config = _config(tmp_path, '{"tol": ' + "9" * 401 + "}")
     capsys.readouterr()
     assert main(_run_args(scene, tmp_path / "out", extra=("--config", str(config)))) == 2
-    assert capsys.readouterr().err.startswith(f"error: {config}: tol ")
+    assert capsys.readouterr().err.startswith(f"error: {config}: tolerance is too large for a float")
     assert not (tmp_path / "out").exists()
 
 

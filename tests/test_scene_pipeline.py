@@ -493,6 +493,17 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="^workers must be an integer, got "):
             _pipeline_cfg(small_scene, tmp_path / "out", workers=workers)
 
+    @pytest.mark.parametrize("field, value", [
+        ("denoise", "false"), ("denoise", np.bool_(False)), ("distortion", 1),
+        ("tolerance", True), ("tolerance", "0.05"), ("confidence", True), ("confidence", "0.5"),
+        ("classes", {True}), ("classes", {2.0}), ("classes", "car"), ("classes", [2]),
+        ("calibration", 3), ("detection_manifest", None), ("kmeans", None),
+    ])
+    def test_every_field_is_type_checked(self, small_scene, tmp_path, field, value):
+        # each one was kept, read as a number, or failed with a TypeError
+        with pytest.raises(ValueError, match=f"^{field} "):
+            _pipeline_cfg(small_scene, tmp_path / "out", **{field: value})
+
     def test_numpy_integer_workers_kept_as_an_int(self, small_scene, tmp_path):
         cfg = _pipeline_cfg(small_scene, tmp_path / "out", workers=np.int32(2))
         assert (type(cfg.workers), cfg.workers) == (int, 2)

@@ -84,6 +84,11 @@ class TestKMeansConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             KMeansConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), True, "0.1", None])
+    def test_tol_must_be_a_number_of_at_least_zero(self, value):
+        with pytest.raises(ValueError, match="^tol must be "):
+            KMeansConfig(tol=value)
+
     def test_numpy_integer_counts_are_kept_as_ints(self):
         # derive_seed masks the seed with a 64-bit Python int, which a numpy
         # int64 cannot take
