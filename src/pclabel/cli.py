@@ -163,8 +163,8 @@ def _run_command(args) -> int:
 
 
 def _gen_scene_command(args) -> int:
-    rig = scene.default_rig(args.cameras)
     try:
+        rig = scene.default_rig(args.cameras)
         paths = scene.gen_scene(
             args.out,
             frames=args.frames,

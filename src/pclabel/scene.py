@@ -19,7 +19,9 @@ from .calib import (
     CameraModel, DistortionCoeffs, ExtrinsicPose, Intrinsics,
     camera_to_lidar, project_points, save_rig,
 )
-from .cloud_io import PointCloudFrame, parse_rows, read_text, write_manifest, write_pcd
+from .cloud_io import (
+    PointCloudFrame, check_count, check_number, parse_rows, read_text, write_manifest, write_pcd,
+)
 
 # The classes the detector sees most in road scenes.
 _OBJECT_CLASSES = (2, 0, 7)  # car, person, truck
@@ -158,19 +160,28 @@ def gen_scene(
     pixel inside the box and a depth, then unprojecting.
 
     Ground truth lines are "frame_id point_index object_id" with -1 for
-    noise points.  Raises SceneError if an object cannot be placed fully
-    inside its camera's view.
+    noise points.  Before anything is written, a count below its minimum
+    (``frames``, ``points_per_object`` >= 1; ``objects``, ``seed`` >= 0) or
+    of another type, a ``noise_fraction`` outside [0, 1) or an empty rig
+    raise ValueError naming the parameter.  Raises SceneError if an object
+    cannot be placed fully inside its camera's view.
     """
-    if not 0.0 <= noise_fraction < 1.0:
+    for name, value, minimum in (
+        ("frames", frames, 1), ("objects", objects, 0),
+        ("points_per_object", points_per_object, 1), ("seed", seed, 0),
+    ):
+        if check_count(name, value) < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if not 0.0 <= check_number("noise fraction", noise_fraction) < 1.0:
         raise ValueError(f"noise fraction must be in [0, 1), got {noise_fraction}")
-    if frames < 1:
-        raise ValueError("at least one frame is required")
+    if rig is None:
+        rig = default_rig()
+    if not rig:
+        raise ValueError("rig must hold at least one camera")
     out = Path(out_dir)
     (out / "clouds").mkdir(parents=True, exist_ok=True)
     (out / "dets").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    if rig is None:
-        rig = default_rig()
     calib_path = out / "calibration.json"
     save_rig(rig, calib_path)
 

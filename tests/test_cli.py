@@ -234,6 +234,20 @@ def test_gen_scene_invalid_noise(tmp_path, capsys):
     assert "noise fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cameras", "0", "rig must hold at least one camera"),  # was a ZeroDivisionError
+    ("--cameras", "6", "camera id must be in [0, 5), got 5"),
+    ("--objects", "-1", "objects must be >= 0, got -1"),  # was a scene of -1 objects
+    ("--points-per-object", "0", "points_per_object must be >= 1, got 0"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--frames", "0", "frames must be >= 1, got 0"),
+])
+def test_gen_scene_bad_parameter_exits_one_naming_it(tmp_path, capsys, flag, value, message):
+    assert main(["gen-scene", "--out", str(tmp_path / "s"), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_workers_flag(tmp_path):
     scene = _gen(tmp_path)
     out1 = tmp_path / "w1"

@@ -147,8 +147,23 @@ class TestGenScene:
             gen_scene(tmp_path / "x", frames=1, objects=1, noise_fraction=1.0, seed=0)
 
     def test_at_least_one_frame(self, tmp_path):
-        with pytest.raises(ValueError, match="at least one frame"):
+        with pytest.raises(ValueError, match="frames must be >= 1"):
             gen_scene(tmp_path / "x", frames=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"objects": -1}, "objects must be >= 0, got -1"),
+        ({"points_per_object": 0}, "points_per_object must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"frames": 2.0}, "frames must be an integer, got 2.0"),
+        ({"objects": True}, "objects must be an integer, got True"),
+        ({"noise_fraction": "0.3"}, "noise fraction must be a number, got '0.3'"),
+        ({"noise_fraction": float("nan")}, "noise fraction must be in [0, 1), got nan"),
+        ({"rig": []}, "rig must hold at least one camera"),
+    ])
+    def test_parameters_are_checked_before_writing(self, tmp_path, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_scene(tmp_path / "x", **kwargs)
+        assert not (tmp_path / "x").exists()
 
     def test_object_box_must_not_exceed_a_quarter_image(self, tmp_path):
         # a 120 x 120 image at focal 500 holds this seed's blob, but its box is over 60 x 60
