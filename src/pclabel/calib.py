@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,21 @@ class DistortionCoeffs:
         for name in ("k1", "k2", "p1", "p2", "k3"):
             if not math.isfinite(getattr(self, name)):
                 raise CalibrationError(f"distortion coefficient {name} is not finite")
+
+    @cached_property
+    def fold_r2(self) -> float:
+        """The squared normalized radius s = r^2 at which the radial map
+        r -> r * (1 + k1 s + k2 s^2 + k3 s^3) stops rising and folds back:
+        the smallest positive root of its derivative 1 + 3 k1 s + 5 k2 s^2
+        + 7 k3 s^3, or +inf where it rises at every radius.  The root ignores
+        the tangential terms p1 and p2.
+
+        The roots come from the monic t^3 + 3 k1 t^2 + 5 k2 t + 7 k3 in
+        t = 1 / s, so a tiny k3 leaves the companion matrix well scaled; the
+        smallest s is one over the largest positive t."""
+        t = np.roots([1.0, 3.0 * self.k1, 5.0 * self.k2, 7.0 * self.k3])
+        t = t.real[(t.imag == 0) & (t.real > 0)]
+        return 1.0 / float(t.max()) if t.size else math.inf
 
 
 @dataclass(frozen=True)
@@ -274,7 +290,10 @@ def project_points(
     exact float64 conversion.  Returns (uv, in_front): uv is (n, 2) float64
     with NaN rows where the point sits at or behind the camera plane
     (camera-frame z <= z_min) or has a NaN or +-inf coordinate; in_front is
-    the matching boolean mask.  Neither kind of row raises a numpy warning,
+    the matching boolean mask.  With ``use_distortion``, a row at or past
+    the distortion's fold (x^2 + y^2 >= ``DistortionCoeffs.fold_r2`` in
+    normalized coordinates) is absent too: there the radial map turns back,
+    and the row would land on a pixel of a point the camera does see.  Neither kind of row raises a numpy warning,
     with or without distortion.  uv is the transpose of a C-contiguous
     (2, n) array, so ``uv.T`` holds the u and v rows contiguously.  Pixels
     outside the image are returned as-is; bounds are the caller's concern.
@@ -332,6 +351,9 @@ def project_points(
         y /= cam_z
     del cam_z
     if use_distortion:
+        folded = x * x + y * y >= cam.distortion.fold_r2
+        in_front &= ~folded
+        x[folded] = y[folded] = np.nan
         x[:], y[:] = distort_normalized(cam.distortion, x, y)
     intr = cam.intrinsics
     x *= intr.fx

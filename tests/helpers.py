@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -43,6 +44,21 @@ def simple_camera(
         distortion=dist or DistortionCoeffs(),
         pose=pose or ExtrinsicPose.identity(),
     )
+
+
+def barrel_camera() -> CameraModel:
+    """Camera 0 of ``default_rig(5)`` (640 x 480, fx = 500) with KITTI-like
+    barrel coefficients, whose radial map r * radial(r^2) rises only up to
+    50.45 degrees off-axis and then folds back towards the image centre."""
+    dist = DistortionCoeffs(k1=-0.369, k2=0.197, p1=0.00135, p2=0.00057, k3=-0.0677)
+    return replace(default_rig(5)[0], distortion=dist)
+
+
+def off_axis_points(cam: CameraModel, degrees, depth: float = 10.0) -> np.ndarray:
+    """LIDAR-frame points at ``depth`` in front of ``cam``, each ``degrees``
+    off its optical axis towards image right."""
+    tan = np.tan(np.radians(np.asarray(degrees, dtype=np.float64)))
+    return camera_to_lidar(cam, np.stack([depth * tan, np.zeros_like(tan), np.full_like(tan, depth)], axis=1))
 
 
 def detection(cam_id: int, box: tuple[float, float, float, float],
@@ -213,7 +229,8 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
 
 def reference_pixel(cam: CameraModel, point, distortion: bool) -> tuple[float, float] | None:
     """The pixel (u, v) at which ``cam`` sees one LIDAR point, or None at a
-    depth of ``DEFAULT_Z_MIN`` or less; one double operation at a time.
+    depth of ``DEFAULT_Z_MIN`` or less, or, with ``distortion``, at or past
+    the fold of the radial map; one double operation at a time.
 
     The pinhole model: the pose r[row] . p + t[row], the division by depth,
     the Brown-Conrady polynomial when ``distortion`` is on, then f * x + c,
@@ -229,6 +246,8 @@ def reference_pixel(cam: CameraModel, point, distortion: bool) -> tuple[float, f
     if distortion:
         d = cam.distortion
         rr = xn * xn + yn * yn
+        if rr >= d.fold_r2:  # past the fold the radial map turns back
+            return None
         radial = 1.0 + d.k1 * rr + d.k2 * rr * rr + d.k3 * rr * rr * rr
         xn, yn = (
             xn * radial + 2.0 * d.p1 * xn * yn + d.p2 * (rr + 2.0 * xn * xn),

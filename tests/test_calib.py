@@ -21,7 +21,9 @@ from pclabel import (
     undistort_normalized,
 )
 from pclabel import cloud_io
-from helpers import random_rotation, reference_pixel, simple_camera, traced_peak
+from helpers import (
+    barrel_camera, off_axis_points, random_rotation, reference_pixel, simple_camera, traced_peak,
+)
 
 
 def _camera_entry(**overrides):
@@ -350,6 +352,34 @@ def _project_one(cam, p, **kwargs):
     return tuple(uv[0].tolist()), bool(in_front[0])
 
 
+class TestDistortionFold:
+    def test_kitti_like_barrel_folds_at_50_degrees(self):
+        d = barrel_camera().distortion
+        assert d.fold_r2 == pytest.approx(1.4668, abs=1e-4)
+        assert math.degrees(math.atan(math.sqrt(d.fold_r2))) == pytest.approx(50.45, abs=0.01)
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.0), (0.1, 0.01, 0.0), (0.0, 0.0, 0.01)])
+    def test_a_map_that_always_rises_never_folds(self, coeffs):
+        k1, k2, k3 = coeffs
+        assert DistortionCoeffs(k1=k1, k2=k2, k3=k3).fold_r2 == math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k1=st.floats(-1, 1), k2=st.floats(-1, 1), k3=st.floats(-1, 1),
+        p1=st.floats(-0.01, 0.01), p2=st.floats(-0.01, 0.01),
+    )
+    def test_the_radial_map_rises_up_to_the_fold(self, k1, k2, k3, p1, p2):
+        # r * radial(r^2) has the derivative 1 + 3 k1 s + 5 k2 s^2 + 7 k3 s^3 in
+        # s = r^2: positive below the fold, and zero at it
+        d = DistortionCoeffs(k1=k1, k2=k2, p1=p1, p2=p2, k3=k3)
+        slope = np.polynomial.Polynomial([1.0, 3 * k1, 5 * k2, 7 * k3])
+        below = np.linspace(0.0, min(d.fold_r2, 100.0), 2001)[:-1]
+        assert (slope(below) > 0).all()
+        if d.fold_r2 < math.inf:
+            terms = np.abs(slope.coef) * d.fold_r2 ** np.arange(4)
+            assert abs(slope(d.fold_r2)) <= 1e-9 * terms.sum()
+
+
 class TestProject:
     def test_points_must_have_three_columns(self):
         with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
@@ -464,6 +494,18 @@ class TestProject:
         pts[:, 2] = np.where(rng.random(n) < behind, -1.0, 1.0) * rng.uniform(1, 50, n)
         _, peak = traced_peak(project_points, simple_camera(), pts)
         assert peak / n <= 34, f"peak {peak / n:.1f} bytes per point"
+
+    def test_rows_past_the_distortion_fold_are_absent(self):
+        # pinhole u: 608.7, 915.9, 1120.2 and 1186.0.  The radial map folds at
+        # 50.45 degrees, after which 58 and 60 degrees landed back inside the
+        # image, at u = 490.1 and 182.4
+        cam = barrel_camera()
+        pts = off_axis_points(cam, [30.0, 50.0, 58.0, 60.0])
+        uv, in_front = project_points(cam, pts, use_distortion=True)
+        assert in_front.tolist() == [True, True, False, False]
+        assert np.isnan(uv[2:]).all() and 575 < uv[0, 0] < 585 and uv[1, 0] > 640
+        # the pinhole projection has no fold
+        assert project_points(cam, pts)[1].all()
 
     def test_behind_camera_mask_vectorized(self):
         cam = simple_camera()

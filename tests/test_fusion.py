@@ -20,9 +20,11 @@ from pclabel import (
 from pclabel import cloud_io
 from helpers import (
     assert_label_invariants,
+    barrel_camera,
     box_hits,
     criterion7_frame,
     detection,
+    off_axis_points,
     reference_labels,
     simple_camera,
     traced_peak,
@@ -150,6 +152,14 @@ class TestLabelFrame:
         box = detection(0, (98.0, 45.0, 99.5, 55.0))
         assert label_frame(frame, [cam], {0: [box]}, distortion_mode=False).n_labeled == 0
         assert label_frame(frame, [cam], {0: [box]}, distortion_mode=True).n_labeled == 1
+
+    def test_no_ghost_label_past_the_distortion_fold(self):
+        # at 60 degrees off-axis the pinhole u is 1186.0, outside the image;
+        # the folded radial map put the point at u = 182.4, inside this box
+        cam = barrel_camera()
+        frame = _frame(off_axis_points(cam, [60.0]))
+        box = detection(0, (170.0, 225.0, 195.0, 255.0))
+        assert label_frame(frame, [cam], {0: [box]}, distortion_mode=True).n_labeled == 0
 
     def test_removing_detection_never_adds_labels(self):
         cam = simple_camera()
