@@ -182,44 +182,45 @@ def _process_bundle(
 
 
 def _run_frames(task: Callable, bundles: list, workers: int) -> list[FrameResult]:
-    """``task`` of each bundle, in order.  The calling thread and
-    ``min(workers, len(bundles)) - 1`` helper threads each pop the next
-    bundle under one lock.  After a failure no thread starts a frame; the
+    """``task`` of each bundle, in order: each result replaces its bundle in
+    ``bundles``, which is returned.  The calling thread and
+    ``min(workers, len(bundles)) - 1`` helper threads each claim the next
+    slot under one lock.  After a failure no thread starts a frame; the
     running ones finish, and the earliest failed frame's error is raised."""
-    results: list = [None] * len(bundles)
-    bundles.reverse()  # pop() takes the earliest frame left
     lock = threading.Lock()
+    claimed = 0  # slots below it are taken; len(bundles) once nothing may start
 
     def work() -> None:
+        nonlocal claimed
         while True:
             with lock:
-                if not bundles:
+                i = claimed
+                if i == len(bundles):
                     return
-                bundle = bundles.pop()
-                i = len(results) - len(bundles) - 1
+                claimed += 1
             try:
-                results[i] = task(bundle)
+                bundles[i] = task(bundles[i])
             except BaseException as e:  # raised below, once every thread has stopped
-                results[i] = e
+                bundles[i] = e
                 with lock:
-                    bundles.clear()
+                    claimed = len(bundles)
 
     threads = []
     try:
-        for _ in range(min(workers, len(results)) - 1):
+        for _ in range(min(workers, len(bundles)) - 1):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
         work()
     finally:
         with lock:  # an interrupt between frames: no thread starts another
-            bundles.clear()
+            claimed = len(bundles)
         for thread in threads:
             thread.join()
-    for result in results:
+    for result in bundles:
         if isinstance(result, BaseException):
             raise result
-    return results
+    return bundles
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:

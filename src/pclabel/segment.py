@@ -338,7 +338,8 @@ def denoise_frame(
             )
             lc.cluster_id[idx] = clustering.assignments
             lc.kept[idx] = clustering.assignments == keep
-        del members, idx, clustering  # before frame_report's gathers
+            del clustering  # not held through the next detection's kmeans call
+        del members, idx  # before frame_report's gathers
     return lc, frame_report(frame, lc)
 
 
