@@ -363,7 +363,7 @@ class TestDistortionFold:
         k1, k2, k3 = coeffs
         assert DistortionCoeffs(k1=k1, k2=k2, k3=k3).fold_r2 == math.inf
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         k1=st.floats(-1, 1), k2=st.floats(-1, 1), k3=st.floats(-1, 1),
         p1=st.floats(-0.01, 0.01), p2=st.floats(-0.01, 0.01),
@@ -375,7 +375,7 @@ class TestDistortionFold:
         slope = np.polynomial.Polynomial([1.0, 3 * k1, 5 * k2, 7 * k3])
         below = np.linspace(0.0, min(d.fold_r2, 100.0), 2001)[:-1]
         assert (slope(below) > 0).all()
-        if d.fold_r2 < math.inf:
+        if d.fold_r2 <= 1e6:  # r = 1000, 89.94 degrees off-axis; a tiny k puts it past 1e150
             terms = np.abs(slope.coef) * d.fold_r2 ** np.arange(4)
             assert abs(slope(d.fold_r2)) <= 1e-9 * terms.sum()
 
