@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -15,7 +17,9 @@ from pclabel import (
     Detection,
     DistortionCoeffs,
     ExtrinsicPose,
+    FrameReport,
     Intrinsics,
+    KMeansConfig,
     LabeledCloud,
     PointCloudFrame,
     camera_to_lidar,
@@ -23,7 +27,8 @@ from pclabel import (
     project_points,
 )
 from pclabel.calib import DEFAULT_Z_MIN
-from pclabel.rng import SplitMix64
+from pclabel.rng import SplitMix64, derive_seed
+from pclabel.segment import KEEP_MIN_PERCENT, KEEP_MIN_POINTS
 from pclabel.scene import default_rig
 
 
@@ -225,6 +230,58 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
         inertia_history=tuple(history),
         cluster_inertia=np.bincount(assign, weights=best, minlength=k),
     )
+
+
+def reference_denoise(
+    frame: PointCloudFrame, lc: LabeledCloud, cfg: KMeansConfig
+) -> tuple[list[int], list[bool], FrameReport]:
+    """The cluster id and kept flag that ``denoise_frame`` must give each row
+    of ``lc``, and the report it must return; one detection at a time.
+
+    Each detection's rows, in ascending order, are clustered by
+    ``reference_kmeans`` on the stream ``derive_seed(cfg.seed, frame id,
+    camera, detection)``, in (camera, detection) order.  The keep rule then
+    runs in plain Python: each cluster's size and summed squared distance to
+    its centroid are counted point by point; the candidates hold at least
+    max(``KEEP_MIN_POINTS``, ``KEEP_MIN_PERCENT`` % of the detection) points,
+    a floor capped at the largest cluster's size; the kept one has the
+    smallest mean squared distance, then the larger size, then the centroid
+    nearest the origin, then the lower id.  Unlabeled rows keep their values.
+    """
+    class_ids = lc.class_id.tolist()
+    cluster, kept = lc.cluster_id.tolist(), lc.kept.tolist()
+    groups: dict[tuple[int, int], list[int]] = {}
+    for row, key in enumerate(zip(lc.camera_id.tolist(), lc.det_index.tolist())):
+        if class_ids[row] >= 0:
+            groups.setdefault(key, []).append(row)
+    for (cam, det), rows in sorted(groups.items()):
+        pts = frame.xyz[rows].astype(np.float64)
+        seed = derive_seed(cfg.seed, frame.frame_id, cam, det)
+        result = reference_kmeans(pts, cfg.k, cfg.max_iter, seed, cfg.tol)
+        assign, centroids = result.assignments.tolist(), result.centroids.tolist()
+        sizes, spread = [0] * len(centroids), [0.0] * len(centroids)
+        for point, c in zip(pts.tolist(), assign):
+            dx, dy, dz = (p - q for p, q in zip(point, centroids[c]))
+            sizes[c] += 1
+            spread[c] += (dx * dx + dz * dz) + dy * dy  # kmeans' order of the terms
+        floor = min(max(KEEP_MIN_POINTS, math.ceil(len(rows) * KEEP_MIN_PERCENT / 100)), max(sizes))
+        keep = min(
+            (c for c in range(len(centroids)) if sizes[c] >= floor),
+            key=lambda c: (spread[c] / sizes[c], -sizes[c], sum(x * x for x in centroids[c]), c),
+        )
+        for row, c in zip(rows, assign):
+            cluster[row], kept[row] = c, c == keep
+    labeled = [row for row, c in enumerate(class_ids) if c >= 0]
+    survivors = [row for row in labeled if kept[row]]
+    report = FrameReport(
+        frame_id=frame.frame_id,
+        total_points=len(class_ids),
+        labeled_before=len(labeled),
+        kept_after=len(survivors),
+        class_before=dict(Counter(class_ids[row] for row in labeled)),
+        class_after=dict(Counter(class_ids[row] for row in survivors)),
+    )
+    return cluster, kept, report
 
 
 def reference_pixel(cam: CameraModel, point, distortion: bool) -> tuple[float, float] | None:

@@ -29,6 +29,7 @@ from helpers import (
     detection,
     enumerate_local_optima,
     partition_inertia,
+    reference_denoise,
     reference_kmeans,
     simple_camera,
     traced_peak,
@@ -484,6 +485,52 @@ class TestDenoiseDetection:
         labeled_before = lc.n_labeled
         denoise_frame(frame, lc, KMeansConfig(k=3, seed=3))
         assert int((lc.labeled_mask & lc.kept).sum()) <= labeled_before
+
+
+@st.composite
+def _denoise_inputs(draw):
+    """A frame, its labels and a config: 1-3 cameras with 1-4 detections each,
+    every row labeled by one of them or left unlabeled, a class drawn per
+    point, and points drawn with repeats, so that clusters tie in spread and
+    size and fall on both sides of the size floor."""
+    cams = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    dets = [(cam, det) for cam in cams for det in range(draw(st.integers(1, 4)))]
+    n = draw(st.integers(1, 260))
+    distinct = draw(st.lists(st.tuples(_coord, _coord, _coord), min_size=1, max_size=12))
+    rows = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    refs = draw(st.lists(st.sampled_from([None] + dets), min_size=n, max_size=n))
+    frame = PointCloudFrame(
+        frame_id=draw(st.integers(0, 2**31 - 1)), timestamp=0.0,
+        xyz=np.array([distinct[i] for i in rows], dtype=np.float32),
+    )
+    lc = LabeledCloud.empty(frame.frame_id, n)
+    for row, ref in enumerate(refs):
+        if ref is not None:
+            lc.camera_id[row], lc.det_index[row] = ref
+            lc.class_id[row] = draw(st.integers(0, 79))
+            lc.kept[row] = True
+    cfg = KMeansConfig(
+        k=draw(st.integers(1, 5)),
+        max_iter=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        tol=draw(st.sampled_from([0.0, 1e-6, 0.3])),
+    )
+    return frame, lc, cfg
+
+
+class TestDenoiseMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_denoise_inputs())
+    def test_every_denoised_column_and_the_report(self, case):
+        frame, lc, cfg = case
+        cluster, kept, report = reference_denoise(frame, lc, cfg)
+        before = copy.deepcopy(lc)
+        got, got_report = denoise_frame(frame, lc, cfg)
+        assert got.cluster_id.tolist() == cluster
+        assert got.kept.tolist() == kept
+        assert got_report == report
+        for name in ("class_id", "camera_id", "det_index"):
+            assert np.array_equal(getattr(got, name), getattr(before, name))
 
 
 class TestDenoiseFrame:
