@@ -293,8 +293,8 @@ def project_points(
     the matching boolean mask.  With ``use_distortion``, a row at or past
     the distortion's fold (x^2 + y^2 >= ``DistortionCoeffs.fold_r2`` in
     normalized coordinates) is absent too: there the radial map turns back,
-    and the row would land on a pixel of a point the camera does see.  Neither kind of row raises a numpy warning,
-    with or without distortion.  uv is the transpose of a C-contiguous
+    and the row would land on a pixel of a point the camera does see.  No
+    absent row raises a numpy warning.  uv is the transpose of a C-contiguous
     (2, n) array, so ``uv.T`` holds the u and v rows contiguously.  Pixels
     outside the image are returned as-is; bounds are the caller's concern.
 
