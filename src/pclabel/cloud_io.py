@@ -83,7 +83,7 @@ class PointCloudFrame:
         return self.xyz.shape[0]
 
 
-def _parse_header(fh, path: Path) -> tuple[dict[str, list[str]], int]:
+def _parse_header(fh, path: str) -> tuple[dict[str, list[str]], int]:
     """The header keys and the number of the DATA line, which ends the header."""
     header: dict[str, list[str]] = {}
     for lineno, tokens, _ in records(raw.decode("ascii", errors="replace") for raw in fh):
@@ -190,7 +190,7 @@ def ascii_number(token: str, kind: type[int] | type[float]) -> int | float:
     return kind(token)
 
 
-def read_text(path: Path) -> str:
+def read_text(path: str | Path) -> str:
     """The text of ``path``; undecodable bytes raise ValueError naming the file."""
     with open(path) as fh:
         try:
@@ -312,7 +312,7 @@ def read_pcd_columns(path: str | Path) -> dict[str, np.ndarray]:
     POINTS must equal WIDTH x HEIGHT, one value each.  A malformed file
     raises PcdError naming the file, and the line where one is to blame.
     """
-    p = Path(path)
+    p = os.fspath(path)
     with open(p, "rb") as fh:
         header, data_line = _parse_header(fh, p)
         try:
@@ -430,9 +430,13 @@ def write_pcd(
 
 @dataclass(frozen=True, slots=True)
 class IndexEntry:
+    """One manifest line.  ``path`` is text, not a Path: pathlib interns every
+    component of a path it parses, so a Path per entry grows the
+    interpreter's interned-string table with the length of a sequence."""
+
     frame_id: int
     timestamp: float
-    path: Path
+    path: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -467,7 +471,7 @@ class FrameBundle:
 def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
     """Read a manifest of "<stream> <frame_id> <timestamp> <path>" lines.
 
-    Relative paths are resolved against the manifest's directory.  Lines
+    Relative paths are joined, as text, to the manifest's directory.  Lines
     starting with '#' and blank lines are skipped.  Returns one FrameIndex
     per stream, entries in file order.  A malformed line (numbers are ASCII
     without '_'), a non-finite timestamp, a frame id repeated within a
@@ -475,7 +479,7 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
     ValueError naming the file and line; bytes that are not text, the file.
     """
     p = Path(path)
-    base = p.parent
+    base = os.path.dirname(p)
     streams: dict[str, dict[int, IndexEntry]] = {}  # per stream, frame id -> entry, file order
     for lineno, tokens, _ in records(read_text(p).splitlines(), maxsplit=3):
         if len(tokens) != 4:
@@ -496,7 +500,7 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
                 f"{p}:{lineno}: timestamps must be strictly increasing in stream '{stream}', "
                 f"got {ts_s} after {last.timestamp}"
             )
-        entries[fid] = IndexEntry(fid, ts, base / rel)  # an absolute rel replaces base
+        entries[fid] = IndexEntry(fid, ts, os.path.join(base, rel))  # an absolute rel replaces base
     return {name: FrameIndex(name, tuple(entries.values())) for name, entries in streams.items()}
 
 

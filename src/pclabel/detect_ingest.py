@@ -103,7 +103,7 @@ def load_detections(path: str | Path) -> tuple[list[Detection], list[RejectedRec
     """
     detections: list[Detection] = []
     rejected: list[RejectedRecord] = []
-    for line_no, tokens, raw in records(read_text(Path(path)).splitlines()):
+    for line_no, tokens, raw in records(read_text(path).splitlines()):
         if len(tokens) != 8:
             rejected.append(RejectedRecord(line_no, raw, f"expected 8 fields, got {len(tokens)}"))
             continue

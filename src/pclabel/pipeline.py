@@ -12,6 +12,7 @@ keeps for each frame of its sequence only its result.
 from __future__ import annotations
 
 import logging
+import os
 import re
 import threading
 import time
@@ -79,12 +80,25 @@ class PipelineConfig:
             )
 
 
+def _labeled_name(frame_id: int) -> str:
+    """The file name of a frame's labeled PCD in the output directory."""
+    return f"labeled_{frame_id:06d}.pcd"
+
+
 @dataclass(frozen=True, slots=True)
 class FrameResult:
+    """One written frame.  It holds the run's shared ``out_dir`` and builds
+    ``pcd_path`` when read, so a run builds no Path per frame (see
+    ``cloud_io.IndexEntry``)."""
+
     frame_id: int
-    pcd_path: Path
+    out_dir: Path
     report: segment.FrameReport
     seconds: float
+
+    @property
+    def pcd_path(self) -> Path:
+        return self.out_dir / _labeled_name(self.frame_id)
 
 
 @dataclass(frozen=True)
@@ -173,12 +187,12 @@ def _process_bundle(
             lc, report = segment.denoise_frame(frame, lc, cfg.kmeans)
         else:
             report = segment.frame_report(frame, lc)
-        pcd_path = cfg.out_dir / f"labeled_{bundle.cloud.frame_id:06d}.pcd"
-        cloud_io.write_pcd(frame, pcd_path, labels=lc)
+        out = os.path.join(cfg.out_dir, _labeled_name(bundle.cloud.frame_id))
+        cloud_io.write_pcd(frame, out, labels=lc)
         seconds = time.perf_counter() - start
     except Exception as e:
         raise PipelineError(f"frame {bundle.cloud.frame_id} ({bundle.cloud.path}): {e}") from e
-    return FrameResult(bundle.cloud.frame_id, pcd_path, report, seconds)
+    return FrameResult(bundle.cloud.frame_id, cfg.out_dir, report, seconds)
 
 
 def _run_frames(task: Callable, bundles: list, workers: int) -> list[FrameResult]:

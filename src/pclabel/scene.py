@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .calib import (
-    CameraModel, DistortionCoeffs, ExtrinsicPose, Intrinsics,
+    MAX_CAMERAS, CameraModel, DistortionCoeffs, ExtrinsicPose, Intrinsics,
     camera_to_lidar, project_points, save_rig,
 )
 from .cloud_io import (
@@ -50,8 +50,12 @@ def default_rig(
     """A ring of cameras covering the full azimuth, camera i yawed 360/n * i degrees.
 
     Camera axes: z forward along the view direction, x right, y down;
-    the LIDAR frame is x forward, y left, z up.
+    the LIDAR frame is x forward, y left, z up.  More than ``MAX_CAMERAS``
+    cameras raise ValueError naming ``cameras``; none give an empty rig,
+    which ``gen_scene`` refuses.
     """
+    if check_count("cameras", n_cameras) > MAX_CAMERAS:
+        raise ValueError(f"cameras must be <= {MAX_CAMERAS}, got {n_cameras}")
     rig = []
     for i in range(n_cameras):
         yaw = 2.0 * math.pi * i / n_cameras

@@ -236,7 +236,7 @@ def test_gen_scene_invalid_noise(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--cameras", "0", "rig must hold at least one camera"),  # was a ZeroDivisionError
-    ("--cameras", "6", "camera id must be in [0, 5), got 5"),
+    ("--cameras", "6", "cameras must be <= 5, got 6"),  # named the rig's camera id 5
     ("--objects", "-1", "objects must be >= 0, got -1"),  # was a scene of -1 objects
     ("--points-per-object", "0", "points_per_object must be >= 1, got 0"),
     ("--seed", "-1", "seed must be >= 0, got -1"),

@@ -1,5 +1,6 @@
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,7 +528,7 @@ class TestManifest:
         )
         streams = read_manifest(manifest)
         assert set(streams) == {"cloud", "cam0"}
-        assert streams["cloud"].entries[0].path == tmp_path / "clouds/a.pcd"
+        assert Path(streams["cloud"].entries[0].path) == tmp_path / "clouds/a.pcd"
         assert streams["cloud"].entries[1].frame_id == 1
 
     def test_malformed_line(self, tmp_path):

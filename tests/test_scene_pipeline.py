@@ -9,6 +9,7 @@ import warnings
 import weakref
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,7 +352,7 @@ class TestRunPipeline:
         rig, bundles = _bundles(small_scene)
         cam_id, entry = min(bundles[0].cameras.items())
         dets = tmp_path / "dets.txt"
-        text = entry.path.read_text() + f"{cam_id + 1} {bundles[0].cloud.frame_id} 2 0.9 10 10 50 50\n"
+        text = Path(entry.path).read_text() + f"{cam_id + 1} {bundles[0].cloud.frame_id} 2 0.9 10 10 50 50\n"
         bundle = _with_detection_file(bundles[0], cam_id, dets, text)
         message = f"{dets}: records for camera {cam_id + 1} in the detections of camera {cam_id}"
         with pytest.raises(PipelineError, match=re.escape(message)):
@@ -362,7 +363,7 @@ class TestRunPipeline:
         cam_id, entry = min(bundles[0].cameras.items())
         frame_id = bundles[0].cloud.frame_id
         dets = tmp_path / "dets.txt"
-        text = entry.path.read_text() + f"{cam_id} {frame_id + 99} 2 0.9 10 10 50 50\n"
+        text = Path(entry.path).read_text() + f"{cam_id} {frame_id + 99} 2 0.9 10 10 50 50\n"
         bundle = _with_detection_file(bundles[0], cam_id, dets, text)
         message = f"{dets}: records for frames {frame_id} and {frame_id + 99} in one file"
         with pytest.raises(PipelineError, match=re.escape(message)):
@@ -373,7 +374,7 @@ class TestRunPipeline:
         # number their frame differently from the manifests, as long as they agree.
         rig, bundles = _bundles(small_scene)
         cam_id, entry = min(bundles[0].cameras.items())
-        lines = [line.split() for line in entry.path.read_text().splitlines() if line and line[0] != "#"]
+        lines = [line.split() for line in Path(entry.path).read_text().splitlines() if line and line[0] != "#"]
         text = "".join(" ".join([cam, "7", *rest]) + "\n" for cam, _frame, *rest in lines)
         bundle = _with_detection_file(bundles[0], cam_id, tmp_path / "dets.txt", text)
         got = load_bundle_detections(bundle, rig)[cam_id]
@@ -398,7 +399,7 @@ class TestRunPipeline:
         rig, bundles = _bundles(small_scene)
         cam_id, entry = min(bundles[0].cameras.items())
         dets = tmp_path / "dets.txt"
-        text = entry.path.read_text() + "not a record\n" + f"{cam_id} 0 2 0.9 50 50 10 10\n"
+        text = Path(entry.path).read_text() + "not a record\n" + f"{cam_id} 0 2 0.9 50 50 10 10\n"
         bundle = _with_detection_file(bundles[0], cam_id, dets, text)
         with caplog.at_level("WARNING"):
             got = load_bundle_detections(bundle, rig)[cam_id]
@@ -538,7 +539,7 @@ def test_every_input_row_is_a_labeled_output_row(tmp_path, bad, data):
     # unlabeled, so labeled row i is input row i, as ground truth counts them
     scene = gen_scene(tmp_path / "scene", frames=1, objects=3, noise_fraction=0.3, seed=0)
     rig, (bundle,) = _bundles(scene)
-    path = bundle.cloud.path
+    path = Path(bundle.cloud.path)
     xyz = read_pcd(path).xyz.copy()
     xyz[0, 0] = float(bad)
     # the input PCD in ``data`` mode, with the first x patched in its text or bytes
@@ -737,8 +738,11 @@ def short_and_long_scenes(tmp_path_factory):
 
 # While every bundle lived until the run ended and all frames were submitted
 # at once, this grew by 4,020-4,230 bytes a frame at 1 or 2 workers (Python
-# 3.11); with bundles released as frames finish, by 1,200-1,550.
-@pytest.mark.parametrize("workers, limit", [(1, 2600), (2, 3500)])
+# 3.11); with bundles released as frames finish, by 2,270-2,380 at 1 worker
+# and 2,160-2,490 at 2 while each entry and result held a Path, and by
+# 1,240-1,440 and 1,110-1,640 since they hold text (15 runs each).  Each
+# limit keeps the margin it kept over the Path-holding figures.
+@pytest.mark.parametrize("workers, limit", [(1, 1600), (2, 2300)])
 def test_run_state_per_frame(short_and_long_scenes, tmp_path, workers, limit):
     # what a run holds for each frame of its sequence: its manifest entries
     # until the frame is written, then its result
@@ -750,6 +754,22 @@ def test_run_state_per_frame(short_and_long_scenes, tmp_path, workers, limit):
         _result, peaks[n] = traced_peak(run_pipeline, cfg)
     growth = (peaks[40] - peaks[10]) / 30
     assert growth < limit, f"the traced peak grows by {growth:.0f} bytes a frame"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_path_object_per_frame(short_and_long_scenes, tmp_path, monkeypatch, workers):
+    # pathlib interns every component of every path it parses, and a grown
+    # interned-string table is resized inside the run that grows it, which
+    # allocates about 1 MB at once; a run builds its paths per run, not per frame
+    calls = {}
+    for n, scene in short_and_long_scenes.items():
+        cfg = _pipeline_cfg(scene, tmp_path / f"{n}", workers=workers)
+        counted = []
+        with monkeypatch.context() as m:
+            m.setattr(sys, "intern", lambda s, _intern=sys.intern: counted.append(s) or _intern(s))
+            run_pipeline(cfg)
+        calls[n] = len(counted)
+    assert calls[40] == calls[10], f"sys.intern calls: {calls}"
 
 
 # sha256 of every output of the 20-frame reference scene (gen_scene seed 0,

@@ -22,7 +22,7 @@ from pclabel import (
     read_report_csv,
     write_report_csv,
 )
-from pclabel.rng import SplitMix64
+from pclabel.rng import SplitMix64, derive_seed
 
 from helpers import (
     criterion7_frame,
@@ -478,6 +478,30 @@ class TestDenoiseDetection:
             assert lc.kept.tolist() == (lc.cluster_id == 0).tolist()
             first_ids.add(int(lc.cluster_id[0]))
         # each blob takes the lower id on some seed, so keeping one side fails
+        assert first_ids == {0, 1}
+
+    def test_interleaved_mirror_tie_is_exact_and_keeps_the_lower_cluster_id(self):
+        # points in mirrored pairs (p, -p): every sum k-means adds in point
+        # order is the exact negation of the other cluster's, so the whole
+        # tie chain ties bit for bit and only the cluster id decides
+        blob = np.random.default_rng(7).normal(scale=0.1, size=(20, 3)) + [1.0, 4.0, -2.0]
+        pts = np.stack([blob, -blob], axis=1).reshape(-1, 3)
+        first_ids = set()
+        for seed in range(4):
+            frame, lc = _labeled_frame(pts, [(0, 0)] * 40)
+            cfg = KMeansConfig(k=2, seed=seed)
+            clustering = kmeans(frame.xyz, replace(cfg, seed=derive_seed(seed, 0, 0, 0)))
+            sizes = np.bincount(clustering.assignments, minlength=2)
+            spread = clustering.cluster_inertia / sizes
+            origin_d2 = (clustering.centroids ** 2).sum(axis=1)
+            for tied in (sizes, spread, origin_d2):
+                assert tied[0].tobytes() == tied[1].tobytes()
+            denoise_frame(frame, lc, cfg)
+            assert lc.cluster_id.tolist() == clustering.assignments.tolist()
+            assert lc.cluster_id[0::2].tolist() == [lc.cluster_id[0]] * 20
+            assert lc.cluster_id[1::2].tolist() == [1 - lc.cluster_id[0]] * 20
+            assert lc.kept.tolist() == (lc.cluster_id == 0).tolist()
+            first_ids.add(int(lc.cluster_id[0]))
         assert first_ids == {0, 1}
 
     def test_kept_never_exceeds_labeled(self):
