@@ -467,42 +467,35 @@ class TestDenoiseDetection:
     def test_mirror_image_tie_keeps_the_lower_cluster_id(self):
         # two clusters of equal size whose centroids are exact mirror images,
         # so equally far from the origin: only the last link of the tie
-        # chain, the cluster id, decides
+        # chain, the cluster id, decides.  Every sum k-means adds in point
+        # order is the exact negation of the other cluster's, whether the
+        # mirror follows the blob or interleaves with it in pairs (p, -p),
+        # so the chain ties bit for bit
         blob = np.random.default_rng(5).normal(scale=0.1, size=(20, 3)) + [0.0, 5.0, 2.0]
-        first_ids = set()
-        for seed in range(4):
-            frame, lc = _labeled_frame(np.concatenate([blob, -blob]), [(0, 0)] * 40)
-            denoise_frame(frame, lc, KMeansConfig(k=2, seed=seed))
-            assert lc.cluster_id[:20].tolist() == [lc.cluster_id[0]] * 20
-            assert lc.cluster_id[20:].tolist() == [1 - lc.cluster_id[0]] * 20
-            assert lc.kept.tolist() == (lc.cluster_id == 0).tolist()
-            first_ids.add(int(lc.cluster_id[0]))
-        # each blob takes the lower id on some seed, so keeping one side fails
-        assert first_ids == {0, 1}
-
-    def test_interleaved_mirror_tie_is_exact_and_keeps_the_lower_cluster_id(self):
-        # points in mirrored pairs (p, -p): every sum k-means adds in point
-        # order is the exact negation of the other cluster's, so the whole
-        # tie chain ties bit for bit and only the cluster id decides
-        blob = np.random.default_rng(7).normal(scale=0.1, size=(20, 3)) + [1.0, 4.0, -2.0]
-        pts = np.stack([blob, -blob], axis=1).reshape(-1, 3)
-        first_ids = set()
-        for seed in range(4):
-            frame, lc = _labeled_frame(pts, [(0, 0)] * 40)
-            cfg = KMeansConfig(k=2, seed=seed)
-            clustering = kmeans(frame.xyz, replace(cfg, seed=derive_seed(seed, 0, 0, 0)))
-            sizes = np.bincount(clustering.assignments, minlength=2)
-            spread = clustering.cluster_inertia / sizes
-            origin_d2 = (clustering.centroids ** 2).sum(axis=1)
-            for tied in (sizes, spread, origin_d2):
-                assert tied[0].tobytes() == tied[1].tobytes()
-            denoise_frame(frame, lc, cfg)
-            assert lc.cluster_id.tolist() == clustering.assignments.tolist()
-            assert lc.cluster_id[0::2].tolist() == [lc.cluster_id[0]] * 20
-            assert lc.cluster_id[1::2].tolist() == [1 - lc.cluster_id[0]] * 20
-            assert lc.kept.tolist() == (lc.cluster_id == 0).tolist()
-            first_ids.add(int(lc.cluster_id[0]))
-        assert first_ids == {0, 1}
+        layouts = [
+            (np.concatenate([blob, -blob]), slice(0, 20), slice(20, 40)),
+            (np.stack([blob, -blob], axis=1).reshape(-1, 3), slice(0, 40, 2), slice(1, 40, 2)),
+        ]
+        for pts, blob_rows, mirror_rows in layouts:
+            first_ids = set()
+            for seed in range(5):
+                frame, lc = _labeled_frame(pts, [(0, 0)] * 40)
+                cfg = KMeansConfig(k=2, seed=seed)
+                clustering = kmeans(frame.xyz, replace(cfg, seed=derive_seed(seed, 0, 0, 0)))
+                sizes = np.bincount(clustering.assignments, minlength=2)
+                spread = clustering.cluster_inertia / sizes
+                origin_d2 = (clustering.centroids ** 2).sum(axis=1)
+                for tied in (sizes, spread, origin_d2):
+                    assert tied[0].tobytes() == tied[1].tobytes()
+                denoise_frame(frame, lc, cfg)
+                assert lc.cluster_id.tolist() == clustering.assignments.tolist()
+                first = int(lc.cluster_id[0])
+                assert lc.cluster_id[blob_rows].tolist() == [first] * 20
+                assert lc.cluster_id[mirror_rows].tolist() == [1 - first] * 20
+                assert lc.kept.tolist() == (lc.cluster_id == 0).tolist()
+                first_ids.add(first)
+            # each blob takes the lower id on some seed, so keeping one side fails
+            assert first_ids == {0, 1}
 
     def test_kept_never_exceeds_labeled(self):
         frame, lc = self._blob_and_ray()
