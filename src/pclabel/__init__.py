@@ -22,6 +22,7 @@ from .calib import (
 from .cloud_io import (
     FrameBundle,
     FrameIndex,
+    FrameMatches,
     IndexEntry,
     PcdError,
     PointCloudFrame,

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping
@@ -430,34 +433,61 @@ def write_pcd(
 
 @dataclass(frozen=True, slots=True)
 class IndexEntry:
-    """One manifest line.  ``path`` is text, not a Path: pathlib interns every
-    component of a path it parses, so a Path per entry grows the
-    interpreter's interned-string table with the length of a sequence."""
+    """One manifest entry, built when it is read (see ``FrameIndex``).
+    ``path`` is text, not a Path: pathlib interns every component of a path
+    it parses, so a Path per entry grows the interpreter's interned-string
+    table with the length of a sequence."""
 
     frame_id: int
     timestamp: float
     path: str
 
 
-@dataclass(frozen=True, slots=True)
-class FrameIndex:
-    """Ordered frame entries of one stream; timestamps strictly increasing."""
+@dataclass(frozen=True, slots=True, eq=False)
+class FrameIndex(Sequence):
+    """One stream's entries in file order, held as columns: ``frame_ids``
+    (int64), ``timestamps`` (float64, strictly increasing), and each path
+    as written, UTF-8 encoded back to back in ``paths``, entry i's ending
+    at ``path_ends[i]``.  ``base`` is the directory relative paths are
+    joined to, as text; an absolute path replaces it.  ``index[i]`` builds
+    entry i's IndexEntry, so the index holds no object per entry."""
 
     stream: str
-    entries: tuple[IndexEntry, ...]
+    frame_ids: np.ndarray
+    timestamps: np.ndarray
+    paths: bytes
+    path_ends: np.ndarray
+    base: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        ts = [e.timestamp for e in self.entries]
-        for i in range(1, len(ts)):
-            if ts[i] <= ts[i - 1]:
-                raise ValueError(
-                    f"stream '{self.stream}': timestamps must be strictly increasing "
-                    f"(entry {i}: {ts[i]} after {ts[i - 1]})"
-                )
+        for name, dtype in (("frame_ids", np.int64), ("timestamps", np.float64), ("path_ends", np.int64)):
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        ts, ends = self.timestamps, self.path_ends
+        if not len(self.frame_ids) == len(ts) == len(ends):
+            raise ValueError(
+                f"stream '{self.stream}': {len(self.frame_ids)} frame ids, {len(ts)} timestamps "
+                f"and {len(ends)} paths"
+            )
+        if len(ends) and (ends[-1] != len(self.paths) or (np.diff(ends, prepend=0) < 0).any()):
+            raise ValueError(f"stream '{self.stream}': path ends must rise to {len(self.paths)}")
+        later = np.flatnonzero(ts[1:] <= ts[:-1])
+        if later.size:
+            i = int(later[0]) + 1
+            raise ValueError(
+                f"stream '{self.stream}': timestamps must be strictly increasing "
+                f"(entry {i}: {float(ts[i])} after {float(ts[i - 1])})"
+            )
 
-    def timestamps(self) -> np.ndarray:
-        return np.array([e.timestamp for e in self.entries], dtype=np.float64)
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    def __getitem__(self, i: int) -> IndexEntry:
+        i = range(len(self))[operator.index(i)]
+        start = int(self.path_ends[i - 1]) if i else 0
+        rel = self.paths[start:int(self.path_ends[i])].decode()
+        return IndexEntry(int(self.frame_ids[i]), float(self.timestamps[i]), os.path.join(self.base, rel))
 
 
 @dataclass(frozen=True, slots=True)
@@ -471,16 +501,18 @@ class FrameBundle:
 def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
     """Read a manifest of "<stream> <frame_id> <timestamp> <path>" lines.
 
-    Relative paths are joined, as text, to the manifest's directory.  Lines
-    starting with '#' and blank lines are skipped.  Returns one FrameIndex
-    per stream, entries in file order.  A malformed line (numbers are ASCII
-    without '_'), a non-finite timestamp, a frame id repeated within a
+    Returns one FrameIndex per stream, entries in file order, each line
+    read straight into its stream's columns.  Relative paths are joined, as
+    text, to the manifest's directory when an entry is built; an absolute
+    path is kept as it is.  Lines starting with '#' and blank lines are
+    skipped.  A malformed line (numbers are ASCII without '_'), a frame id
+    outside 64 bits, a non-finite timestamp, a frame id repeated within a
     stream or a timestamp not later than the stream's previous one raises
     ValueError naming the file and line; bytes that are not text, the file.
     """
     p = Path(path)
-    base = os.path.dirname(p)
-    streams: dict[str, dict[int, IndexEntry]] = {}  # per stream, frame id -> entry, file order
+    # per stream: frame ids, timestamps, path bytes, path ends, and the ids seen
+    streams: dict[str, tuple[array, array, bytearray, array, set[int]]] = {}
     for lineno, tokens, _ in records(read_text(p).splitlines(), maxsplit=3):
         if len(tokens) != 4:
             raise ValueError(f"{p}:{lineno}: expected '<stream> <frame_id> <timestamp> <path>'")
@@ -489,19 +521,31 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
             fid, ts = ascii_number(fid_s, int), ascii_number(ts_s, float)
         except ValueError as e:
             raise ValueError(f"{p}:{lineno}: {e}") from e
+        if not -(1 << 63) <= fid < 1 << 63:
+            raise ValueError(f"{p}:{lineno}: frame id must fit in 64 bits, got {fid_s}")
         if not math.isfinite(ts):
             raise ValueError(f"{p}:{lineno}: timestamp must be finite, got {ts_s}")
-        entries = streams.setdefault(stream, {})
-        if fid in entries:
+        ids, stamps, paths, ends, seen = streams.setdefault(
+            stream, (array("q"), array("d"), bytearray(), array("q"), set())
+        )
+        if fid in seen:
             raise ValueError(f"{p}:{lineno}: duplicate frame id {fid} in stream '{stream}'")
-        last = next(reversed(entries.values()), None)
-        if last is not None and not ts > last.timestamp:
+        if stamps and not ts > stamps[-1]:
             raise ValueError(
                 f"{p}:{lineno}: timestamps must be strictly increasing in stream '{stream}', "
-                f"got {ts_s} after {last.timestamp}"
+                f"got {ts_s} after {stamps[-1]}"
             )
-        entries[fid] = IndexEntry(fid, ts, os.path.join(base, rel))  # an absolute rel replaces base
-    return {name: FrameIndex(name, tuple(entries.values())) for name, entries in streams.items()}
+        seen.add(fid)
+        ids.append(fid)
+        stamps.append(ts)
+        paths += rel.encode()
+        ends.append(len(paths))
+    base = os.path.dirname(p)
+    # copies, exactly as long as the columns: a grown array keeps spare room
+    return {
+        name: FrameIndex(name, np.array(ids), np.array(stamps), bytes(paths), np.array(ends), base)
+        for name, (ids, stamps, paths, ends, _) in streams.items()
+    }
 
 
 def write_manifest(path: str | Path, rows: Iterable[tuple[str, int, float, str]]) -> None:
@@ -516,38 +560,59 @@ def check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class FrameMatches(Sequence):
+    """Each cloud frame's nearest detection entry per camera, held as one
+    (frames x cameras) index: ``rows[i, j]`` is the entry of the j-th
+    camera of ``cameras`` (ascending ids) matched to cloud frame i, or -1
+    for none.  Item i builds frame i's FrameBundle."""
+
+    cloud: FrameIndex
+    cameras: Mapping[int, FrameIndex]
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cloud)
+
+    def __getitem__(self, i: int) -> FrameBundle:
+        i = range(len(self))[operator.index(i)]
+        matched = zip(self.cameras.items(), self.rows[i].tolist())
+        return FrameBundle(
+            cloud=self.cloud[i],
+            cameras={cam_id: index[row] for (cam_id, index), row in matched if row >= 0},
+        )
+
+
 def match_frames(
     cloud_index: FrameIndex,
     camera_indices: Mapping[int, FrameIndex],
     tolerance: float = DEFAULT_MATCH_TOLERANCE,
-) -> list[FrameBundle]:
+) -> FrameMatches:
     """Match every cloud frame to the nearest detection entry per camera.
 
     Cameras whose nearest entry is further than ``tolerance`` seconds are
-    omitted from that bundle; ties pick the earlier entry.  Bundles with no
-    cameras are still emitted, with an empty ``cameras``.
+    omitted from that frame's bundle; ties pick the earlier entry.  Frames
+    with no cameras still have a bundle, with an empty ``cameras``.
     """
     check_tolerance(tolerance)
-    if not cloud_index.entries:
+    if not len(cloud_index):
         raise ValueError("cloud index is empty")
-    cloud_ts = cloud_index.timestamps()
-    matched: list[dict[int, IndexEntry]] = [{} for _ in cloud_ts]
-    for cam_id in sorted(camera_indices):
-        index = camera_indices[cam_id]
-        if not index.entries:
+    cloud_ts = cloud_index.timestamps
+    cameras = {cam_id: camera_indices[cam_id] for cam_id in sorted(camera_indices)}
+    # the narrowest signed type that holds every entry number and -1
+    row_type = np.min_scalar_type(-1 - max(map(len, cameras.values()), default=0))
+    rows = np.full((len(cloud_ts), len(cameras)), -1, dtype=row_type)
+    for j, index in enumerate(cameras.values()):
+        if not len(index):
             continue
-        ts = index.timestamps()
+        ts = index.timestamps
         pos = np.searchsorted(ts, cloud_ts)
         left = np.clip(pos - 1, 0, len(ts) - 1)
         right = np.clip(pos, 0, len(ts) - 1)
         d_left = np.abs(cloud_ts - ts[left])
         d_right = np.abs(ts[right] - cloud_ts)
-        choose_left = d_left <= d_right
-        chosen = np.where(choose_left, left, right)
+        chosen = np.where(d_left <= d_right, left, right)
         dt = np.abs(ts[chosen] - cloud_ts)
-        for i in np.flatnonzero(dt <= tolerance):
-            matched[i][cam_id] = index.entries[int(chosen[i])]
-    return [
-        FrameBundle(cloud=entry, cameras=cams)
-        for entry, cams in zip(cloud_index.entries, matched)
-    ]
+        rows[:, j] = np.where(dt <= tolerance, chosen, -1)
+    rows.flags.writeable = False
+    return FrameMatches(cloud_index, cameras, rows)

@@ -195,66 +195,77 @@ def _process_bundle(
     return FrameResult(bundle.cloud.frame_id, cfg.out_dir, report, seconds)
 
 
-def _run_frames(task: Callable, bundles: list, workers: int) -> list[FrameResult]:
-    """``task`` of each bundle, in order: each result replaces its bundle in
-    ``bundles``, which is returned.  The calling thread and
-    ``min(workers, len(bundles)) - 1`` helper threads each claim the next
-    slot under one lock.  After a failure no thread starts a frame; the
-    running ones finish, and the earliest failed frame's error is raised."""
+def _process_frame(
+    i: int, matches: cloud_io.FrameMatches, rig: list[calib.CameraModel], cfg: PipelineConfig
+) -> FrameResult:
+    """Frame i of the run: its bundle is built only now, when a thread claims it."""
+    return _process_bundle(matches[i], rig, cfg)
+
+
+def _run_frames(task: Callable[[int], FrameResult], n: int, workers: int) -> list[FrameResult]:
+    """``task(i)`` for each i in range(n), in order.  The calling thread and
+    ``min(workers, n) - 1`` helper threads each claim the next frame under
+    one lock.  After a failure no thread starts a frame; the running ones
+    finish, and the earliest failed frame's error is raised."""
+    results: list = [None] * n
     lock = threading.Lock()
-    claimed = 0  # slots below it are taken; len(bundles) once nothing may start
+    claimed = 0  # frames below it are taken; n once nothing may start
 
     def work() -> None:
         nonlocal claimed
         while True:
             with lock:
                 i = claimed
-                if i == len(bundles):
+                if i == n:
                     return
                 claimed += 1
             try:
-                bundles[i] = task(bundles[i])
+                results[i] = task(i)
             except BaseException as e:  # raised below, once every thread has stopped
-                bundles[i] = e
+                results[i] = e
                 with lock:
-                    claimed = len(bundles)
+                    claimed = n
 
     threads = []
     try:
-        for _ in range(min(workers, len(bundles)) - 1):
+        for _ in range(min(workers, n) - 1):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
         work()
     finally:
         with lock:  # an interrupt between frames: no thread starts another
-            claimed = len(bundles)
+            claimed = n
         for thread in threads:
             thread.join()
-    for result in bundles:
+    for result in results:
         if isinstance(result, BaseException):
             raise result
-    return bundles
+    return results
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Run the full pipeline and write labeled PCDs, report.csv and summary.txt.
 
     Outputs are byte-identical across reruns and across worker counts.
-    The parsed manifests are freed once the frames are matched, and at most
-    ``cfg.workers`` frames, with their bundles, are alive at once.  Raises
-    PipelineError naming the frame or file on any stage failure.
+    Both manifests are checked in full before frame 0 starts, and held as
+    columns until the last frame is written.  A frame's bundle is built
+    when a thread claims the frame, and at most ``cfg.workers`` frames,
+    with their bundles, are alive at once.  Raises PipelineError naming the
+    frame or file on any stage failure.
     """
     t0 = time.perf_counter()
     rig = calib.load_rig(cfg.calibration)
     cloud_index = _cloud_index(cloud_io.read_manifest(cfg.cloud_manifest), cfg.cloud_manifest)
     det_manifest = cloud_io.read_manifest(cfg.detection_manifest)
     camera_indices = _camera_indices(det_manifest, {cam.id for cam in rig}, cfg.detection_manifest)
-    bundles = cloud_io.match_frames(cloud_index, camera_indices, cfg.tolerance)
+    matches = cloud_io.match_frames(cloud_index, camera_indices, cfg.tolerance)
     del cloud_index, det_manifest, camera_indices
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    frames = _run_frames(partial(_process_bundle, rig=rig, cfg=cfg), bundles, cfg.workers)
+    task = partial(_process_frame, matches=matches, rig=rig, cfg=cfg)
+    frames = _run_frames(task, len(matches), cfg.workers)
+    del task, matches
     reports = [fr.report for fr in frames]
 
     report_csv = cfg.out_dir / "report.csv"

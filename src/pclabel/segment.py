@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -198,26 +199,60 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FrameReport:
-    """Per-frame labeling and denoising counts; the drop count and rate derive from them."""
+    """Per-frame labeling and denoising counts; the drop count and rate derive from them.
 
-    frame_id: int
-    total_points: int
-    labeled_before: int
-    kept_after: int
-    class_before: dict[int, int]
-    class_after: dict[int, int]
+    A report is held packed, as int64 values in one bytes object: the
+    frame id, ``total_points``, ``labeled_before`` and ``kept_after``, then
+    one (class id, before, after) triple per class in id order, with -1
+    for a count that its dict lacks.  Each field is built when read, so a
+    run's reports hold no dict and no int per frame.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.kept_after <= self.labeled_before <= self.total_points:
+    packed: bytes
+
+    def __init__(
+        self, frame_id: int, total_points: int, labeled_before: int, kept_after: int,
+        class_before: Mapping[int, int], class_after: Mapping[int, int],
+    ) -> None:
+        if not 0 <= kept_after <= labeled_before <= total_points:
             raise ValueError(
-                f"counts break 0 <= kept_after ({self.kept_after}) <= labeled_before "
-                f"({self.labeled_before}) <= total_points ({self.total_points})"
+                f"counts break 0 <= kept_after ({kept_after}) <= labeled_before "
+                f"({labeled_before}) <= total_points ({total_points})"
             )
-        for counts, total in ((self.class_before, self.labeled_before), (self.class_after, self.kept_after)):
+        for counts, total in ((class_before, labeled_before), (class_after, kept_after)):
             if min(counts.values(), default=0) < 0 or sum(counts.values()) != total:
                 raise ValueError(f"class counts {counts} must be >= 0 and sum to {total}")
+        values = [frame_id, total_points, labeled_before, kept_after]
+        for c in sorted({*class_before, *class_after}):
+            values += [c, class_before.get(c, -1), class_after.get(c, -1)]
+        try:
+            packed = array("q", values).tobytes()
+        except OverflowError:
+            raise ValueError(f"frame id, class ids and counts must fit in 64 bits, got {values}") from None
+        object.__setattr__(self, "packed", packed)
+
+    def _values(self) -> list[int]:
+        return memoryview(self.packed).cast("q").tolist()
+
+    def _classes(self, column: int) -> dict[int, int]:
+        values = self._values()
+        return {c: n for c, n in zip(values[4::3], values[4 + column::3]) if n >= 0}
+
+    frame_id = property(lambda self: self._values()[0])
+    total_points = property(lambda self: self._values()[1])
+    labeled_before = property(lambda self: self._values()[2])
+    kept_after = property(lambda self: self._values()[3])
+    class_before = property(lambda self: self._classes(1), doc="Labeled points by class id.")
+    class_after = property(lambda self: self._classes(2), doc="Kept points by class id.")
+
+    def __repr__(self) -> str:
+        return (
+            f"FrameReport(frame_id={self.frame_id}, total_points={self.total_points}, "
+            f"labeled_before={self.labeled_before}, kept_after={self.kept_after}, "
+            f"class_before={self.class_before}, class_after={self.class_after})"
+        )
 
     @property
     def dropped(self) -> int:
@@ -414,8 +449,9 @@ def write_report_csv(path: str | Path, reports: Sequence[FrameReport]) -> None:
                 r.frame_id, r.total_points, r.labeled_before, r.kept_after, r.dropped,
                 f"{r.drop_rate_percent:.6f}",
             ]
+            before, after = r.class_before, r.class_after
             for cid in class_ids:
-                row += [r.class_before.get(cid, 0), r.class_after.get(cid, 0)]
+                row += [before.get(cid, 0), after.get(cid, 0)]
             fh.write(",".join(map(str, row)) + "\r\n")
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,6 @@ import pytest
 from helpers import criterion7_frame, traced_peak
 from pclabel import (
     FrameIndex,
-    IndexEntry,
     LabeledCloud,
     PcdError,
     PointCloudFrame,
@@ -512,9 +512,8 @@ class TestFrameTypes:
             write_pcd(frame, tmp_path / "a.pcd", data="binary_compressed")
 
     def test_index_strictly_increasing(self):
-        entries = [IndexEntry(0, 1.0, None), IndexEntry(1, 1.0, None)]
         with pytest.raises(ValueError, match="strictly increasing"):
-            FrameIndex("cloud", tuple(entries))
+            _index("cloud", [1.0, 1.0])
 
 
 class TestManifest:
@@ -528,8 +527,37 @@ class TestManifest:
         )
         streams = read_manifest(manifest)
         assert set(streams) == {"cloud", "cam0"}
-        assert Path(streams["cloud"].entries[0].path) == tmp_path / "clouds/a.pcd"
-        assert streams["cloud"].entries[1].frame_id == 1
+        assert Path(streams["cloud"][0].path) == tmp_path / "clouds/a.pcd"
+        assert streams["cloud"][1].frame_id == 1
+
+    def test_absolute_path_replaces_the_directory_and_relative_joins_as_text(self, tmp_path):
+        (tmp_path / "m").mkdir()
+        manifest = tmp_path / "m" / "clouds.manifest"
+        elsewhere = tmp_path / "elsewhere" / "a.pcd"
+        manifest.write_text(f"cloud 0 0.0 {elsewhere}\ncloud 1 0.1 ../clouds/./b.pcd\n")
+        index = read_manifest(manifest)["cloud"]
+        assert index[0].path == str(elsewhere)
+        assert index[1].path == f"{tmp_path}/m/../clouds/./b.pcd"  # not normalized
+
+    def test_holds_a_few_bytes_a_line_beside_its_path(self, tmp_path):
+        # each line is read straight into its stream's columns: a frame id,
+        # a timestamp and a path end (24 bytes) beside the path's own bytes.
+        # An IndexEntry per line held about 200 bytes more
+        n = 3000
+        rels = [f"dets/frame_{i // 5:06d}_cam{i % 5}.txt" for i in range(n)]
+        manifest = tmp_path / "dets.manifest"
+        manifest.write_text("".join(
+            f"cam{i % 5} {i // 5} {i // 5 * 0.1 + 0.005:.6f} {rel}\n" for i, rel in enumerate(rels)
+        ))
+        tracemalloc.start()
+        try:
+            streams = read_manifest(manifest)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, streams.values())) == n
+        per_line = (held - sum(map(len, rels))) / n
+        assert per_line < 32, f"{per_line:.1f} bytes a line beside its path"
 
     def test_malformed_line(self, tmp_path):
         manifest = tmp_path / "m.manifest"
@@ -586,10 +614,8 @@ class TestManifest:
 
 
 def _index(stream, stamps):
-    return FrameIndex(
-        stream,
-        tuple(IndexEntry(i, t, None) for i, t in enumerate(stamps)),
-    )
+    """A stream of frames 0, 1, ... at ``stamps``, each with an empty path."""
+    return FrameIndex(stream, range(len(stamps)), stamps, b"", [0] * len(stamps))
 
 
 class TestMatchFrames:
@@ -624,7 +650,7 @@ class TestMatchFrames:
 
     def test_empty_cloud_index_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            match_frames(FrameIndex("cloud", ()), {}, 0.05)
+            match_frames(_index("cloud", []), {}, 0.05)
 
     def test_camera_with_no_entries_matches_nothing(self):
         bundles = match_frames(_index("cloud", [1.0]), {0: _index("cam0", []), 1: _index("cam1", [1.0])})

@@ -325,6 +325,29 @@ class TestRunPipeline:
             assert p.pcd_path.read_bytes() == blobs[p.pcd_path.name]
         assert second.report_csv.read_bytes() == csv_bytes
 
+    def test_absolute_entry_paths_read_the_same_files(self, small_scene, tmp_path):
+        # manifests in another directory whose entries are absolute: each
+        # entry replaces that directory, so the run reads the scene's files
+        moved = tmp_path / "moved"
+        moved.mkdir()
+        for name in ("clouds.manifest", "dets.manifest"):
+            lines = (small_scene.out_dir / name).read_text().splitlines()
+            rows = [line.split(maxsplit=3) for line in lines]
+            (moved / name).write_text("".join(
+                f"{stream} {fid} {ts} {small_scene.out_dir / rel}\n" for stream, fid, ts, rel in rows
+            ))
+        here = run_pipeline(_pipeline_cfg(small_scene, tmp_path / "here"))
+        there = run_pipeline(_pipeline_cfg(
+            small_scene, tmp_path / "there",
+            cloud_manifest=moved / "clouds.manifest", detection_manifest=moved / "dets.manifest",
+        ))
+        assert [p.name for p in sorted((tmp_path / "there").iterdir())] == [
+            p.name for p in sorted((tmp_path / "here").iterdir())
+        ]
+        for a, b in zip(here.frames, there.frames):
+            assert a.pcd_path.read_bytes() == b.pcd_path.read_bytes()
+        assert here.report_csv.read_bytes() == there.report_csv.read_bytes()
+
     def test_confidence_threshold_filters_all(self, small_scene, tmp_path):
         result = run_pipeline(
             _pipeline_cfg(small_scene, tmp_path / "out", confidence=0.99)
@@ -341,7 +364,7 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("streams", [("cam0",), ("cloud", "lidar2")])
     def test_cloud_manifest_holds_only_a_cloud_stream(self, small_scene, tmp_path, streams):
-        entries = read_manifest(small_scene.cloud_manifest)["cloud"].entries
+        entries = read_manifest(small_scene.cloud_manifest)["cloud"]
         clouds = tmp_path / "clouds.manifest"
         write_manifest(clouds, [(s, e.frame_id, e.timestamp, str(e.path)) for s in streams for e in entries])
         message = f"{clouds}: expected only a 'cloud' stream, found {sorted(streams)}"
@@ -740,12 +763,14 @@ def short_and_long_scenes(tmp_path_factory):
 # at once, this grew by 4,020-4,230 bytes a frame at 1 or 2 workers (Python
 # 3.11); with bundles released as frames finish, by 2,270-2,380 at 1 worker
 # and 2,160-2,490 at 2 while each entry and result held a Path, and by
-# 1,240-1,440 and 1,110-1,640 since they hold text (15 runs each).  Each
-# limit keeps the margin it kept over the Path-holding figures.
-@pytest.mark.parametrize("workers, limit", [(1, 1600), (2, 2300)])
+# 1,240-1,440 and 1,110-1,640 while they held text.  Since manifests are
+# held as columns and reports packed, by 560-710 and 670-1,070 (15 runs
+# each, twice).  Each limit keeps the margin it kept over the figures
+# before it: 1.11 and 1.41 times the largest.
+@pytest.mark.parametrize("workers, limit", [(1, 790), (2, 1500)])
 def test_run_state_per_frame(short_and_long_scenes, tmp_path, workers, limit):
-    # what a run holds for each frame of its sequence: its manifest entries
-    # until the frame is written, then its result
+    # what a run holds for each frame of its sequence: its manifest columns
+    # (a few bytes an entry beside its path) and its result
     peaks = {}
     for n, scene in short_and_long_scenes.items():
         cfg = _pipeline_cfg(scene, tmp_path / f"{n}", workers=workers)
