@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -218,11 +219,16 @@ def _stats_command(args) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _run_command(args)
-    if args.command == "gen-scene":
-        return _gen_scene_command(args)
-    return _stats_command(args)
+    command = {"run": _run_command, "gen-scene": _gen_scene_command}.get(args.command, _stats_command)
+    try:
+        code = command(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+    except BrokenPipeError:
+        # the reader has gone (`pclabel stats ... | head`): stop quietly, and
+        # point stdout at /dev/null so that the flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pclabel
 from pclabel.cli import main
 from pclabel import FrameReport, read_report_csv, write_report_csv
 
@@ -161,6 +166,26 @@ def test_stats_names_a_report_that_is_not_utf8(tmp_path, capsys):
     report.write_bytes(report.read_bytes() + b"\xff\n")
     assert main(["stats", str(report)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {report}: ")
+
+
+def test_stats_into_a_closed_pipe_exits_quietly(tmp_path):
+    # `pclabel stats report.csv | head -n 1`: the output is larger than a
+    # pipe holds, so writes go on after the reader has closed its end
+    report = tmp_path / "report.csv"
+    write_report_csv(report, [FrameReport(i, 100, 50, 40, {2: 50}, {2: 40}) for i in range(5000)])
+    src = str(Path(pclabel.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pclabel.cli", "stats", str(report)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"frame  labeled")
+    assert err == b""
 
 
 def test_stats_missing_file(tmp_path, capsys):
