@@ -442,6 +442,19 @@ class TestDenoiseDetection:
         assert lc.cluster_id[n_tight] not in lc.cluster_id[:n_tight]
         assert lc.kept.tolist() == [tight_kept] * n_tight + [not tight_kept] * n_loose
 
+    @pytest.mark.parametrize("n_tight, tight_kept", [(10, True), (9, False)])
+    def test_ten_points_make_a_candidate(self, n_tight, tight_kept):
+        # the keep rule's floor, pinned by value: in a detection of at most
+        # 200 points, 5 % is at most 10 points, so a cluster of 10 may be kept
+        # and one of 9 may not, whatever the module's constants say
+        loose = np.random.default_rng(4).normal(size=(100, 3)) + [20.0, 0.0, 0.0]
+        pts = np.concatenate([np.tile([5.0, 0.0, 0.0], (n_tight, 1)), loose])
+        frame, lc = _labeled_frame(pts, [(0, 0)] * len(pts))
+        denoise_frame(frame, lc, KMeansConfig(k=2, seed=0))
+        assert len(set(lc.cluster_id[:n_tight].tolist())) == 1
+        assert lc.cluster_id[n_tight] not in lc.cluster_id[:n_tight]
+        assert lc.kept.tolist() == [tight_kept] * n_tight + [not tight_kept] * 100
+
     def test_spread_tie_prefers_the_larger_cluster(self):
         # both clusters are single repeated points, so neither has any spread;
         # the larger one lies farther from the origin and is kept
