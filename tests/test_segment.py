@@ -431,6 +431,10 @@ class TestDenoiseDetection:
         (8, 200, False),  # under 10 points
         (12, 400, False),  # under 5 % of the detection
         (12, 200, True),
+        # at most 200 points, where 5 % is at most 10, the floor is 10 points
+        # whatever the module's constants say
+        (10, 100, True),
+        (9, 100, False),
     ])
     def test_size_floor_of_the_compact_cluster(self, n_tight, n_loose, tight_kept):
         # a point-sized cluster is the most compact, but is kept only when big enough
@@ -441,19 +445,6 @@ class TestDenoiseDetection:
         assert len(set(lc.cluster_id[:n_tight].tolist())) == 1
         assert lc.cluster_id[n_tight] not in lc.cluster_id[:n_tight]
         assert lc.kept.tolist() == [tight_kept] * n_tight + [not tight_kept] * n_loose
-
-    @pytest.mark.parametrize("n_tight, tight_kept", [(10, True), (9, False)])
-    def test_ten_points_make_a_candidate(self, n_tight, tight_kept):
-        # the keep rule's floor, pinned by value: in a detection of at most
-        # 200 points, 5 % is at most 10 points, so a cluster of 10 may be kept
-        # and one of 9 may not, whatever the module's constants say
-        loose = np.random.default_rng(4).normal(size=(100, 3)) + [20.0, 0.0, 0.0]
-        pts = np.concatenate([np.tile([5.0, 0.0, 0.0], (n_tight, 1)), loose])
-        frame, lc = _labeled_frame(pts, [(0, 0)] * len(pts))
-        denoise_frame(frame, lc, KMeansConfig(k=2, seed=0))
-        assert len(set(lc.cluster_id[:n_tight].tolist())) == 1
-        assert lc.cluster_id[n_tight] not in lc.cluster_id[:n_tight]
-        assert lc.kept.tolist() == [tight_kept] * n_tight + [not tight_kept] * 100
 
     def test_spread_tie_prefers_the_larger_cluster(self):
         # both clusters are single repeated points, so neither has any spread;
