@@ -515,6 +515,15 @@ class TestFrameTypes:
         with pytest.raises(ValueError, match="strictly increasing"):
             _index("cloud", [1.0, 1.0])
 
+    @pytest.mark.parametrize("frame_ids, ends, message", [
+        ([0], [1, 2], "1 frame ids, 2 timestamps and 2 paths"),
+        ([0, 1], [2, 1], "path ends must rise to 2"),
+        ([0, 1], [1, 1], "path ends must rise to 2"),
+    ])
+    def test_index_columns_must_agree(self, frame_ids, ends, message):
+        with pytest.raises(ValueError, match=message):
+            FrameIndex("cloud", frame_ids, [0.0, 0.1], b"ab", ends)
+
 
 class TestManifest:
     def test_roundtrip_and_relative_paths(self, tmp_path):
