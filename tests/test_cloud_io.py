@@ -551,7 +551,8 @@ class TestManifest:
     def test_holds_a_few_bytes_a_line_beside_its_path(self, tmp_path):
         # each line is read straight into its stream's columns: a frame id,
         # a timestamp and a path end (24 bytes) beside the path's own bytes.
-        # An IndexEntry per line held about 200 bytes more
+        # An IndexEntry per line held 179 bytes beside a path that also
+        # carried the manifest's directory
         n = 3000
         rels = [f"dets/frame_{i // 5:06d}_cam{i % 5}.txt" for i in range(n)]
         manifest = tmp_path / "dets.manifest"

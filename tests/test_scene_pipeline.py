@@ -341,9 +341,7 @@ class TestRunPipeline:
             small_scene, tmp_path / "there",
             cloud_manifest=moved / "clouds.manifest", detection_manifest=moved / "dets.manifest",
         ))
-        assert [p.name for p in sorted((tmp_path / "there").iterdir())] == [
-            p.name for p in sorted((tmp_path / "here").iterdir())
-        ]
+        assert len(here.frames) == len(there.frames) == 3
         for a, b in zip(here.frames, there.frames):
             assert a.pcd_path.read_bytes() == b.pcd_path.read_bytes()
         assert here.report_csv.read_bytes() == there.report_csv.read_bytes()
