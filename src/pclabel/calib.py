@@ -280,7 +280,6 @@ def project_points(
     cam: CameraModel,
     points: np.ndarray,
     use_distortion: bool = False,
-    z_min: float = DEFAULT_Z_MIN,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project an (n, 3) array of LIDAR-frame points to pixel coordinates.
 
@@ -289,14 +288,15 @@ def project_points(
     every step runs in float64, so float32 rows give the same bits as their
     exact float64 conversion.  Returns (uv, in_front): uv is (n, 2) float64
     with NaN rows where the point sits at or behind the camera plane
-    (camera-frame z <= z_min) or has a NaN or +-inf coordinate; in_front is
-    the matching boolean mask.  With ``use_distortion``, a row at or past
-    the distortion's fold (x^2 + y^2 >= ``DistortionCoeffs.fold_r2`` in
-    normalized coordinates) is absent too: there the radial map turns back,
-    and the row would land on a pixel of a point the camera does see.  No
-    absent row raises a numpy warning.  uv is the transpose of a C-contiguous
-    (2, n) array, so ``uv.T`` holds the u and v rows contiguously.  Pixels
-    outside the image are returned as-is; bounds are the caller's concern.
+    (camera-frame z <= ``DEFAULT_Z_MIN``, read at call time) or has a NaN or
+    +-inf coordinate; in_front is the matching boolean mask.  With
+    ``use_distortion``, a row at or past the distortion's fold (x^2 + y^2 >=
+    ``DistortionCoeffs.fold_r2`` in normalized coordinates) is absent too:
+    there the radial map turns back, and the row would land on a pixel of a
+    point the camera does see.  No absent row raises a numpy warning.  uv is
+    the transpose of a C-contiguous (2, n) array, so ``uv.T`` holds the u and
+    v rows contiguously.  Pixels outside the image are returned as-is; bounds
+    are the caller's concern.
 
     Every row is projected in place into the returned array; a row behind
     the camera gets NaN by dividing by a NaN depth, so no row is gathered or
@@ -336,7 +336,7 @@ def project_points(
     # then a NaN or +-inf depth
     with np.errstate(divide="ignore", invalid="ignore"):
         cam_z = rotate(2, np.empty(n), tmp)
-        in_front = cam_z > z_min
+        in_front = cam_z > DEFAULT_Z_MIN
         # +inf is not in front either; the flags go to tmp's first n bytes,
         # which the next rotation overwrites
         in_front &= np.less(cam_z, np.inf, out=tmp.view(np.bool_)[:n])

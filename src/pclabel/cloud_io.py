@@ -1,8 +1,8 @@
 """Point-cloud frame I/O (PCD v0.7 subset), manifests, and timestamp matching.
 
 Coordinates are stored as float32, matching the 4-byte PCD fields, so a
-binary write/read cycle is bit-exact.  ASCII mode prints 9 significant
-digits, which also round-trips every finite float32 exactly.
+write/read cycle is bit-exact.  ``read_pcd`` reads ASCII and binary bodies;
+``write_pcd`` writes binary.
 """
 
 from __future__ import annotations
@@ -371,22 +371,16 @@ def write_pcd(
     frame: PointCloudFrame,
     path: str | Path,
     labels: "LabeledCloud | None" = None,
-    data: str = "binary",
 ) -> None:
-    """Write a frame as PCD (fields x y z intensity, plus label/cluster with labels).
+    """Write a frame as binary PCD (fields x y z intensity, plus label/cluster with labels).
 
     The label column carries the class id (-1 unlabeled); the cluster
     column carries the kept cluster id (-1 for unlabeled or dropped
-    points).  Binary output is little-endian and bit-exact under read_pcd;
-    ASCII output prints floats at 9 significant digits, also bit-exact
-    except that a NaN is printed as plain ``nan``, so its payload bits do
-    not round-trip.
+    points).  The output is little-endian and bit-exact under read_pcd.
     Records are built and written ``BLOCK_ROWS`` rows at a time, so the
     writer holds one block of them, never a frame-sized copy; the bytes do
     not depend on the block size.
     """
-    if data not in ("binary", "ascii"):
-        raise ValueError(f"data mode must be 'binary' or 'ascii', got {data!r}")
     n = len(frame)
     fields = ["x", "y", "z", "intensity"]
     if labels is not None:
@@ -407,9 +401,8 @@ def write_pcd(
         "HEIGHT 1\n"
         "VIEWPOINT 0 0 0 1 0 0 0\n"
         f"POINTS {n}\n"
-        f"DATA {data}\n"
+        "DATA binary\n"
     )
-    row = " ".join("%.9g" if typ == "F" else "%d" for typ, _ in kinds) + "\n"
     block = BLOCK_ROWS
     # one record buffer, reused for every block; intensity stays 0 without it
     buf = np.zeros(min(n, block), dtype=[(f, _TYPE_MAP[kind]) for f, kind in zip(fields, kinds)])
@@ -425,10 +418,7 @@ def write_pcd(
                 rec["label"] = labels.class_id[lo:hi]
                 cluster = labels.cluster_id[lo:hi]
                 rec["cluster"] = np.where(labels.kept[lo:hi] & (cluster >= 0), cluster, -1)
-            if data == "binary":
-                fh.write(memoryview(rec))  # the record buffer itself, not a bytes copy of it
-            else:
-                fh.write("".join(row % r for r in rec.tolist()).encode("ascii"))
+            fh.write(memoryview(rec))  # the record buffer itself, not a bytes copy of it
 
 
 @dataclass(frozen=True, slots=True)

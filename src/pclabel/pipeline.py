@@ -18,7 +18,6 @@ import threading
 import time
 from collections.abc import Set
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -89,12 +88,15 @@ def _labeled_name(frame_id: int) -> str:
 class FrameResult:
     """One written frame.  It holds the run's shared ``out_dir`` and builds
     ``pcd_path`` when read, so a run builds no Path per frame (see
-    ``cloud_io.IndexEntry``)."""
+    ``cloud_io.IndexEntry``); the frame id is the report's."""
 
-    frame_id: int
     out_dir: Path
     report: segment.FrameReport
     seconds: float
+
+    @property
+    def frame_id(self) -> int:
+        return self.report.frame_id
 
     @property
     def pcd_path(self) -> Path:
@@ -192,14 +194,7 @@ def _process_bundle(
         seconds = time.perf_counter() - start
     except Exception as e:
         raise PipelineError(f"frame {bundle.cloud.frame_id} ({bundle.cloud.path}): {e}") from e
-    return FrameResult(bundle.cloud.frame_id, cfg.out_dir, report, seconds)
-
-
-def _process_frame(
-    i: int, matches: cloud_io.FrameMatches, rig: list[calib.CameraModel], cfg: PipelineConfig
-) -> FrameResult:
-    """Frame i of the run: its bundle is built only now, when a thread claims it."""
-    return _process_bundle(matches[i], rig, cfg)
+    return FrameResult(cfg.out_dir, report, seconds)
 
 
 def _run_frames(task: Callable[[int], FrameResult], n: int, workers: int) -> list[FrameResult]:
@@ -263,9 +258,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     del cloud_index, det_manifest, camera_indices
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    task = partial(_process_frame, matches=matches, rig=rig, cfg=cfg)
-    frames = _run_frames(task, len(matches), cfg.workers)
-    del task, matches
+    # frame i's bundle is built only when a thread claims the frame
+    frames = _run_frames(lambda i: _process_bundle(matches[i], rig, cfg), len(matches), cfg.workers)
+    del matches
     reports = [fr.report for fr in frames]
 
     report_csv = cfg.out_dir / "report.csv"

@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from pclabel import (
     camera_to_lidar,
     label_frame,
     project_points,
+    read_pcd_columns,
+    write_pcd,
 )
 from pclabel.calib import DEFAULT_Z_MIN
 from pclabel.rng import SplitMix64, derive_seed
@@ -129,6 +132,28 @@ def traced_peak(fn, *args, **kwargs):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def ascii_pcd(path) -> None:
+    """Rewrite the binary PCD at ``path`` as ASCII: the same header with
+    ``DATA ascii``, and each row's floats at 9 significant digits, which
+    round-trip every finite float32, and its integers in full."""
+    cols = read_pcd_columns(path).values()
+    raw = Path(path).read_bytes()
+    header = raw[:raw.index(b"DATA binary\n")]
+    row = " ".join("%d" if col.dtype.kind == "i" else "%.9g" for col in cols) + "\n"
+    body = "".join(row % r for r in zip(*(col.tolist() for col in cols)))
+    Path(path).write_bytes(header + b"DATA ascii\n" + body.encode("ascii"))
+
+
+def write_ascii_pcd(frame: PointCloudFrame, path, labels: LabeledCloud | None = None) -> None:
+    """What ``write_pcd`` writes, as ASCII PCD (see ``ascii_pcd``)."""
+    write_pcd(frame, path, labels=labels)
+    ascii_pcd(path)
+
+
+# a PCD writer per DATA mode
+PCD_WRITERS = {"binary": write_pcd, "ascii": write_ascii_pcd}
 
 
 def assert_label_invariants(lc: LabeledCloud) -> None:

@@ -20,7 +20,7 @@ from pclabel import (
     project_points,
     undistort_normalized,
 )
-from pclabel import cloud_io
+from pclabel import calib, cloud_io
 from helpers import (
     barrel_camera, off_axis_points, random_rotation, reference_pixel, simple_camera, traced_peak,
 )
@@ -437,7 +437,7 @@ class TestProject:
             assert np.array_equal(uv_i[0], uv[i], equal_nan=True)
 
     @pytest.mark.parametrize("use_distortion", [False, True])
-    def test_float32_input_matches_float64_bit_for_bit(self, use_distortion):
+    def test_float32_input_matches_float64_bit_for_bit(self, monkeypatch, use_distortion):
         # float32 rows convert exactly, so both give the float64 arithmetic's bits
         rng = np.random.default_rng(23)
         dist = DistortionCoeffs(k1=0.1, k2=-0.02, p1=0.003, p2=-0.001, k3=0.004)
@@ -449,10 +449,9 @@ class TestProject:
         # z_min, at 0 and behind the camera, next to rows just in front
         pts[:4, 2] = [0.5, 0.0, -1.0, np.nextafter(np.float32(0.5), np.float32(1))]
         for cam, z_min in ((posed, 1e-6), (axis, 0.5)):
-            uv32, front32 = project_points(cam, pts, use_distortion=use_distortion, z_min=z_min)
-            uv64, front64 = project_points(
-                cam, pts.astype(np.float64), use_distortion=use_distortion, z_min=z_min
-            )
+            monkeypatch.setattr(calib, "DEFAULT_Z_MIN", z_min)
+            uv32, front32 = project_points(cam, pts, use_distortion=use_distortion)
+            uv64, front64 = project_points(cam, pts.astype(np.float64), use_distortion=use_distortion)
             assert uv32.dtype == np.float64
             assert 0 < front64.sum() < len(pts)
             assert np.array_equal(front32, front64)

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import write_ascii_pcd
 from pclabel import (
     CalibrationError,
     FrameReport,
@@ -96,7 +97,7 @@ def _small_frame(with_labels: bool):
 
 def _reference_texts(tmp) -> dict[str, str]:
     frame, lc = _small_frame(with_labels=True)
-    write_pcd(frame, tmp / "labeled.pcd", labels=lc, data="ascii")
+    write_ascii_pcd(frame, tmp / "labeled.pcd", labels=lc)
     save_rig(default_rig(2), tmp / "rig.json")
     write_report_csv(tmp / "report.csv", [
         FrameReport(0, 100, 50, 40, {2: 30, 0: 20}, {2: 25, 0: 15}),

@@ -43,7 +43,7 @@ from pclabel import cloud_io, fusion, pipeline, scene
 from pclabel.pipeline import load_bundle_detections
 from pclabel.scene import SceneError, default_rig, format_ground_truth
 
-from helpers import detection, random_rotation, traced_peak
+from helpers import PCD_WRITERS, ascii_pcd, detection, random_rotation, traced_peak, write_ascii_pcd
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +274,23 @@ class TestRunPipeline:
         assert [r.frame_id for r in csv_reports] == [0, 1, 2]
         assert result.summary_path.exists()
         assert all(r.seconds >= 0 for r in result.frames)
+
+    def test_results_carry_the_manifests_frame_ids(self, tmp_path):
+        # ids are the manifest's, neither row numbers nor small: each result's
+        # id, output name and report row follow them
+        scene = gen_scene(tmp_path / "scene", frames=3, objects=1, points_per_object=100, seed=3)
+        ids = [7, 42, 2**40]
+        index = read_manifest(scene.cloud_manifest)["cloud"]
+        write_manifest(scene.cloud_manifest, [
+            ("cloud", frame_id, entry.timestamp, entry.path) for frame_id, entry in zip(ids, index)
+        ])
+        result = run_pipeline(_pipeline_cfg(scene, tmp_path / "out", workers=2))
+        assert [fr.frame_id for fr in result.frames] == ids
+        assert [fr.pcd_path.name for fr in result.frames] == [
+            "labeled_000007.pcd", "labeled_000042.pcd", "labeled_1099511627776.pcd"
+        ]
+        assert all(fr.pcd_path.exists() for fr in result.frames)
+        assert [r.frame_id for r in read_report_csv(result.report_csv)] == ids
 
     def test_frame_seconds_include_the_pcd_write(self, small_scene, tmp_path, monkeypatch):
         write = pipeline.cloud_io.write_pcd
@@ -564,7 +581,7 @@ def test_every_input_row_is_a_labeled_output_row(tmp_path, bad, data):
     xyz = read_pcd(path).xyz.copy()
     xyz[0, 0] = float(bad)
     # the input PCD in ``data`` mode, with the first x patched in its text or bytes
-    write_pcd(read_pcd(path), path, data=data)
+    PCD_WRITERS[data](read_pcd(path), path)
     raw = path.read_bytes()
     if data == "binary":
         body = len(raw) - 16 * len(xyz)  # x y z intensity, 4 bytes each
@@ -581,13 +598,30 @@ def test_every_input_row_is_a_labeled_output_row(tmp_path, bad, data):
     denoise_frame(frame, lc, KMeansConfig(k=3, seed=11))
     for mode in ("binary", "ascii"):
         out = tmp_path / f"labeled_{mode}.pcd"
-        write_pcd(frame, out, labels=lc, data=mode)
+        PCD_WRITERS[mode](frame, out, labels=lc)
         if mode == "binary":
             assert out.read_bytes() == result.frames[0].pcd_path.read_bytes()
         cols = read_pcd_columns(out)
         assert np.array_equal(np.stack([cols["x"], cols["y"], cols["z"]], axis=1), xyz, equal_nan=True)
         assert (cols["label"][0], cols["cluster"][0]) == (-1, -1)
         assert (cols["cluster"] >= 0).any()
+
+
+@pytest.mark.parametrize("denoise", [True, False])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ascii_input_writes_the_binary_input_bytes(tmp_path, workers, denoise):
+    # 9 significant digits round-trip every float32, so a scene whose clouds
+    # are ASCII labels, denoises and writes exactly what its binary clouds do
+    scene = gen_scene(tmp_path / "scene", frames=4, objects=3, noise_fraction=0.3, seed=11)
+    run_pipeline(_pipeline_cfg(scene, tmp_path / "binary", denoise=denoise))
+    for entry in read_manifest(scene.cloud_manifest)["cloud"]:
+        ascii_pcd(entry.path)
+        assert b"\nDATA ascii\n" in Path(entry.path).read_bytes()
+    run_pipeline(_pipeline_cfg(scene, tmp_path / "ascii", workers=workers, denoise=denoise))
+    labeled = [sorted(p.name for p in (tmp_path / out).glob("labeled_*.pcd")) for out in ("binary", "ascii")]
+    assert labeled[0] == labeled[1] and len(labeled[0]) == 4
+    for name in labeled[0] + ["report.csv"]:
+        assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "binary" / name).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -833,7 +867,8 @@ def test_reference_scene_outputs_match_golden_digests(tmp_path):
 
 # sha256 of the reference scene's ground_truth.txt and of its frame-0 labeled
 # output written as ASCII PCD (same scene and k-means settings as above).
-# These hold the ground-truth writer and the ASCII PCD writer byte for byte.
+# These hold the ground-truth writer and the tests' ASCII PCD writer byte for
+# byte; the second is the digest the library's former ASCII writer gave.
 GOLDEN_GROUND_TRUTH_SHA256 = "2f615b634d727fd5d3f685e04b745efb746d81d5af0c5abe7af00ffc3e2610c6"
 GOLDEN_FRAME0_ASCII_SHA256 = "8226202dee57b032dd179e03c9375524e7797a9e55516dfd04948b3d7b31025f"
 
@@ -847,7 +882,7 @@ def test_reference_scene_ground_truth_and_ascii_match_golden_digests(tmp_path):
     lc = label_frame(frame, rig, load_bundle_detections(bundle, rig))
     lc, _report = denoise_frame(frame, lc, KMeansConfig(k=3, seed=0))
     path = tmp_path / "labeled_000000.pcd"
-    write_pcd(frame, path, labels=lc, data="ascii")
+    write_ascii_pcd(frame, path, labels=lc)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_FRAME0_ASCII_SHA256
 
 
