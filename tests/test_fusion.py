@@ -1,4 +1,6 @@
 import hashlib
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from pclabel import (
     label_frame,
     project_points,
 )
-from pclabel import cloud_io
+from pclabel import cloud_io, fusion
 from helpers import (
     assert_label_invariants,
     barrel_camera,
@@ -25,6 +27,7 @@ from helpers import (
     criterion7_frame,
     detection,
     off_axis_points,
+    random_rotation,
     reference_labels,
     simple_camera,
     traced_peak,
@@ -266,6 +269,41 @@ def test_label_frame_peak_memory_is_the_labels_plus_the_box_hits():
     assert peak <= bound, f"peak {peak} B, {peak - bound} B over the bound"
 
 
+def _count_projected_rows(monkeypatch) -> list[int]:
+    """The number of rows of each ``project_points`` call that label_frame makes."""
+    counts = []
+
+    def counting(cam, points, use_distortion=False):
+        counts.append(len(points))
+        return project_points(cam, points, use_distortion)
+
+    monkeypatch.setattr(fusion, "project_points", counting)
+    return counts
+
+
+def test_criterion7_frame_projects_at_most_15_percent_of_its_rows(monkeypatch):
+    # 5 x 232,320 (camera, row) pairs, of which about 11 % can reach one of
+    # the camera's boxes; the rest are culled before projection
+    rig, frame, dets_by_cam = criterion7_frame()
+    counts = _count_projected_rows(monkeypatch)
+    lc = label_frame(frame, rig, dets_by_cam)
+    assert lc.n_labeled > 0
+    assert sum(counts) <= 0.15 * len(rig) * len(frame), f"{sum(counts)} rows projected"
+
+
+def test_rows_projected_are_those_inside_the_clipped_box_union(monkeypatch):
+    # pixels u = 0.5, 1.5, ... at depth 1, and the same points behind the
+    # camera; the box reaches far past the 100-pixel image, so only the 40
+    # pixels in [60, 100) can be labeled, and only those rows are projected
+    cam = simple_camera()
+    u = np.arange(-500, 1500) + 0.5
+    front = np.stack([(u - 50) / 100, np.zeros_like(u), np.ones_like(u)], axis=1)
+    frame = _frame(np.concatenate([front, front * [1, 1, -1]]))
+    counts = _count_projected_rows(monkeypatch)
+    lc = label_frame(frame, [cam], {0: [detection(0, (60, 40, 10_000, 60))]})
+    assert sum(counts) == lc.n_labeled == 40
+
+
 # sha256 of the label and denoise columns (class_id, camera_id, det_index,
 # cluster_id, kept) of the criterion-7 frame with k-means k=3, seed 7.  Its
 # ten detections hold 9,000-10,000 points each, so this pins projection, the
@@ -356,6 +394,104 @@ def _small_frames(draw):
     return rig, np.array(xyz, dtype=np.float32), detections, distortion
 
 
+def _edge_points(rig, detections, depths, nudges=(-1e-3, -1e-4, 0.0, 1e-4, 1e-3)):
+    """LIDAR points that each camera sees at ``depths`` on its boxes' corners
+    and edge midpoints and on the left and right edges of the boxes' union,
+    clipped to the image, each pixel moved by ``nudges`` pixels along u."""
+    points = []
+    for cam in rig:
+        intr, boxes = cam.intrinsics, [d.box for d in detections[cam.id]]
+        u_lo = max(0.0, min(b.x_min for b in boxes))
+        u_hi = min(float(intr.width), max(b.x_max for b in boxes))
+        pixels = []
+        for b in boxes:
+            mid_u, mid_v = (b.x_min + b.x_max) / 2, (b.y_min + b.y_max) / 2
+            pixels += [(u, v) for u in (b.x_min, mid_u, b.x_max) for v in (b.y_min, mid_v, b.y_max)]
+            pixels += [(u_lo, mid_v), (u_hi, mid_v)]
+        for (u, v), nudge, depth in product(pixels, nudges, depths):
+            xn, yn = (u + nudge - intr.cx) / intr.fx, (v - intr.cy) / intr.fy
+            points.append(camera_to_lidar(cam, np.array([[xn * depth, yn * depth, depth]]))[0])
+    return np.array(points)
+
+
+def _c7_boxes_past_the_image():
+    """criterion7_frame's rig and boxes, with a box past the right edge of
+    camera 0's image and one past the left edge of camera 1's."""
+    rig, _, detections = criterion7_frame()
+    detections = {cam: list(dets) for cam, dets in detections.items()}
+    detections[0].append(detection(0, (600.0, 200.0, 700.0, 260.0), class_id=7))
+    detections[1].append(detection(1, (-50.0, 200.0, 40.0, 260.0), class_id=7))
+    return rig, detections
+
+
+def _translated_rig_case():
+    # every camera moved by about 1e3 m in the LIDAR frame
+    rig, detections = _c7_boxes_past_the_image()
+    shift = np.array([1000.0, -1000.0, 500.0])
+    rig = [replace(cam, pose=ExtrinsicPose(cam.pose.rotation, cam.pose.translation - cam.pose.rotation @ shift))
+           for cam in rig]
+    return rig, _edge_points(rig, detections, (2.0, 10.0, 50.0)), detections, False
+
+
+def _far_points_case():
+    rig, detections = _c7_boxes_past_the_image()
+    return rig, _edge_points(rig, detections, (1e3, 3e3, 1e4)), detections, False
+
+
+def _float32_max_rows_case():
+    # wide cameras (fx = 0.5 on a 100-pixel image) and rows up to 3.3e38 from
+    # the origin: the planes' products would pass float32's largest value,
+    # so these blocks are projected whole
+    rng = np.random.default_rng(5)
+    pose = ExtrinsicPose(random_rotation(rng), (0.0, 0.0, 0.0))
+    rig = [simple_camera(0, fx=0.5, fy=0.5), simple_camera(1, fx=0.5, fy=0.5, pose=pose)]
+    detections = {c: [detection(c, (1, 1, 30, 99)), detection(c, (70, 1, 99, 99), class_id=0)] for c in (0, 1)}
+    directions = rng.normal(size=(3000, 3))
+    return rig, directions / np.abs(directions).max(axis=1, keepdims=True) * 3.3e38, detections, False
+
+
+def _non_finite_rows_case():
+    # every fifth row gets a NaN or +-inf coordinate, so that with blocks of
+    # 7 rows some blocks hold NaN rows but no infinite coordinate
+    rig, xyz, detections, _ = _translated_rig_case()
+    bad = (np.nan, np.inf, -np.inf)
+    for i in range(0, len(xyz), 5):
+        xyz[i, (i // 5) % 3] = bad[(i // 15) % 3]
+    return rig, xyz, detections, False
+
+
+def _depth_gate_case(distortion):
+    # depths on both sides of DEFAULT_Z_MIN, and the camera moved by it along
+    # its axis, so that some points sit within a float64 step of the gate
+    dist = DistortionCoeffs(k1=-0.05, k2=0.01) if distortion else None
+    pose = ExtrinsicPose(np.eye(3), (0.0, 0.0, DEFAULT_Z_MIN))
+    rig = [simple_camera(0, dist=dist), simple_camera(1, dist=dist, pose=pose)]
+    detections = {c: [detection(c, (40, 40, 60, 60)), detection(c, (55, 30, 130, 52), class_id=0)] for c in (0, 1)}
+    depths = [DEFAULT_Z_MIN * (1 + k * 2.0 ** -20) for k in range(-3, 4)] + list(_NEAR_Z_MIN)
+    depths += [0.0, -DEFAULT_Z_MIN, 2 * DEFAULT_Z_MIN, 1.0]
+    return rig, _edge_points(rig, detections, depths), detections, distortion
+
+
+def _barrel_c7_sample_case():
+    # KITTI-like barrel coefficients fold at 50.45 degrees off-axis, and every
+    # camera of the criterion-7 frame sees background rows past that angle
+    rig, frame, detections = criterion7_frame()
+    rig = [replace(cam, distortion=barrel_camera().distortion) for cam in rig]
+    rows = np.sort(np.random.default_rng(28).choice(len(frame), 20_000, replace=False))
+    return rig, frame.xyz[rows], detections, True
+
+
+_FLOAT32_EDGE_CASES = {
+    "translated_rig": _translated_rig_case,
+    "far_points": _far_points_case,
+    "float32_max_rows": _float32_max_rows_case,
+    "non_finite_rows": _non_finite_rows_case,
+    "depth_gate": lambda: _depth_gate_case(False),
+    "depth_gate_distorted": lambda: _depth_gate_case(True),
+    "barrel_c7_sample": _barrel_c7_sample_case,
+}
+
+
 class TestLabelFrameMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(_small_frames(), st.sampled_from((1, 2, 7, 32768)))
@@ -382,3 +518,19 @@ class TestLabelFrameMatchesReference:
         assert reference_labels(xyz, [cam], detections, False) == expected
         lc = label_frame(_frame(xyz), [cam], detections)
         assert list(zip(lc.class_id.tolist(), lc.camera_id.tolist(), lc.det_index.tolist())) == expected
+
+    @pytest.mark.parametrize("case", list(_FLOAT32_EDGE_CASES))
+    @pytest.mark.parametrize("block_rows", [7, 32768])
+    def test_cull_margin_at_float32_edges(self, case, block_rows):
+        # points on box and image edges, where float32 plane values round to
+        # either side of zero; the cull's margin must keep every row that the
+        # projection puts in a box, however far or non-finite the rows are
+        rig, xyz, detections, distortion = _FLOAT32_EDGE_CASES[case]()
+        xyz = np.asarray(xyz, dtype=np.float32)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cloud_io, "BLOCK_ROWS", block_rows)
+            lc = label_frame(_frame(xyz), rig, detections, distortion_mode=distortion)
+        expected = reference_labels(xyz, rig, detections, distortion)
+        assert any(label != (-1, -1, -1) for label in expected)
+        got = list(zip(lc.class_id.tolist(), lc.camera_id.tolist(), lc.det_index.tolist()))
+        assert got == expected
