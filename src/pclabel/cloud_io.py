@@ -202,6 +202,27 @@ def read_text(path: str | Path) -> str:
             raise ValueError(f"{path}: not a text file: {e}") from None
 
 
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of ``path`` as ``read_text(path).splitlines()`` gives them,
+    read and decoded one at a time, so the file's whole text is never held.
+
+    Bytes that are not UTF-8 raise ValueError naming the file and the line,
+    once the lines before it have been yielded.
+    """
+    with open(path, "rb") as fh:
+        lineno = 0
+        for raw in fh:
+            # a piece ends at b"\n"; like text mode, splitlines also breaks at "\r"
+            for line in raw.decode(errors="surrogateescape").splitlines():
+                lineno += 1
+                if not line.isascii():
+                    try:
+                        line.encode()  # UTF-8 text holds no surrogate; an escaped byte is one
+                    except UnicodeEncodeError:
+                        raise ValueError(f"{path}: not a text file: {path}:{lineno}: not UTF-8") from None
+                yield line
+
+
 def read_json_object(path: Path, keys: Collection[str], error: type = ValueError) -> dict:
     """The JSON object in ``path``, every key of which is one of ``keys``.
 
@@ -498,44 +519,69 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
     skipped.  A malformed line (numbers are ASCII without '_'), a frame id
     outside 64 bits, a non-finite timestamp, a frame id repeated within a
     stream or a timestamp not later than the stream's previous one raises
-    ValueError naming the file and line; bytes that are not text, the file.
+    ValueError naming the file and line, as do bytes that are not UTF-8; the
+    file is read a line at a time, so the first bad line is the one named.
     """
     p = Path(path)
-    # per stream: frame ids, timestamps, path bytes, path ends, and the ids seen
-    streams: dict[str, tuple[array, array, bytearray, array, set[int]]] = {}
-    for lineno, tokens, _ in records(read_text(p).splitlines(), maxsplit=3):
-        if len(tokens) != 4:
-            raise ValueError(f"{p}:{lineno}: expected '<stream> <frame_id> <timestamp> <path>'")
-        stream, fid_s, ts_s, rel = tokens
-        try:
-            fid, ts = ascii_number(fid_s, int), ascii_number(ts_s, float)
-        except ValueError as e:
-            raise ValueError(f"{p}:{lineno}: {e}") from e
-        if not -(1 << 63) <= fid < 1 << 63:
-            raise ValueError(f"{p}:{lineno}: frame id must fit in 64 bits, got {fid_s}")
-        if not math.isfinite(ts):
-            raise ValueError(f"{p}:{lineno}: timestamp must be finite, got {ts_s}")
-        ids, stamps, paths, ends, seen = streams.setdefault(
-            stream, (array("q"), array("d"), bytearray(), array("q"), set())
-        )
-        if fid in seen:
-            raise ValueError(f"{p}:{lineno}: duplicate frame id {fid} in stream '{stream}'")
-        if stamps and not ts > stamps[-1]:
-            raise ValueError(
-                f"{p}:{lineno}: timestamps must be strictly increasing in stream '{stream}', "
-                f"got {ts_s} after {stamps[-1]}"
+    # per stream: frame ids, timestamps, path bytes, path ends, and line numbers
+    streams: dict[str, tuple[array, array, bytearray, array, array]] = {}
+    try:
+        for lineno, tokens, _ in records(read_lines(p), maxsplit=3):
+            if len(tokens) != 4:
+                raise ValueError(f"{p}:{lineno}: expected '<stream> <frame_id> <timestamp> <path>'")
+            stream, fid_s, ts_s, rel = tokens
+            try:
+                fid, ts = ascii_number(fid_s, int), ascii_number(ts_s, float)
+            except ValueError as e:
+                raise ValueError(f"{p}:{lineno}: {e}") from e
+            if not -(1 << 63) <= fid < 1 << 63:
+                raise ValueError(f"{p}:{lineno}: frame id must fit in 64 bits, got {fid_s}")
+            if not math.isfinite(ts):
+                raise ValueError(f"{p}:{lineno}: timestamp must be finite, got {ts_s}")
+            ids, stamps, paths, ends, lines = streams.setdefault(
+                stream, (array("q"), array("d"), bytearray(), array("q"), array("q"))
             )
-        seen.add(fid)
-        ids.append(fid)
-        stamps.append(ts)
-        paths += rel.encode()
-        ends.append(len(paths))
+            ids.append(fid)
+            stamps.append(ts)
+            paths += rel.encode()
+            ends.append(len(paths))
+            lines.append(lineno)
+            if len(stamps) > 1 and not stamps[-1] > stamps[-2]:
+                raise ValueError(
+                    f"{p}:{lineno}: timestamps must be strictly increasing in stream '{stream}', "
+                    f"got {ts_s} after {stamps[-2]}"
+                )
+    except ValueError as e:
+        # a repeated frame id is found only now, so one on an earlier line (or
+        # on this one) is named first
+        raise _first_repeat(p, streams) or e
+    repeat = _first_repeat(p, streams)
+    if repeat:
+        raise repeat
     base = os.path.dirname(p)
-    # copies, exactly as long as the columns: a grown array keeps spare room
-    return {
-        name: FrameIndex(name, np.array(ids), np.array(stamps), bytes(paths), np.array(ends), base)
-        for name, (ids, stamps, paths, ends, _) in streams.items()
-    }
+    indexes = {}
+    for name in list(streams):
+        ids, stamps, paths, ends, _ = streams.pop(name)  # freed once copied
+        # copies, exactly as long as the columns: a grown array keeps spare room
+        indexes[name] = FrameIndex(name, np.array(ids), np.array(stamps), bytes(paths), np.array(ends), base)
+    return indexes
+
+
+def _first_repeat(p: Path, streams: Mapping[str, tuple]) -> ValueError | None:
+    """The error for the first line, in file order, whose frame id an earlier
+    line of its stream holds, or None; ``streams`` as ``read_manifest`` builds them."""
+    repeats = []
+    for name, (ids, _, _, _, lines) in streams.items():
+        ids = np.frombuffer(ids, dtype=np.int64)
+        order = np.argsort(ids, kind="stable")  # equal ids stay in file order
+        later = order[1:][ids[order[1:]] == ids[order[:-1]]]
+        if len(later):
+            first = int(later.min())
+            repeats.append((lines[first], name, int(ids[first])))
+    if not repeats:
+        return None
+    lineno, name, fid = min(repeats)
+    return ValueError(f"{p}:{lineno}: duplicate frame id {fid} in stream '{name}'")
 
 
 def write_manifest(path: str | Path, rows: Iterable[tuple[str, int, float, str]]) -> None:

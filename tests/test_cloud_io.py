@@ -575,6 +575,44 @@ class TestManifest:
         per_line = (held - sum(map(len, rels))) / n
         assert per_line < 32, f"{per_line:.1f} bytes a line beside its path"
 
+    def test_reading_holds_no_copy_of_the_text(self, tmp_path):
+        # lines are read one at a time into the columns (40 bytes a line with
+        # the line numbers, plus an array's spare room), and a repeated frame
+        # id is looked for once they are read.  Holding the whole text and its
+        # list of lines peaked at 202 bytes a line beside the paths
+        n = 3000
+        rels = [f"dets/frame_{i // 5:06d}_cam{i % 5}.txt" for i in range(n)]
+        manifest = tmp_path / "dets.manifest"
+        manifest.write_text("".join(
+            f"cam{i % 5} {i // 5} {i // 5 * 0.1 + 0.005:.6f} {rel}\n" for i, rel in enumerate(rels)
+        ))
+        streams, peak = traced_peak(read_manifest, manifest)
+        assert sum(map(len, streams.values())) == n
+        per_line = (peak - sum(map(len, rels))) / n
+        assert per_line < 64, f"peak of {per_line:.1f} bytes a line beside its path"
+
+    @pytest.mark.parametrize("text, line, message", [
+        # a repeated id is named before a later malformed line, and a line
+        # that repeats an id and goes back in time is named for the id
+        ("cloud 0 0.0 a\ncloud 1 0.1 b\ncloud 0 0.2 c\n\ncloud 2\n", 3, "duplicate frame id 0"),
+        ("cloud 0 0.0 a\ncam0 0 0.5 a\ncloud 0 0.0 b\n", 3, "duplicate frame id 0 in stream 'cloud'"),
+        ("cloud 5 0.0 a\ncam0 5 0.5 a\ncloud 4 0.1 b\ncloud 5 0.2 c\ncam0 5 0.6 b\n", 4, "stream 'cloud'"),
+        ("cloud 0 0.0 a\ncloud x 0.1 b\ncloud 0 0.2 c\n", 2, ""),
+        # bytes that are not UTF-8 after a malformed line, and before one
+        (b"cloud 0 0.0 a\ncloud 1\ncloud 2 0.2 \xff\n", 2, "expected"),
+        (b"# \xff\ncloud 1\n", 1, "not UTF-8"),
+        (b"cloud 0 0.0 a\r\xff\ncloud 1\n", 2, "not UTF-8"),  # "\r" ends a line, as in text mode
+    ], ids=["repeat_then_malformed", "repeat_going_back", "two_repeats", "malformed_then_repeat",
+            "malformed_then_bytes", "bytes_then_malformed", "bytes_after_cr"])
+    def test_the_first_bad_line_is_named(self, tmp_path, text, line, message):
+        manifest = tmp_path / "m.manifest"
+        if isinstance(text, str):
+            manifest.write_text(text)
+        else:
+            manifest.write_bytes(text)
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:{line}: ") + ".*" + re.escape(message)):
+            read_manifest(manifest)
+
     def test_malformed_line(self, tmp_path):
         manifest = tmp_path / "m.manifest"
         manifest.write_text("cloud 0 0.0\n")
