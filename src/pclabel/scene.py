@@ -10,6 +10,7 @@ mapping every point to its planted object (or -1 for noise).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -264,11 +265,13 @@ def gen_scene(
             intensity=rng.uniform(0.0, 1.0, size=len(xyz)).astype(np.float32),
         )
         cloud_rel = f"clouds/frame_{f:06d}.pcd"
-        write_pcd(frame, out / cloud_rel)
+        # per-frame files are opened by text path: pathlib interns every
+        # component of a path it parses (see cloud_io.IndexEntry)
+        write_pcd(frame, os.path.join(out, cloud_rel))
         cloud_rows.append(("cloud", f, cloud_t, cloud_rel))
         for cam in rig:
             det_rel = f"dets/frame_{f:06d}_cam{cam.id}.txt"
-            with open(out / det_rel, "w") as fh:
+            with open(os.path.join(out, det_rel), "w") as fh:
                 fh.write(f"# camera {cam.id}, frame {f}\n")
                 for line in dets_by_cam[cam.id]:
                     fh.write(line + "\n")

@@ -829,6 +829,20 @@ def test_no_path_object_per_frame(short_and_long_scenes, tmp_path, monkeypatch, 
     assert calls[40] == calls[10], f"sys.intern calls: {calls}"
 
 
+def test_gen_scene_builds_no_path_object_per_frame(tmp_path, monkeypatch):
+    # as above: a caller that generates scenes over and over (the benchmark
+    # repeats its set-up) would otherwise move the next resize of the
+    # interned-string table by every frame it writes
+    calls = {}
+    for n in (10, 40):
+        counted = []
+        with monkeypatch.context() as m:
+            m.setattr(sys, "intern", lambda s, _intern=sys.intern: counted.append(s) or _intern(s))
+            gen_scene(tmp_path / f"{n}", frames=n, objects=1, points_per_object=100, seed=3)
+        calls[n] = len(counted)
+    assert calls[40] == calls[10], f"sys.intern calls: {calls}"
+
+
 # sha256 of every output of the 20-frame reference scene (gen_scene seed 0,
 # 30% noise, k=3, k-means seed 0).  Any change to projection, box membership,
 # k-means, PCD writing or the report shows up here byte for byte.
