@@ -7,6 +7,7 @@ write/read cycle is bit-exact.  ``read_pcd`` reads ASCII and binary bodies;
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -24,9 +25,12 @@ if TYPE_CHECKING:
 
 DEFAULT_MATCH_TOLERANCE = 0.05
 # Rows per block wherever a frame-sized temporary would otherwise be built:
-# write_pcd's records and label_frame's projections.  Looked up at call
-# time, so a test can shrink it to cross block edges.
+# write_pcd's records, read_pcd_columns' ASCII lines and label_frame's
+# projections.  Looked up at call time, so a test can shrink it to cross
+# block edges.
 BLOCK_ROWS = 1 << 15
+# Bytes of whole lines that read_lines decodes at once.
+_LINE_BATCH = 1 << 13
 
 _HEADER_KEYS = (
     "VERSION", "FIELDS", "SIZE", "TYPE", "COUNT",
@@ -204,23 +208,29 @@ def read_text(path: str | Path) -> str:
 
 def read_lines(path: str | Path) -> Iterator[str]:
     """The lines of ``path`` as ``read_text(path).splitlines()`` gives them,
-    read and decoded one at a time, so the file's whole text is never held.
+    read and decoded ``_LINE_BATCH`` bytes of whole lines at a time, so the
+    file's whole text is never held.
 
     Bytes that are not UTF-8 raise ValueError naming the file and the line,
     once the lines before it have been yielded.
     """
     with open(path, "rb") as fh:
         lineno = 0
-        for raw in fh:
-            # a piece ends at b"\n"; like text mode, splitlines also breaks at "\r"
-            for line in raw.decode(errors="surrogateescape").splitlines():
-                lineno += 1
-                if not line.isascii():
-                    try:
-                        line.encode()  # UTF-8 text holds no surrogate; an escaped byte is one
-                    except UnicodeEncodeError:
-                        raise ValueError(f"{path}: not a text file: {path}:{lineno}: not UTF-8") from None
-                yield line
+        while batch := fh.readlines(_LINE_BATCH):
+            # a batch ends at b"\n"; like text mode, splitlines also breaks at "\r"
+            text = b"".join(batch).decode(errors="surrogateescape")
+            lines = text.splitlines()
+            if text.isascii():
+                yield from lines
+            else:
+                for i, line in enumerate(lines, start=lineno + 1):
+                    if not line.isascii():
+                        try:
+                            line.encode()  # UTF-8 text holds no surrogate; an escaped byte is one
+                        except UnicodeEncodeError:
+                            raise ValueError(f"{path}: not a text file: {path}:{i}: not UTF-8") from None
+                    yield line
+            lineno += len(lines)
 
 
 def read_json_object(path: Path, keys: Collection[str], error: type = ValueError) -> dict:
@@ -287,18 +297,17 @@ def _load_rows(lines: list[str], dtype: np.dtype) -> np.ndarray:
 
 
 def parse_rows(
-    text: str, dtype: np.dtype, path: Path, first_line: int = 1, error: type = ValueError
+    lines: list[str], dtype: np.dtype, path: Path, first_line: int = 1, error: type = ValueError
 ) -> np.ndarray:
-    """Parse whitespace-separated text, one ``dtype`` record per non-blank line.
+    """Parse whitespace-separated lines, one ``dtype`` record per non-blank line.
 
     numpy's C parser checks the column count and converts every float
     field; integer fields must be in-range [+-]digits.  A bad line raises
-    ``error`` naming ``path:line``, where ``text`` starts on line
+    ``error`` naming ``path:line``, where ``lines[0]`` is line
     ``first_line`` of the file.
     """
-    if not text or text.isspace():  # loadtxt warns on input without rows
+    if not any(map(str.strip, lines)):  # loadtxt warns on input without rows
         return np.empty(0, dtype=dtype)
-    lines = text.splitlines()
     try:
         return _load_rows(lines, dtype)
     except (ValueError, OverflowError) as e:
@@ -357,12 +366,25 @@ def read_pcd_columns(path: str | Path) -> dict[str, np.ndarray]:
                     f"({size} bytes) but file holds {held} bytes"
                 )
         elif mode == "ascii":
-            text = fh.read().decode("ascii", errors="replace")
-            rec = parse_rows(text, dtype, p, first_line=data_line + 1, error=PcdError)
-            if len(rec) != n:
+            # a row takes at least two bytes a value, so no more rows than
+            # that fit in the body, whatever POINTS declares
+            values = sum(dtype[name].shape[0] for name in dtype.names)
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+            rec = np.empty(min(n, (held + 1) // (2 * values)), dtype=dtype)
+            rows, lineno = 0, data_line + 1
+            while block := list(itertools.islice(fh, BLOCK_ROWS)):
+                lines = b"".join(block).decode("ascii", errors="replace").splitlines()
+                del block
+                part = parse_rows(lines, dtype, p, first_line=lineno, error=PcdError)
+                stored = part[: max(len(rec) - rows, 0)]  # rows past POINTS are only counted
+                rec[rows:rows + len(stored)] = stored
+                rows += len(part)
+                lineno += len(lines)
+                del lines, part, stored  # before the next block is read
+            if rows != n:
                 raise PcdError(
                     f"{p}: point count mismatch: header declares {n} points "
-                    f"but file has {len(rec)} rows"
+                    f"but file has {rows} rows"
                 )
         else:
             raise PcdError(f"{p}: unsupported DATA mode '{mode}'")
@@ -437,8 +459,11 @@ def write_pcd(
                 rec["intensity"] = frame.intensity[lo:hi]
             if labels is not None:
                 rec["label"] = labels.class_id[lo:hi]
-                cluster = labels.cluster_id[lo:hi]
-                rec["cluster"] = np.where(labels.kept[lo:hi] & (cluster >= 0), cluster, -1)
+                # -1 where dropped or below -1; filled in place, with no temporaries
+                cluster = rec["cluster"]
+                cluster.fill(-1)
+                np.copyto(cluster, labels.cluster_id[lo:hi], where=labels.kept[lo:hi])
+                np.maximum(cluster, -1, out=cluster)
             fh.write(memoryview(rec))  # the record buffer itself, not a bytes copy of it
 
 

@@ -308,7 +308,7 @@ def read_ground_truth(path: str | Path) -> dict[int, np.ndarray]:
     are not text, naming the file.
     """
     p = Path(path)
-    rows = parse_rows(read_text(p), _GROUND_TRUTH_ROW, p)
+    rows = parse_rows(read_text(p).splitlines(), _GROUND_TRUTH_ROW, p)
     if (rows["index"] < 0).any():
         raise ValueError(f"{p}: negative point index {rows['index'].min()}")
     rows = rows[np.lexsort((rows["index"], rows["frame"]))]

@@ -85,40 +85,45 @@ class Clustering:
 
 
 def _assign(
-    cols: np.ndarray, centroids: np.ndarray, assign: np.ndarray, best: np.ndarray,
-    d2: np.ndarray, sq: np.ndarray, nearest: np.ndarray, closer: np.ndarray,
+    cols: np.ndarray, centroids: list[list[float]], assign: np.ndarray, best: np.ndarray,
+    d2: np.ndarray, scratch: np.ndarray, nearest: np.ndarray, closer: np.ndarray,
 ) -> float:
     """Nearest centroid of every point into ``assign`` (ties to the lowest id),
     the squared distance to it into ``best``, and the inertia returned.
 
-    ``cols`` is (3, n).  The squared terms are added as (dx*dx + dz*dz) + dy*dy,
-    the order in which numpy's AVX2/AVX-512 einsum reduced them in earlier
-    releases, so assignments and inertia stay bit-identical with those.
+    ``cols`` is (3, n) and ``centroids`` k rows of three Python floats.  The
+    squared terms are added as (dx*dx + dz*dz) + dy*dy, the order in which
+    numpy's AVX2/AVX-512 einsum reduced them in earlier releases, so
+    assignments and inertia stay bit-identical with those.  Centroid 0's
+    distances are built in ``best``, every later one's in ``d2``: dx*dx in
+    place, then dz*dz and dy*dy each through the one float64 row ``scratch``.
+    ``assign`` is an intp view of that row's bytes, so it is written from
+    ``nearest`` only after the last use of ``scratch``.
 
     Ids rise through the loop, so a centroid strictly closer than every
     earlier one has a larger id than the running one: the running id is the
     maximum of itself and c times the "strictly closer" flag, with no masked
     store.  ``nearest`` and ``closer`` are scratch buffers of the narrowest
-    unsigned type that holds every id; ``nearest`` is cast into ``assign``
-    once per pass.  One-byte ids take the flags through a bool view, which
-    numpy writes without casting through a buffer; wider ones, past k = 256,
-    take numpy's cast.
+    unsigned type that holds every id.  One-byte ids take the flags through
+    a bool view, which numpy writes without casting through a buffer; wider
+    ones, past k = 256, take numpy's cast.
     """
     if len(centroids) == 1:
         nearest.fill(0)
     near_flags, closer_flags = (
         ids.view(np.bool_) if ids.itemsize == 1 else ids for ids in (nearest, closer)
     )
-    for c, centroid in enumerate(centroids.tolist()):
+    for c, (cx, cy, cz) in enumerate(centroids):
         out = best if c == 0 else d2
-        # one axis at a time, less a Python float: below about 8k points the
-        # broadcast np.subtract(cols, centroid[:, None], out=sq) allocates a
-        # hidden buffer the size of sq
-        for axis in range(3):
-            np.subtract(cols[axis], centroid[axis], out=sq[axis])
-        np.multiply(sq, sq, out=sq)
-        np.add(sq[0], sq[2], out=out)
-        out += sq[1]
+        # one axis at a time, less a Python float: below about 8k points a
+        # broadcast subtraction from the (3, n) points allocates a hidden
+        # buffer of that size
+        np.subtract(cols[0], cx, out=out)
+        np.multiply(out, out, out=out)
+        for axis, coord in ((2, cz), (1, cy)):
+            np.subtract(cols[axis], coord, out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            out += scratch
         if c == 0:
             continue
         if c == 1:
@@ -130,6 +135,20 @@ def _assign(
         np.minimum(best, d2, out=best)
     np.copyto(assign, nearest)
     return float(best.sum())
+
+
+def _farthest(cols: np.ndarray, centroid: list[float], d2: np.ndarray) -> int:
+    """The index of the first point farthest from ``centroid``: the squared
+    distances are added in ``d2`` as (dx*dx + dy*dy) + dz*dz, through one
+    n-long temporary."""
+    np.subtract(cols[0], centroid[0], out=d2)
+    d2 *= d2
+    square = np.empty_like(d2)
+    for axis in (1, 2):
+        np.subtract(cols[axis], centroid[axis], out=square)
+        square *= square
+        d2 += square
+    return int(np.argmax(d2))
 
 
 def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) -> Clustering:
@@ -147,6 +166,11 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     If fewer points than k are given, k is lowered to the point count for
     the call (visible as ``result.k``).  A point that is not finite raises
     ValueError naming the first such row.
+
+    Past the float64 copy of the points, a call holds three n-long float64
+    rows and two n-long id rows: the intp assignments are a view of
+    ``_assign``'s scratch row, and the k x 3 centroids, counts and sums are
+    Python floats and ints.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -160,37 +184,40 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     cols = np.ascontiguousarray(pts.T, dtype=np.float64)  # one contiguous row per axis
     k = min(cfg.k, n)
     rng = SplitMix64(cfg.seed)
-    init = rng.sample_distinct(n, k)
-    centroids = np.ascontiguousarray(cols[:, init].T)
+    centroids = cols[:, rng.sample_distinct(n, k)].T.tolist()
 
-    assign = np.empty(n, dtype=np.intp)
-    best, d2 = np.empty(n), np.empty(n)
-    sq = np.empty_like(cols)
+    best, d2, scratch = np.empty(n), np.empty(n), np.empty(n)
+    assign = scratch.view(np.intp)[:n]  # [:n]: intp is 4 bytes on 32-bit hosts
     id_type = np.min_scalar_type(k - 1)
     nearest, closer = np.empty(n, dtype=id_type), np.empty(n, dtype=id_type)
-    history = [_assign(cols, centroids, assign, best, d2, sq, nearest, closer)]
+    history = [_assign(cols, centroids, assign, best, d2, scratch, nearest, closer)]
     for _ in range(cfg.max_iter):
         # exact integer counts; each sum is a bincount, so it adds in point order
-        counts = np.array([np.count_nonzero(nearest == c) for c in range(k)])
-        sums = np.array([np.bincount(assign, weights=col, minlength=k) for col in cols])
-        # an empty cluster's 0 / 1 is re-seeded below
-        new_centroids = np.ascontiguousarray((sums / np.maximum(counts, 1)).T)
-        for c in np.flatnonzero(counts == 0):
-            far = int(np.argmax(((cols - centroids[c][:, None]) ** 2).sum(axis=0)))
-            new_centroids[c] = cols[:, far]
-        movement = float(np.max(np.abs(new_centroids - centroids)))
+        counts = np.bincount(assign, minlength=k).tolist()
+        sums = [np.bincount(assign, weights=col, minlength=k).tolist() for col in cols]
+        # an emptied cluster is re-seeded; d2 is free until the next assignment
+        new_centroids = [
+            [axis[c] / count for axis in sums] if count
+            else cols[:, _farthest(cols, centroids[c], d2)].tolist()
+            for c, count in enumerate(counts)
+        ]
+        movement = max(
+            abs(new - old) for row, old_row in zip(new_centroids, centroids)
+            for new, old in zip(row, old_row)
+        )
         centroids = new_centroids
         if movement == 0.0:  # the assignment held is already nearest for these centroids
             history.append(history[-1])
             break
-        history.append(_assign(cols, centroids, assign, best, d2, sq, nearest, closer))
+        history.append(_assign(cols, centroids, assign, best, d2, scratch, nearest, closer))
         if movement < cfg.tol:
             break
 
     # best holds each point's squared distance to its centroid, so this adds in point order
     cluster_inertia = np.bincount(assign, weights=best, minlength=k)
-    del best, d2, sq, nearest, closer  # before the int32 copy of the assignments
+    del best, d2, nearest, closer  # before the int32 copy of the assignments
     assign = assign.astype(np.int32)
+    centroids = np.array(centroids)
     for array in (centroids, assign, cluster_inertia):
         array.flags.writeable = False
     return Clustering(

@@ -457,6 +457,38 @@ class TestRowBlocks:
         with pytest.raises(PcdError, match=re.escape(want)):
             read_pcd_columns(path)
 
+    @pytest.mark.parametrize("bad_row", [0, 5, 6, 12, 23])
+    def test_bad_ascii_row_is_named_across_block_edges(self, tmp_path, monkeypatch, bad_row):
+        # 7-line blocks holding blank lines and a "\r" line end: a bad row is
+        # named by its line in the whole file's splitlines, as with one block
+        monkeypatch.setattr(cloud_io, "BLOCK_ROWS", 7)
+        rows = [f"{i} 0 0" for i in range(24)]
+        rows[bad_row] = "1 0 abc"
+        body = "\n".join(rows[:4]) + "\r" + "\n\n".join(rows[4:9]) + "\n\n\n" + "\n".join(rows[9:]) + "\n"
+        text = (
+            MINIMAL_PCD.replace("WIDTH 3", "WIDTH 24").replace("POINTS 3", "POINTS 24")
+            .replace("0 0 0\n1 0 0\n0 1 0\n", body)
+        )
+        path = tmp_path / "a.pcd"
+        path.write_bytes(text.encode())
+        line = text.splitlines().index("1 0 abc") + 1
+        with pytest.raises(PcdError, match=re.escape(f"{path}:{line}: malformed row")):
+            read_pcd_columns(path)
+
+    @pytest.mark.parametrize("declared", [23, 25, 10**15])
+    def test_ascii_row_count_mismatch_across_block_edges(self, tmp_path, monkeypatch, declared):
+        # rows past POINTS are counted, not stored; a POINTS larger than the
+        # body can hold allocates nothing of its size
+        monkeypatch.setattr(cloud_io, "BLOCK_ROWS", 7)
+        path = tmp_path / "a.pcd"
+        path.write_text(
+            MINIMAL_PCD.replace("WIDTH 3", f"WIDTH {declared}").replace("POINTS 3", f"POINTS {declared}")
+            .replace("0 0 0\n1 0 0\n0 1 0\n", "".join(f"{i} 0 0\n" for i in range(24)))
+        )
+        want = f"{path}: point count mismatch: header declares {declared} points but file has 24 rows"
+        with pytest.raises(PcdError, match=re.escape(want)):
+            read_pcd_columns(path)
+
 
 @pytest.fixture(scope="module")
 def c7_labeled():
@@ -480,6 +512,27 @@ class TestPeakMemory:
         cols, peak = traced_peak(read_pcd_columns, path)
         assert len(cols["x"]) == len(frame)
         assert peak / len(frame) < 30, f"peak {peak / len(frame):.1f} bytes per point"
+
+    def test_ascii_read_holds_one_block_of_lines(self, tmp_path, c7_labeled):
+        # the 16-byte records, and one BLOCK_ROWS block of lines as bytes, as
+        # text and as a list of str.  The whole body's text and its list of
+        # lines peaked at 162.5 bytes a point
+        frame, _ = c7_labeled
+        path = tmp_path / "f.pcd"
+        write_ascii_pcd(frame, path)
+        cols, peak = traced_peak(read_pcd_columns, path)
+        assert np.array_equal(np.stack([cols["x"], cols["y"], cols["z"]], axis=1), frame.xyz)
+        assert peak / len(frame) < 162.5 / 3, f"peak {peak / len(frame):.1f} bytes per point"
+
+    def test_labeled_block_write_fills_the_cluster_column_in_place(self, tmp_path):
+        # one block of a reference-scene frame's size: the 24-byte records
+        # beside the frame.  Building the cluster column with np.where and
+        # its masks took 31.0 bytes a point
+        n = 3858
+        rng = np.random.default_rng(n)
+        frame, lc = _random_frame(rng, n), _random_labels(rng, n)
+        _, peak = traced_peak(write_pcd, frame, tmp_path / "f.pcd", labels=lc)
+        assert peak / n < 26.5, f"peak {peak / n:.1f} bytes per point"
 
 
 class TestFrameTypes:

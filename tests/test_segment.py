@@ -368,31 +368,50 @@ class TestKMeansDistanceTies:
         assert (first + later).sum() > (first + later)[:, 0].sum()
 
 
-@pytest.mark.parametrize("n, parent_bytes", [(9_683, 75.6), (1_286, 76.9)])
-def test_kmeans_peak_memory_per_point(n, parent_bytes):
-    # the buffers of one call: (3, n) float64 points and squares, three n-long
-    # assignment and distance buffers, the int32 result; a change to the
-    # assignment step may add at most 12 bytes a point to this.  Measured
-    # warm, as a first call in the process adds one-time allocations
+@pytest.mark.parametrize("n, squares_bytes", [(9_683, 75.6), (1_286, 76.9)])
+def test_kmeans_peak_memory_per_point(n, squares_bytes):
+    # the buffers of one call: the (3, n) float64 points, three n-long
+    # float64 rows, the intp assignments being a view of one of them, and
+    # two one-byte id rows, 50 bytes a point; the int32 result is built once
+    # the rows are freed.  With (3, n) squares and an assignment row of its
+    # own a call took squares_bytes, 24 more.  Measured warm, as a first
+    # call in the process adds one-time allocations
     pts = np.random.default_rng(n).normal(size=(n, 3)).astype(np.float32)
     kmeans(pts, KMeansConfig(k=3, seed=7))
     _result, peak = traced_peak(kmeans, pts, KMeansConfig(k=3, seed=7))
-    assert peak / n < parent_bytes + 12, f"peak {peak / n:.1f} bytes per point"
+    assert peak / n < squares_bytes - 23, f"peak {peak / n:.1f} bytes per point"
 
 
 def test_kmeans_peak_memory_has_no_broadcast_buffer():
     # below about 8k points numpy's broadcast subtraction of a centroid from
-    # the (3, n) points allocated a hidden buffer the size of the squares,
-    # 25 bytes a point at 1,286 points (about 100 in all); the call's own
-    # buffers take 74.  A first call in the process adds about 1.1 for
-    # one-time allocations, so the call is measured warm.  Writing the bool
-    # "closer" flags into uint8 ids cast them through a buffer, 77.5 in all;
-    # through a bool view it is 76.9
+    # the (3, n) points allocates a hidden buffer of that size, 24 bytes a
+    # point; the call's own buffers take 50.  A first call in the process
+    # adds about 1.1 for one-time allocations, so the call is measured warm.
+    # Writing the bool "closer" flags into uint8 ids would cast them through
+    # a buffer, one more byte a point
     n = 1_286
     pts = np.random.default_rng(n).normal(size=(n, 3)).astype(np.float32)
     kmeans(pts, KMeansConfig(k=3, seed=7))
     _result, peak = traced_peak(kmeans, pts, KMeansConfig(k=3, seed=7))
-    assert peak / n < 77.2, f"peak {peak / n:.1f} bytes per point"
+    assert peak / n < 53.5, f"peak {peak / n:.1f} bytes per point"
+
+
+def test_kmeans_reseeding_adds_at_most_one_row():
+    # 4,990 of 5,000 points coincide, and seed 1 starts two centroids among
+    # them, so a cluster empties and is re-seeded.  Its distances go into a
+    # buffer the call already holds, through one n-long temporary; the
+    # (3, n) temporaries of a broadcast took 122.6 bytes a point
+    n, cfg = 5_000, KMeansConfig(k=3, seed=1)
+    rng = np.random.default_rng(n)
+    pts = np.concatenate([np.zeros((4_990, 3)), rng.normal(size=(10, 3))]).astype(np.float32)
+    assert sum(i < 4_990 for i in SplitMix64(cfg.seed).sample_distinct(n, cfg.k)) >= 2
+    _assert_matches_reference(kmeans(pts, cfg), pts, cfg)
+    normal = rng.normal(size=(n, 3)).astype(np.float32)
+    _result, normal_peak = traced_peak(kmeans, normal, cfg)
+    _result, reseed_peak = traced_peak(kmeans, pts, cfg)
+    assert reseed_peak / n < normal_peak / n + 8, (
+        f"peak {reseed_peak / n:.1f} bytes per point, {normal_peak / n:.1f} without re-seeding"
+    )
 
 
 class TestDenoiseDetection:
