@@ -16,9 +16,19 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cloud_io
-from .calib import CameraModel, project_points
+from .calib import MAX_CAMERAS, CameraModel, project_points
 from .cloud_io import PointCloudFrame
-from .detect_ingest import BBox, Detection
+from .detect_ingest import COCO_CLASSES, BBox, Detection
+
+
+# the most detections label_frame takes from one camera of a frame, so
+# that a detection index fits in an int16
+MAX_DETECTIONS_PER_CAMERA = 1 << 15
+
+
+def _id_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer type that holds -1 and every id below ``bound``."""
+    return np.min_scalar_type(-bound)
 
 
 @dataclass
@@ -27,7 +37,14 @@ class LabeledCloud:
 
     Sentinel -1 encodes absence in the integer columns.  ``kept`` is True
     for labeled points that survived (or have not yet been through)
-    denoising, False for unlabeled and dropped points.
+    denoising, False for unlabeled and dropped points.  Each id column has
+    the narrowest signed type that holds -1 and every id its producer
+    writes, 9 bytes a point in all:
+    - ``class_id``: int8, for COCO's 80 class ids (``Detection`` refuses others);
+    - ``camera_id``: int8, for ``calib.MAX_CAMERAS`` camera ids;
+    - ``det_index``: int16, for ``MAX_DETECTIONS_PER_CAMERA`` detections a
+      camera (``label_frame`` refuses more);
+    - ``cluster_id``: int32, since k has no bound.
     """
 
     frame_id: int
@@ -41,9 +58,9 @@ class LabeledCloud:
     def empty(cls, frame_id: int, n: int) -> "LabeledCloud":
         return cls(
             frame_id=frame_id,
-            class_id=np.full(n, -1, dtype=np.int32),
-            camera_id=np.full(n, -1, dtype=np.int32),
-            det_index=np.full(n, -1, dtype=np.int32),
+            class_id=np.full(n, -1, dtype=_id_dtype(len(COCO_CLASSES))),
+            camera_id=np.full(n, -1, dtype=_id_dtype(MAX_CAMERAS)),
+            det_index=np.full(n, -1, dtype=_id_dtype(MAX_DETECTIONS_PER_CAMERA)),
             cluster_id=np.full(n, -1, dtype=np.int32),
             kept=np.zeros(n, dtype=bool),
         )
@@ -151,11 +168,13 @@ def label_frame(
     """Assign a detection label to every point whose projection hits a box.
 
     ``detections`` maps camera id to that camera's (pre-filtered) detection
-    list; every key must name a rig camera.  A point at camera depth
-    ``calib.DEFAULT_Z_MIN`` or less, or whose pixel lies outside the image,
-    never matches a box.  Overlap is resolved per point by smallest box
-    area, then lower camera id, then lower detection index.  All labeled
-    points start with kept=True; denoising happens downstream.
+    list; every key must name a rig camera, and each list may hold at most
+    ``MAX_DETECTIONS_PER_CAMERA`` records, all of its camera; otherwise
+    ValueError names the camera before anything is projected.  A point at
+    camera depth ``calib.DEFAULT_Z_MIN`` or less, or whose pixel lies
+    outside the image, never matches a box.  Overlap is resolved per point
+    by smallest box area, then lower camera id, then lower detection index.
+    All labeled points start with kept=True; denoising happens downstream.
 
     Each camera reads the frame ``cloud_io.BLOCK_ROWS`` rows at a time.  A
     float32 half-space test culls the rows of a block that cannot reach one
@@ -174,6 +193,18 @@ def label_frame(
     unknown = sorted(set(detections) - set(rig_by_id))
     if unknown:
         raise ValueError(f"detections reference camera ids {unknown} absent from rig")
+    for cam_id in sorted(detections):
+        dets = detections[cam_id]
+        bad = [d.camera_id for d in dets if d.camera_id != cam_id]
+        if bad:
+            raise ValueError(
+                f"detection list for camera {cam_id} contains records for camera {bad[0]}"
+            )
+        if len(dets) > MAX_DETECTIONS_PER_CAMERA:
+            raise ValueError(
+                f"camera {cam_id} has {len(dets)} detections, "
+                f"more than the {MAX_DETECTIONS_PER_CAMERA} a camera may have in a frame"
+            )
     block = cloud_io.BLOCK_ROWS
     candidates = []
     for cam_id in sorted(detections):
@@ -181,11 +212,6 @@ def label_frame(
         if not dets:
             continue
         cam = rig_by_id[cam_id]
-        bad = [d.camera_id for d in dets if d.camera_id != cam_id]
-        if bad:
-            raise ValueError(
-                f"detection list for camera {cam_id} contains records for camera {bad[0]}"
-            )
         image = BBox(0, 0, cam.intrinsics.width, cam.intrinsics.height)
         reachable = _reachable(cam, [det.box for det in dets], distortion_mode)
         hits = [[np.empty(0, dtype=np.intp)] for _ in dets]  # each box's hits, block by block

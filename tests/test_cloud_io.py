@@ -9,6 +9,7 @@ import pytest
 
 from helpers import PCD_WRITERS, criterion7_frame, traced_peak, write_ascii_pcd
 from pclabel import (
+    COCO_CLASSES,
     FrameIndex,
     LabeledCloud,
     PcdError,
@@ -52,13 +53,14 @@ def _random_frame(rng, n, frame_id=0, with_intensity=True):
 
 
 def _random_labels(rng, n):
-    """Labels with unlabeled, kept and dropped points, and large ids."""
+    """Labels with unlabeled, kept and dropped points, every COCO class id,
+    and large cluster ids."""
     lc = LabeledCloud.empty(0, n)
     labeled = rng.random(n) < 0.7
-    lc.class_id[labeled] = rng.integers(0, 2**31 - 1, size=labeled.sum())
+    lc.class_id[labeled] = rng.integers(0, len(COCO_CLASSES), size=labeled.sum())
     lc.camera_id[labeled] = 0
     lc.det_index[labeled] = 0
-    lc.cluster_id[labeled] = rng.integers(0, 5, size=labeled.sum())
+    lc.cluster_id[labeled] = rng.integers(0, 2**31 - 1, size=labeled.sum())
     lc.kept[labeled] = rng.random(labeled.sum()) < 0.5
     return lc
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pclabel import (
+    COCO_CLASSES,
     DistortionCoeffs,
     ExtrinsicPose,
     KMeansConfig,
@@ -246,7 +247,7 @@ class TestClassPointCounts:
 
 
 def test_label_and_denoise_peak_memory_per_point():
-    # the labels themselves take 17 bytes a point; projection works in row
+    # the labels themselves take 9 bytes a point; projection works in row
     # blocks, so no frame-sized float64 temporary or NaN pixel array adds to them
     rig, frame, dets_by_cam = criterion7_frame()
 
@@ -256,16 +257,16 @@ def test_label_and_denoise_peak_memory_per_point():
 
     report, peak = traced_peak(label_and_denoise)
     assert report.labeled_before > 20_000
-    assert peak / len(frame) < 40, f"peak {peak / len(frame):.1f} bytes per point"
+    assert peak / len(frame) < 18, f"peak {peak / len(frame):.1f} bytes per point"
 
 
 def test_label_frame_peak_memory_is_the_labels_plus_the_box_hits():
-    # the labels take 17 bytes a point and each box's hit indices 8 bytes a
+    # the labels take 9 bytes a point and each box's hit indices 8 bytes a
     # hit; each block's pixels are tested against the boxes as it is
     # projected, so no per-camera pixel buffer adds to them
     rig, frame, dets_by_cam = criterion7_frame()
     lc, peak = traced_peak(label_frame, frame, rig, dets_by_cam)
-    bound = 17 * len(frame) + 8 * lc.n_labeled + (64 << 10)
+    bound = 9 * len(frame) + 8 * lc.n_labeled + (64 << 10)
     assert peak <= bound, f"peak {peak} B, {peak - bound} B over the bound"
 
 
@@ -304,6 +305,44 @@ def test_rows_projected_are_those_inside_the_clipped_box_union(monkeypatch):
     assert sum(counts) == lc.n_labeled == 40
 
 
+# the most detections label_frame takes from one camera of a frame
+MAX_DETECTIONS = 32_768
+
+
+def _many_detections(cam_id, n):
+    """``n`` detections of ``cam_id`` around pixel (50, 50) of ``simple_camera``;
+    the last one has the smallest box, so it labels the point on that pixel."""
+    dets = [detection(cam_id, (40, 40, 60, 60))] * (n - 1)
+    return dets + [detection(cam_id, (45, 45, 55, 55), class_id=len(COCO_CLASSES) - 1)]
+
+
+def test_label_frame_refuses_a_camera_past_the_detection_bound(monkeypatch):
+    # camera 0 comes first and is within the bound, so a check made camera
+    # by camera would have projected it already
+    rig = [simple_camera(0), simple_camera(1)]
+    dets = {0: [detection(0, (40, 40, 60, 60))], 1: _many_detections(1, MAX_DETECTIONS + 1)}
+    counts = _count_projected_rows(monkeypatch)
+    with pytest.raises(ValueError, match=f"camera 1 has {MAX_DETECTIONS + 1} detections"):
+        label_frame(_frame([[0, 0, 1]]), rig, dets)
+    assert counts == []
+
+
+def test_label_frame_labels_a_camera_at_the_detection_bound():
+    lc = label_frame(_frame([[0, 0, 1]]), [simple_camera(4)], {4: _many_detections(4, MAX_DETECTIONS)})
+    assert (int(lc.class_id[0]), int(lc.camera_id[0]), int(lc.det_index[0])) == (
+        len(COCO_CLASSES) - 1, 4, MAX_DETECTIONS - 1)
+
+
+def test_labels_hold_9_bytes_a_point_in_their_narrowest_dtypes():
+    want = {"class_id": np.int8, "camera_id": np.int8, "det_index": np.int16,
+            "cluster_id": np.int32, "kept": np.bool_}
+    rig, frame, dets_by_cam = criterion7_frame()
+    for lc in (LabeledCloud.empty(0, 1000), label_frame(frame, rig, dets_by_cam)):
+        columns = {name: getattr(lc, name) for name in want}
+        assert {name: col.dtype for name, col in columns.items()} == want
+        assert sum(col.nbytes for col in columns.values()) == 9 * len(lc)
+
+
 # sha256 of the label and denoise columns (class_id, camera_id, det_index,
 # cluster_id, kept) of the criterion-7 frame with k-means k=3, seed 7.  Its
 # ten detections hold 9,000-10,000 points each, so this pins projection, the
@@ -318,8 +357,9 @@ def test_criterion7_frame_matches_golden_digest():
     assert (report.total_points, report.labeled_before, report.kept_after) == (232320, 96830, 24404)
     assert report == frame_report(frame, lc)  # denoise_frame reports what it wrote
     digest = hashlib.sha256()
-    for column in (lc.class_id, lc.camera_id, lc.det_index, lc.cluster_id, lc.kept):
-        digest.update(column.tobytes())
+    for column in (lc.class_id, lc.camera_id, lc.det_index, lc.cluster_id):
+        digest.update(column.astype(np.int32).tobytes())  # the ids as int32, whatever their width
+    digest.update(lc.kept.tobytes())
     assert digest.hexdigest() == GOLDEN_CRITERION7_FRAME_SHA256
 
 
