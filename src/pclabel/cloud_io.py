@@ -197,22 +197,13 @@ def ascii_number(token: str, kind: type[int] | type[float]) -> int | float:
     return kind(token)
 
 
-def read_text(path: str | Path) -> str:
-    """The text of ``path``; undecodable bytes raise ValueError naming the file."""
-    with open(path) as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: not a text file: {e}") from None
-
-
 def read_lines(path: str | Path) -> Iterator[str]:
-    """The lines of ``path`` as ``read_text(path).splitlines()`` gives them,
-    read and decoded ``_LINE_BATCH`` bytes of whole lines at a time, so the
-    file's whole text is never held.
-
-    Bytes that are not UTF-8 raise ValueError naming the file and the line,
-    once the lines before it have been yielded.
+    """The lines of ``path``, decoded as UTF-8 whatever the locale and split
+    as ``str.splitlines`` splits them (manifests, detections, reports and
+    ground truth are read so).  The file is read ``_LINE_BATCH`` bytes of
+    whole lines at a time, so its whole text is never held.  Bytes that are
+    not UTF-8 raise ValueError naming the file and the line, once the lines
+    before it are yielded.
     """
     with open(path, "rb") as fh:
         lineno = 0
@@ -234,14 +225,15 @@ def read_lines(path: str | Path) -> Iterator[str]:
 
 
 def read_json_object(path: Path, keys: Collection[str], error: type = ValueError) -> dict:
-    """The JSON object in ``path``, every key of which is one of ``keys``.
+    """The JSON object in ``path``, decoded as UTF-8 whatever the locale,
+    every key of which is one of ``keys``.
 
     Text that is not JSON (bytes that are not UTF-8 included), a top level
     that is not an object, or an unknown key raise ``error`` naming ``path``;
     a file that cannot be opened raises OSError.
     """
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_bytes().decode())
     except ValueError as e:  # also bytes that are not UTF-8, and over-long integers
         raise error(f"{path}: not valid JSON: {e}") from e
     if not isinstance(raw, dict):
@@ -610,7 +602,7 @@ def _first_repeat(p: Path, streams: Mapping[str, tuple]) -> ValueError | None:
 
 
 def write_manifest(path: str | Path, rows: Iterable[tuple[str, int, float, str]]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for stream, frame_id, timestamp, rel in rows:
             fh.write(f"{stream} {frame_id} {timestamp:.6f} {rel}\n")
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .calib import CameraModel
-from .cloud_io import ascii_number, read_text, records
+from .cloud_io import ascii_number, read_lines, records
 
 COCO_CLASSES = (
     "person", "bicycle", "car", "motorbike", "aeroplane", "bus", "train",
@@ -99,11 +99,11 @@ def load_detections(path: str | Path) -> tuple[list[Detection], list[RejectedRec
     Returns (detections, rejected); each rejection carries the line number
     and reason (malformed value, including a number that is not ASCII or
     holds '_'; unknown class id, confidence out of range, degenerate box).
-    Bytes that are not text raise ValueError naming the file.
+    Bytes that are not UTF-8 (``read_lines``) raise ValueError naming ``path:line``.
     """
     detections: list[Detection] = []
     rejected: list[RejectedRecord] = []
-    for line_no, tokens, raw in records(read_text(path).splitlines()):
+    for line_no, tokens, raw in records(read_lines(path)):
         if len(tokens) != 8:
             rejected.append(RejectedRecord(line_no, raw, f"expected 8 fields, got {len(tokens)}"))
             continue

@@ -21,7 +21,7 @@ from .calib import (
     camera_to_lidar, project_points, save_rig,
 )
 from .cloud_io import (
-    PointCloudFrame, check_count, check_number, parse_rows, read_text, write_manifest, write_pcd,
+    PointCloudFrame, check_count, check_number, parse_rows, read_lines, write_manifest, write_pcd,
 )
 
 # The classes the detector sees most in road scenes.
@@ -302,13 +302,20 @@ def gen_scene(
 def read_ground_truth(path: str | Path) -> dict[int, np.ndarray]:
     """Load a ground-truth file as {frame_id: object id per point index}.
 
-    Indices a frame does not list read as -1.  A malformed line raises
-    ValueError naming the file and line; a negative index, an index of
-    ``MAX_FRAME_POINTS`` or more, a point a frame lists twice, or bytes that
-    are not text, naming the file.
+    Indices a frame does not list read as -1.  The file is read as UTF-8 by
+    ``read_lines``.  The first line, in file order, that is malformed or not
+    UTF-8 raises ValueError naming the file and line; a negative index, an
+    index of ``MAX_FRAME_POINTS`` or more, or a point a frame lists twice,
+    one naming the file.
     """
     p = Path(path)
-    rows = parse_rows(read_text(p).splitlines(), _GROUND_TRUTH_ROW, p)
+    lines: list[str] = []
+    try:
+        lines.extend(read_lines(p))
+    except ValueError:
+        parse_rows(lines, _GROUND_TRUTH_ROW, p)  # a malformed line above the undecodable one is named
+        raise
+    rows = parse_rows(lines, _GROUND_TRUTH_ROW, p)
     if (rows["index"] < 0).any():
         raise ValueError(f"{p}: negative point index {rows['index'].min()}")
     rows = rows[np.lexsort((rows["index"], rows["frame"]))]

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cloud_io import PointCloudFrame, ascii_number, check_count, check_number, read_text, records
+from .cloud_io import PointCloudFrame, ascii_number, check_count, check_number, read_lines, records
 from .fusion import LabeledCloud
 from .rng import SplitMix64, derive_seed
 
@@ -485,12 +485,12 @@ def write_report_csv(path: str | Path, reports: Sequence[FrameReport]) -> None:
 def read_report_csv(path: str | Path) -> list[FrameReport]:
     """Read a report written by ``write_report_csv``.
 
-    A repeated header column, or bytes that are not text, raise ValueError
-    naming ``path``.  A row with the wrong cell count, a cell that is not an
-    ASCII number without '_' (a quoted one is not), a repeated frame id, or
-    cells that contradict each other raise ValueError naming ``path:line``.
+    A repeated header column raises ValueError naming ``path``.  A row with
+    the wrong cell count, a cell that is not an ASCII number without '_' (a
+    quoted one is not), a repeated frame id, cells that contradict each
+    other, or bytes that are not UTF-8 (``read_lines``) name ``path:line``.
     """
-    rows = records(read_text(Path(path)).splitlines(), sep=",", comments=False)
+    rows = records(read_lines(path), sep=",", comments=False)
     _, header, _ = next(rows, (0, None, ""))
     if header is None:
         raise ValueError(f"{path}: empty report CSV")

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -488,3 +489,47 @@ def test_empty_path_setting_names_its_source(tmp_path, capsys, monkeypatch, key,
     assert main(args) == 2
     assert capsys.readouterr().err.startswith(f"error: {source}: ")
     assert not list(cwd.iterdir()) and not (tmp_path / "out").exists()
+
+
+# Run in a child process under the C locale with Python's UTF-8 coercion and
+# UTF-8 mode both off, so that the locale's encoding is ASCII; the source is
+# ASCII, as a command line is decoded in that encoding too.
+_ASCII_LOCALE_CHILD = """
+import json, locale, sys
+from pathlib import Path
+from pclabel import load_detections, read_manifest
+from pclabel.cli import _load_config
+from pclabel.cloud_io import write_manifest
+
+d = Path(sys.argv[1])
+dets, rejected = load_detections(d / "dets.txt")
+write_manifest(d / "dets.manifest", [("cam0", 0, 0.0, "dets/cam\\u00e9ra.txt")])
+print(json.dumps({
+    "encoding": locale.getpreferredencoding(False),
+    "detections": len(dets),
+    "rejected": len(rejected),
+    "out": _load_config(str(d / "run.json"))["out"],
+    "manifest": read_manifest(d / "dets.manifest")["cam0"][0].path,
+}))
+"""
+
+
+def test_text_inputs_are_read_as_utf8_in_an_ascii_locale(tmp_path):
+    (tmp_path / "dets.txt").write_bytes("# caméra 0\n0 0 2 0.9 10 10 50 50\n".encode())
+    (tmp_path / "run.json").write_bytes('{"out": "démo/out"}'.encode())
+    src = str(Path(pclabel.__file__).resolve().parent.parent)
+    env = {
+        **os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _ASCII_LOCALE_CHILD, str(tmp_path)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    got = json.loads(proc.stdout)
+    assert codecs.lookup(got.pop("encoding")).name == "ascii"
+    assert got == {
+        "detections": 1, "rejected": 0, "out": "démo/out",
+        "manifest": f"{tmp_path}/dets/caméra.txt",
+    }

@@ -270,11 +270,11 @@ class TestReadPcd:
         # int() reads each edited number as the value it replaces
         text = MINIMAL_PCD.replace("WIDTH 3", "WIDTH 10").replace("POINTS 3", "POINTS 10") + "0 0 1\n" * 7
         path = tmp_path / "a.pcd"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert len(read_pcd(path)) == 10
         for old, new in edits.items():
             text = text.replace(old, new)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(PcdError, match=re.escape(f"{path}: malformed ")):
             read_pcd(path)
 
@@ -652,13 +652,15 @@ class TestManifest:
         ("cloud 0 0.0 a\ncloud 1 0.1 b\ncloud 0 0.2 c\n\ncloud 2\n", 3, "duplicate frame id 0"),
         ("cloud 0 0.0 a\ncam0 0 0.5 a\ncloud 0 0.0 b\n", 3, "duplicate frame id 0 in stream 'cloud'"),
         ("cloud 5 0.0 a\ncam0 5 0.5 a\ncloud 4 0.1 b\ncloud 5 0.2 c\ncam0 5 0.6 b\n", 4, "stream 'cloud'"),
+        # of two repeats in one stream, the first in file order
+        ("cloud 1 0.0 a\ncloud 2 0.1 b\ncloud 1 0.2 c\ncloud 2 0.3 d\n", 3, "duplicate frame id 1"),
         ("cloud 0 0.0 a\ncloud x 0.1 b\ncloud 0 0.2 c\n", 2, ""),
         # bytes that are not UTF-8 after a malformed line, and before one
         (b"cloud 0 0.0 a\ncloud 1\ncloud 2 0.2 \xff\n", 2, "expected"),
         (b"# \xff\ncloud 1\n", 1, "not UTF-8"),
         (b"cloud 0 0.0 a\r\xff\ncloud 1\n", 2, "not UTF-8"),  # "\r" ends a line, as in text mode
-    ], ids=["repeat_then_malformed", "repeat_going_back", "two_repeats", "malformed_then_repeat",
-            "malformed_then_bytes", "bytes_then_malformed", "bytes_after_cr"])
+    ], ids=["repeat_then_malformed", "repeat_going_back", "two_repeats", "two_repeats_in_one_stream",
+            "malformed_then_repeat", "malformed_then_bytes", "bytes_then_malformed", "bytes_after_cr"])
     def test_the_first_bad_line_is_named(self, tmp_path, text, line, message):
         manifest = tmp_path / "m.manifest"
         if isinstance(text, str):

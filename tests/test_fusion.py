@@ -292,17 +292,30 @@ def test_criterion7_frame_projects_at_most_15_percent_of_its_rows(monkeypatch):
     assert sum(counts) <= 0.15 * len(rig) * len(frame), f"{sum(counts)} rows projected"
 
 
-def test_rows_projected_are_those_inside_the_clipped_box_union(monkeypatch):
-    # pixels u = 0.5, 1.5, ... at depth 1, and the same points behind the
-    # camera; the box reaches far past the 100-pixel image, so only the 40
-    # pixels in [60, 100) can be labeled, and only those rows are projected
-    cam = simple_camera()
+def _pixel_row_frame():
+    """Rows i < 2000 on ``simple_camera``'s pixels u = i - 499.5 at depth 1,
+    then the same points behind the camera."""
     u = np.arange(-500, 1500) + 0.5
     front = np.stack([(u - 50) / 100, np.zeros_like(u), np.ones_like(u)], axis=1)
-    frame = _frame(np.concatenate([front, front * [1, 1, -1]]))
+    return _frame(np.concatenate([front, front * [1, 1, -1]]))
+
+
+def test_rows_projected_are_those_inside_the_clipped_box_union(monkeypatch):
+    # the box reaches far past the 100-pixel image, so only the 40 pixels in
+    # [60, 100) can be labeled, and only those rows are projected
     counts = _count_projected_rows(monkeypatch)
-    lc = label_frame(frame, [cam], {0: [detection(0, (60, 40, 10_000, 60))]})
+    lc = label_frame(_pixel_row_frame(), [simple_camera()], {0: [detection(0, (60, 40, 10_000, 60))]})
     assert sum(counts) == lc.n_labeled == 40
+
+
+def test_rows_projected_are_those_inside_the_box_clipped_at_the_left_edge(monkeypatch):
+    # the mirror image: a box from far left of the image to u = 40 keeps the
+    # rows of the 40 pixels in [0, 40); a cull from the box's own left edge
+    # would also project the 500 rows left of the image, which no box labels
+    counts = _count_projected_rows(monkeypatch)
+    lc = label_frame(_pixel_row_frame(), [simple_camera()], {0: [detection(0, (-10_000, 40, 40, 60))]})
+    assert sum(counts) == 40
+    assert np.flatnonzero(lc.labeled_mask).tolist() == list(range(500, 540))
 
 
 # the most detections label_frame takes from one camera of a frame

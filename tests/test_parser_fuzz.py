@@ -198,6 +198,20 @@ _NOT_UTF8 = {
 def test_text_that_is_not_utf8_names_the_file(tmp_path, name, parse):
     path = tmp_path / f"{name}.txt"
     path.write_bytes(_NOT_UTF8[name])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: ") as e:
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(str(path))}:2: ") as e:
         parse(path)
     assert not isinstance(e.value, UnicodeDecodeError)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (read_ground_truth, b"0 0 1\n0 x 1\n0 2 \xff\n"),
+    (read_report_csv,
+     b"frame_id,total_points,labeled_before,kept_after,dropped,drop_rate_percent\n0,1\n1,1,0,0,0,\xff\n"),
+], ids=["ground truth", "report"])
+def test_a_malformed_line_above_bytes_that_are_not_utf8_is_named(tmp_path, parse, text):
+    # the first bad line in file order is the one named, whatever is wrong
+    # with it, as for manifests (test_cloud_io's malformed_then_bytes)
+    path = tmp_path / "a.txt"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+        parse(path)

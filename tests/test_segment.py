@@ -803,7 +803,7 @@ class TestReportCsv:
     ])
     def test_header_checks_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "report.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             read_report_csv(path)
 
