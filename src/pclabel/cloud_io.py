@@ -29,8 +29,10 @@ DEFAULT_MATCH_TOLERANCE = 0.05
 # projections.  Looked up at call time, so a test can shrink it to cross
 # block edges.
 BLOCK_ROWS = 1 << 15
-# Bytes of whole lines that read_lines decodes at once.
-_LINE_BATCH = 1 << 13
+# Bytes of whole lines that read_lines decodes at once.  A batch's line
+# objects take about six times its bytes while they live, so it is kept
+# small beside a small frame's working set.
+_LINE_BATCH = 1 << 11
 
 _HEADER_KEYS = (
     "VERSION", "FIELDS", "SIZE", "TYPE", "COUNT",
@@ -474,11 +476,13 @@ class IndexEntry:
 @dataclass(frozen=True, slots=True, eq=False)
 class FrameIndex(Sequence):
     """One stream's entries in file order, held as columns: ``frame_ids``
-    (int64), ``timestamps`` (float64, strictly increasing), and each path
-    as written, UTF-8 encoded back to back in ``paths``, entry i's ending
-    at ``path_ends[i]``.  ``base`` is the directory relative paths are
-    joined to, as text; an absolute path replaces it.  ``index[i]`` builds
-    entry i's IndexEntry, so the index holds no object per entry."""
+    (the narrowest signed integer type that holds them), ``timestamps``
+    (float64, strictly increasing), and each path as written, UTF-8 encoded
+    back to back in ``paths``, entry i's ending at ``path_ends[i]`` (the
+    narrowest unsigned type that holds ``len(paths)``).  ``base`` is the
+    directory relative paths are joined to, as text; an absolute path
+    replaces it.  ``index[i]`` builds entry i's IndexEntry, so the index
+    holds no object per entry."""
 
     stream: str
     frame_ids: np.ndarray
@@ -488,18 +492,24 @@ class FrameIndex(Sequence):
     base: str = ""
 
     def __post_init__(self) -> None:
-        for name, dtype in (("frame_ids", np.int64), ("timestamps", np.float64), ("path_ends", np.int64)):
-            column = np.asarray(getattr(self, name), dtype=dtype).view()
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        ts, ends = self.timestamps, self.path_ends
-        if not len(self.frame_ids) == len(ts) == len(ends):
+        ids = np.asarray(self.frame_ids, dtype=np.int64)
+        ts = np.asarray(self.timestamps, dtype=np.float64).view()
+        ends = np.asarray(self.path_ends, dtype=np.int64)
+        if not len(ids) == len(ts) == len(ends):
             raise ValueError(
-                f"stream '{self.stream}': {len(self.frame_ids)} frame ids, {len(ts)} timestamps "
+                f"stream '{self.stream}': {len(ids)} frame ids, {len(ts)} timestamps "
                 f"and {len(ends)} paths"
             )
+        # checked before the ends are narrowed: an unsigned fall wraps round to a rise
         if len(ends) and (ends[-1] != len(self.paths) or (np.diff(ends, prepend=0) < 0).any()):
             raise ValueError(f"stream '{self.stream}': path ends must rise to {len(self.paths)}")
+        # a signed type holds a value v >= 0 when it holds -1 - v
+        id_type = np.min_scalar_type(min(int(ids.min(initial=0)), -1 - int(ids.max(initial=0))))
+        end_type = np.min_scalar_type(len(self.paths))
+        for name, column in (("frame_ids", ids.astype(id_type)), ("timestamps", ts),
+                             ("path_ends", ends.astype(end_type))):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         later = np.flatnonzero(ts[1:] <= ts[:-1])
         if later.size:
             i = int(later[0]) + 1
@@ -579,8 +589,12 @@ def read_manifest(path: str | Path) -> dict[str, FrameIndex]:
     indexes = {}
     for name in list(streams):
         ids, stamps, paths, ends, _ = streams.pop(name)  # freed once copied
-        # copies, exactly as long as the columns: a grown array keeps spare room
-        indexes[name] = FrameIndex(name, np.array(ids), np.array(stamps), bytes(paths), np.array(ends), base)
+        # copies, exactly as long as the columns: a grown array keeps spare
+        # room.  FrameIndex copies ids and ends as it narrows them
+        indexes[name] = FrameIndex(
+            name, np.frombuffer(ids, dtype=np.int64), np.array(stamps), bytes(paths),
+            np.frombuffer(ends, dtype=np.int64), base,
+        )
     return indexes
 
 

@@ -6,17 +6,20 @@ is written by the task that labeled it, and report rows follow frame order
 whatever the worker count.  The calling thread and ``workers - 1`` helper
 threads each take the next frame when they finish one, so at most
 ``workers`` frames are alive at once; beyond the matched manifests a run
-keeps for each frame of its sequence only its result.
+keeps for each frame of its sequence only its packed report and its
+seconds (``FrameTable``).
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 import os
 import re
 import threading
 import time
-from collections.abc import Set
+from array import array
+from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -103,9 +106,63 @@ class FrameResult:
         return self.out_dir / _labeled_name(self.frame_id)
 
 
+class FrameTable(Sequence):
+    """A run's finished frames, in frame order, held packed: frame i's report
+    bytes (``FrameReport.packed``) lie in one buffer between its two
+    offsets, and its seconds in one float column, so a frame of three
+    classes holds about 130 bytes and no object.  Frames are stored by slot as they finish, in
+    any order.  Item i builds frame i's FrameResult, and ``reports`` reads
+    the same table as FrameReports."""
+
+    __slots__ = ("out_dir", "_packed", "_bounds", "_seconds", "_lock")
+
+    def __init__(self, out_dir: Path, n: int) -> None:
+        self.out_dir = out_dir
+        self._packed = bytearray()
+        self._bounds = array("q", bytes(16 * n))  # frame i's bytes: from _bounds[2i] to _bounds[2i + 1]
+        self._seconds = array("d", bytes(8 * n))
+        self._lock = threading.Lock()
+
+    def _store(self, i: int, report: segment.FrameReport, seconds: float) -> None:
+        with self._lock:
+            self._bounds[2 * i] = len(self._packed)
+            self._packed += report.packed
+            self._bounds[2 * i + 1] = len(self._packed)
+        self._seconds[i] = seconds
+
+    def _report(self, i: int) -> segment.FrameReport:
+        i = range(len(self))[operator.index(i)]
+        return segment.FrameReport.unpack(bytes(self._packed[self._bounds[2 * i]:self._bounds[2 * i + 1]]))
+
+    def __len__(self) -> int:
+        return len(self._seconds)
+
+    def __getitem__(self, i: int) -> FrameResult:
+        return FrameResult(self.out_dir, self._report(i), self._seconds[i])
+
+    @property
+    def reports(self) -> Sequence[segment.FrameReport]:
+        return _TableReports(self)
+
+
+class _TableReports(Sequence):
+    """A FrameTable's reports, each built when read."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: FrameTable) -> None:
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, i: int) -> segment.FrameReport:
+        return self._table._report(i)
+
+
 @dataclass(frozen=True)
 class PipelineResult:
-    frames: list[FrameResult]
+    frames: FrameTable
     summary: segment.SequenceSummary
     report_csv: Path
     summary_path: Path
@@ -176,8 +233,9 @@ def load_bundle_detections(
 
 def _process_bundle(
     bundle: cloud_io.FrameBundle, rig: list[calib.CameraModel], cfg: PipelineConfig
-) -> FrameResult:
-    """Read, label, denoise and write one frame; a failure raises PipelineError naming it."""
+) -> tuple[segment.FrameReport, float]:
+    """Read, label, denoise and write one frame; return its report and seconds.
+    A failure raises PipelineError naming the frame."""
     start = time.perf_counter()
     try:
         frame = cloud_io.read_pcd(
@@ -194,15 +252,15 @@ def _process_bundle(
         seconds = time.perf_counter() - start
     except Exception as e:
         raise PipelineError(f"frame {bundle.cloud.frame_id} ({bundle.cloud.path}): {e}") from e
-    return FrameResult(cfg.out_dir, report, seconds)
+    return report, seconds
 
 
-def _run_frames(task: Callable[[int], FrameResult], n: int, workers: int) -> list[FrameResult]:
-    """``task(i)`` for each i in range(n), in order.  The calling thread and
-    ``min(workers, n) - 1`` helper threads each claim the next frame under
-    one lock.  After a failure no thread starts a frame; the running ones
-    finish, and the earliest failed frame's error is raised."""
-    results: list = [None] * n
+def _run_frames(task: Callable[[int], object], n: int, workers: int) -> None:
+    """``task(i)`` for each i in range(n), claimed in order.  The calling
+    thread and ``min(workers, n) - 1`` helper threads each claim the next
+    frame under one lock.  After a failure no thread starts a frame; the
+    running ones finish, and the earliest failed frame's error is raised."""
+    failures: dict[int, BaseException] = {}
     lock = threading.Lock()
     claimed = 0  # frames below it are taken; n once nothing may start
 
@@ -215,10 +273,10 @@ def _run_frames(task: Callable[[int], FrameResult], n: int, workers: int) -> lis
                     return
                 claimed += 1
             try:
-                results[i] = task(i)
+                task(i)
             except BaseException as e:  # raised below, once every thread has stopped
-                results[i] = e
                 with lock:
+                    failures[i] = e
                     claimed = n
 
     threads = []
@@ -233,10 +291,8 @@ def _run_frames(task: Callable[[int], FrameResult], n: int, workers: int) -> lis
             claimed = n
         for thread in threads:
             thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return results
+    if failures:
+        raise failures[min(failures)]
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -257,15 +313,18 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     matches = cloud_io.match_frames(cloud_index, camera_indices, cfg.tolerance)
     del cloud_index, det_manifest, camera_indices
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as e:  # a name the file system's encoding lacks is a ValueError
+        raise PipelineError(f"output directory {cfg.out_dir}: {e}") from e
+    frames = FrameTable(cfg.out_dir, len(matches))
     # frame i's bundle is built only when a thread claims the frame
-    frames = _run_frames(lambda i: _process_bundle(matches[i], rig, cfg), len(matches), cfg.workers)
+    _run_frames(lambda i: frames._store(i, *_process_bundle(matches[i], rig, cfg)), len(matches), cfg.workers)
     del matches
-    reports = [fr.report for fr in frames]
 
     report_csv = cfg.out_dir / "report.csv"
-    segment.write_report_csv(report_csv, reports)
-    summary = segment.aggregate_reports(reports)
+    segment.write_report_csv(report_csv, frames.reports)
+    summary = segment.aggregate_reports(frames.reports)
     summary_path = cfg.out_dir / "summary.txt"
     summary_path.write_text(summary.render() + "\n")
     total = time.perf_counter() - t0

@@ -19,7 +19,7 @@ import re
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -260,6 +260,13 @@ class FrameReport:
             raise ValueError(f"frame id, class ids and counts must fit in 64 bits, got {values}") from None
         object.__setattr__(self, "packed", packed)
 
+    @classmethod
+    def unpack(cls, packed: bytes) -> FrameReport:
+        """The report whose ``packed`` is ``packed``, another report's."""
+        report = object.__new__(cls)
+        object.__setattr__(report, "packed", packed)
+        return report
+
     def _values(self) -> list[int]:
         return memoryview(self.packed).cast("q").tolist()
 
@@ -409,7 +416,7 @@ def denoise_frame(
 class SequenceSummary:
     """Drop-rate statistics over a frame sequence, and the reports they come from."""
 
-    reports: tuple[FrameReport, ...]
+    reports: Sequence[FrameReport]
     empty_frames: tuple[int, ...]
     mean_drop_rate: float
     max_frame: int | None
@@ -438,17 +445,23 @@ def aggregate_reports(reports: Iterable[FrameReport]) -> SequenceSummary:
     """Summarize per-frame reports: every rate, the extremes, and the mean.
 
     Frames without labeled points are flagged and excluded from the mean
-    and the extremes.
+    and the extremes.  A sequence is kept as it is, and read a report at a
+    time, so summarizing holds no report of its own per frame.
     """
-    reports = tuple(reports)
-    active = [r for r in reports if not r.is_empty]
+    if not isinstance(reports, Sequence):
+        reports = tuple(reports)
+
+    def active() -> Iterator[FrameReport]:
+        return (r for r in reports if not r.is_empty)
+
     # the first frame wins a tie
-    hi = max(active, key=lambda r: r.drop_rate_percent, default=None)
-    lo = min(active, key=lambda r: r.drop_rate_percent, default=None)
+    hi = max(active(), key=lambda r: r.drop_rate_percent, default=None)
+    lo = min(active(), key=lambda r: r.drop_rate_percent, default=None)
+    n_active = sum(1 for _ in active())
     return SequenceSummary(
         reports=reports,
         empty_frames=tuple(r.frame_id for r in reports if r.is_empty),
-        mean_drop_rate=sum(r.drop_rate_percent for r in active) / len(active) if active else 0.0,
+        mean_drop_rate=sum(r.drop_rate_percent for r in active()) / n_active if n_active else 0.0,
         max_frame=None if hi is None else hi.frame_id,
         max_rate=None if hi is None else hi.drop_rate_percent,
         min_frame=None if lo is None else lo.frame_id,

@@ -533,3 +533,27 @@ def test_text_inputs_are_read_as_utf8_in_an_ascii_locale(tmp_path):
         "detections": 1, "rejected": 0, "out": "démo/out",
         "manifest": f"{tmp_path}/dets/caméra.txt",
     }
+
+
+def test_output_directory_the_locale_cannot_encode_is_named(tmp_path):
+    # in the ASCII locale 'démo/out' has no file-system name: the run fails
+    # before it writes anything, and the error names the directory
+    scene = _gen(tmp_path)
+    (tmp_path / "run.json").write_bytes('{"out": "démo/out"}'.encode())
+    src = str(Path(pclabel.__file__).resolve().parent.parent)
+    env = {
+        **os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    args = _run_args(scene, tmp_path / "unused")
+    del args[args.index("--out"):args.index("--out") + 2]  # the config file's out is used
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from pclabel.cli import main; sys.exit(main(sys.argv[1:]))",
+         *args, "--config", "run.json"],
+        capture_output=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    err = proc.stderr.decode("ascii")  # stderr escapes what the locale cannot encode
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err
+    assert err.startswith("error: output directory d\\xe9mo/out: "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "scene"]

@@ -580,10 +580,71 @@ class TestFrameTypes:
         ([0], [1, 2], "1 frame ids, 2 timestamps and 2 paths"),
         ([0, 1], [2, 1], "path ends must rise to 2"),
         ([0, 1], [1, 1], "path ends must rise to 2"),
+        # ends that fall and rise again: checked before they are narrowed to
+        # an unsigned type, where the fall would wrap round to a rise
+        ([0, 1], [3, 2], "path ends must rise to 2"),
+        ([0, 1], [-1, 2], "path ends must rise to 2"),
     ])
     def test_index_columns_must_agree(self, frame_ids, ends, message):
         with pytest.raises(ValueError, match=message):
             FrameIndex("cloud", frame_ids, [0.0, 0.1], b"ab", ends)
+
+
+class TestNarrowColumns:
+    """An index holds its frame ids in the narrowest signed type and its path
+    ends in the narrowest unsigned type their values need, and loses none."""
+
+    @pytest.mark.parametrize("ids, itemsize", [
+        ([0, 5], 1),
+        ([-128, 127], 1),
+        ([-129, 0], 2),
+        ([0, 128], 2),
+        ([-32768, 32767], 2),
+        ([0, 32768], 4),
+        ([-(1 << 31), (1 << 31) - 1], 4),
+        ([0, 1 << 31], 8),
+        ([-(1 << 63), (1 << 63) - 1], 8),
+        ([(1 << 63) - 1, -(1 << 63), 0], 8),
+    ])
+    def test_frame_ids_read_back_unchanged(self, tmp_path, ids, itemsize):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text("".join(f"cloud {fid} {0.1 * i:.1f} f{i}.pcd\n" for i, fid in enumerate(ids)))
+        index = read_manifest(manifest)["cloud"]
+        assert index.frame_ids.dtype.kind == "i" and index.frame_ids.itemsize == itemsize
+        assert [entry.frame_id for entry in index] == ids
+        assert [type(entry.frame_id) for entry in index] == [int] * len(ids)
+        built = FrameIndex("cloud", ids, [float(i) for i in range(len(ids))], b"", [0] * len(ids))
+        assert [entry.frame_id for entry in built] == ids
+
+    def test_path_ends_past_16_bits_read_back_unchanged(self, tmp_path):
+        # 700 paths of 100 bytes and more, one of them not ASCII: 70,000 bytes
+        # and more of paths in one stream, beyond what a uint16 end holds
+        rels = [f"clouds/{'x' * 80}_{i:06d}.pcd" for i in range(700)]
+        rels[350] = f"clouds/caméra_{'y' * 90}.pcd"
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(
+            "".join(f"cloud {i} {0.1 * i:.1f} {rel}\n" for i, rel in enumerate(rels)), encoding="utf-8"
+        )
+        index = read_manifest(manifest)["cloud"]
+        assert len(index.paths) > 65535
+        assert index.path_ends.dtype == np.uint32
+        assert int(index.path_ends[-1]) == len(index.paths)
+        assert [entry.path for entry in index] == [str(tmp_path / rel) for rel in rels]
+
+    def test_short_stream_takes_16_bit_ends(self, tmp_path):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text("".join(f"cloud {i} {0.1 * i:.1f} clouds/frame_{i:06d}.pcd\n" for i in range(120)))
+        index = read_manifest(manifest)["cloud"]
+        assert index.frame_ids.dtype == np.int8 and index.path_ends.dtype == np.uint16
+        assert [entry.path for entry in index] == [
+            str(tmp_path / f"clouds/frame_{i:06d}.pcd") for i in range(120)
+        ]
+
+    def test_columns_stay_read_only(self, tmp_path):
+        index = FrameIndex("cloud", [0, 1], [0.0, 0.1], b"ab", [1, 2])
+        for column in (index.frame_ids, index.timestamps, index.path_ends):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
 
 class TestManifest:
@@ -611,9 +672,10 @@ class TestManifest:
 
     def test_holds_a_few_bytes_a_line_beside_its_path(self, tmp_path):
         # each line is read straight into its stream's columns: a frame id,
-        # a timestamp and a path end (24 bytes) beside the path's own bytes.
-        # An IndexEntry per line held 179 bytes beside a path that also
-        # carried the manifest's directory
+        # a timestamp and a path end (12 bytes on these 600-line streams,
+        # 24 before ids and ends took their natural widths) beside the path's
+        # own bytes.  An IndexEntry per line held 179 bytes beside a path
+        # that also carried the manifest's directory
         n = 3000
         rels = [f"dets/frame_{i // 5:06d}_cam{i % 5}.txt" for i in range(n)]
         manifest = tmp_path / "dets.manifest"

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -680,6 +681,34 @@ class TestFrameLoop:
         run_pipeline(_pipeline_cfg(loop_scenes[6], tmp_path / "out", workers=workers))
         assert max(most) == workers
 
+    def test_frames_finished_out_of_order_read_back_in_frame_order(self, loop_scenes, tmp_path, monkeypatch):
+        # frame 0 finishes only once frame 2 has started, so frame 1 is stored
+        # before it; the results and reports still read as the 1-worker run's
+        scene = loop_scenes[6]
+        one = run_pipeline(_pipeline_cfg(scene, tmp_path / "w1"))
+        frame_2_started, waited = threading.Event(), []
+
+        def around(frame_id, task):
+            if frame_id == 0:
+                waited.append(frame_2_started.wait(timeout=10))
+            elif frame_id == 2:
+                frame_2_started.set()
+            return task()
+
+        _around_frames(monkeypatch, around)
+        two = run_pipeline(_pipeline_cfg(scene, tmp_path / "w2", workers=2))
+        assert waited == [True]
+
+        def frames(result):
+            return [(fr.frame_id, fr.report, fr.pcd_path.name) for fr in result.frames]
+
+        assert frames(two) == frames(one)
+        assert [fr.frame_id for fr in one.frames] == list(range(6))
+        assert all(fr.pcd_path.parent == tmp_path / "w2" for fr in two.frames)
+        assert list(two.summary.reports) == list(one.summary.reports) == [fr.report for fr in one.frames]
+        assert [r.frame_id for r in two.summary.reports] == list(range(6))
+        assert two.summary.render() == one.summary.render()
+
     def test_a_slow_first_frame_holds_back_no_other_start(self, loop_scenes, tmp_path, monkeypatch):
         last_started, waited = threading.Event(), []
 
@@ -796,11 +825,13 @@ def short_and_long_scenes(tmp_path_factory):
 # at once, this grew by 4,020-4,230 bytes a frame at 1 or 2 workers (Python
 # 3.11); with bundles released as frames finish, by 2,270-2,380 at 1 worker
 # and 2,160-2,490 at 2 while each entry and result held a Path, and by
-# 1,240-1,440 and 1,110-1,640 while they held text.  Since manifests are
-# held as columns and reports packed, by 560-710 and 670-1,070 (15 runs
-# each, twice).  Each limit keeps the margin it kept over the figures
-# before it: 1.11 and 1.41 times the largest.
-@pytest.mark.parametrize("workers, limit", [(1, 790), (2, 1500)])
+# 1,240-1,440 and 1,110-1,640 while they held text, and by 560-710 and
+# 670-1,070 while manifests were columns of 8-byte ids and ends and each
+# frame kept a FrameResult with its packed report.  Since finished frames
+# are one packed table and manifest columns take their natural widths, by
+# 330-480 and 370-710 (15 runs each, three times).  Each limit keeps the
+# margin it kept over the figures before it: 1.11 and 1.41 times the largest.
+@pytest.mark.parametrize("workers, limit", [(1, 540), (2, 1000)])
 def test_run_state_per_frame(short_and_long_scenes, tmp_path, workers, limit):
     # what a run holds for each frame of its sequence: its manifest columns
     # (a few bytes an entry beside its path) and its result
@@ -812,6 +843,40 @@ def test_run_state_per_frame(short_and_long_scenes, tmp_path, workers, limit):
         _result, peaks[n] = traced_peak(run_pipeline, cfg)
     growth = (peaks[40] - peaks[10]) / 30
     assert growth < limit, f"the traced peak grows by {growth:.0f} bytes a frame"
+
+
+def _held_bytes(cfg):
+    """(the frame count of ``run_pipeline(cfg)``, the traced bytes its result
+    holds): those freed when the result is dropped, and nothing a run leaves
+    in caches."""
+    run_pipeline(cfg)  # warm-up: lazy imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_pipeline(cfg)
+        frames = len(result.frames)
+        assert len(result.summary.reports) == frames
+        gc.collect()
+        holding = tracemalloc.get_traced_memory()[0]
+        del result
+        gc.collect()
+        return frames, holding - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_held_result_per_frame(short_and_long_scenes, tmp_path, workers):
+    # a held PipelineResult keeps each frame's packed report, its seconds and
+    # their offsets, about 90 bytes with one class; a FrameResult, a
+    # FrameReport, the report's bytes, a float and three lists' slots per
+    # frame took about 225
+    held = {}
+    for n, scene in short_and_long_scenes.items():
+        frames, held[n] = _held_bytes(_pipeline_cfg(scene, tmp_path / f"{n}", workers=workers))
+        assert frames == n
+    growth = (held[40] - held[10]) / 30
+    assert growth <= 150, f"a held result grows by {growth:.0f} bytes a frame"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
