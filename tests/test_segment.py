@@ -23,6 +23,7 @@ from pclabel import (
     write_report_csv,
 )
 from pclabel.rng import SplitMix64, derive_seed
+from pclabel.segment import DOT_SUM_MAX_K, _exact_axis
 
 from helpers import (
     criterion7_frame,
@@ -212,6 +213,27 @@ class TestKMeans:
             assert min(abs(res.inertia - inertia) for _, inertia in optima) < 1e-9
 
 
+def _exact_axes(pts):
+    """Per axis of ``pts``, whether kmeans finds its sums exact."""
+    cols = np.ascontiguousarray(np.asarray(pts, dtype=np.float64).T)
+    n = cols.shape[1]
+    return [_exact_axis(col, np.empty(n), np.empty(n), np.empty(n, dtype=bool)) for col in cols]
+
+
+def _criterion7_detection(cam_id, det_idx):
+    """The float32 points of one detection of the criterion-7 frame, in frame order."""
+    rig, frame, dets_by_cam = criterion7_frame()
+    lc = label_frame(frame, rig, dets_by_cam)
+    return frame.xyz[(lc.camera_id == cam_id) & (lc.det_index == det_idx)]
+
+
+def _thin_slab_blobs():
+    rng = np.random.default_rng(0)
+    pts = np.concatenate([rng.normal(c, 0.6, size=(1_500, 3)) for c in ((20, -3, 1), (23, 3, 1), (21, 0, 3))])
+    pts[rng.choice(len(pts), 60, replace=False), 1] = rng.uniform(-1e-5, 1e-5, 60)
+    return pts.astype(np.float32)
+
+
 def _reference_cases():
     rng = np.random.default_rng(31)
     line = np.array([[0, 0, 0]] * 4 + [[2, 0, 0]] * 4 + [[1, 0, 0]] * 3, dtype=float)
@@ -239,6 +261,20 @@ def _reference_cases():
         ],
         # ids past 255 take two bytes
         "k_above_256": [(rng.normal(size=(600, 3)), KMeansConfig(k=300, seed=4))],
+        # float32 blobs tens of metres out, 60 of whose y values lie within
+        # 1e-5 of 0: y's sums could round, so x and z take dot products and
+        # y its bincount, which a dot product would not match
+        "float32_inexact_axis": [
+            (_thin_slab_blobs(), KMeansConfig(k=k, seed=s)) for k in (2, 3) for s in range(3)
+        ],
+        # a BLAS may sum -0.0 values to -0.0; bincount's sum is +0.0.
+        # Over the seeds the -0.0 points form a cluster summed by a dot
+        # product, and the last cluster, summed as the total less the others
+        "negative_zero_cluster": [
+            (np.concatenate([np.full((12, 3), -0.0), rng.normal(5.0, 0.5, size=(30, 3))]).astype(np.float32),
+             KMeansConfig(k=k, seed=s))
+            for k in (2, 3) for s in range(8)
+        ],
     }
 
 
@@ -270,6 +306,53 @@ def _kmeans_inputs(draw):
         tol=draw(st.sampled_from([0.0, 1e-6, 0.3])),
     )
     return np.array([distinct[i] for i in rows], dtype=dtype), cfg
+
+
+class TestExactAxis:
+    """_exact_axis: an axis's sums are exact in any order, so a dot product
+    gives bincount's bits, when every value is a multiple of 2**-s and their
+    absolute sum is below 2**(52-s), one bit short of where a sum rounds."""
+
+    def test_all_zero_axis_is_exact(self):
+        assert _exact_axes(np.zeros((5, 3))) == [True] * 3
+        assert _exact_axes(np.full((5, 3), -0.0)) == [True] * 3
+
+    def test_float32_detection_is_exact(self):
+        pts = _criterion7_detection(0, 0)
+        assert pts.dtype == np.float32 and len(pts) > 9_000
+        assert _exact_axes(pts) == [True] * 3
+
+    def test_one_fine_value_makes_only_its_axis_inexact(self):
+        # float32 values from 10 to 50 are multiples of 2**-20, and 2,000 of
+        # them sum to about 2**16, so s = 36: 2**-40 is no multiple of 2**-36
+        pts = np.random.default_rng(5).uniform(10, 50, size=(2_000, 3)).astype(np.float32)
+        assert _exact_axes(pts) == [True] * 3
+        pts[7, 1] = 2.0 ** -40
+        assert _exact_axes(pts) == [True, False, True]
+
+    def test_absolute_sum_boundary(self):
+        # multiples of 2**-10: exact up to 2**52 - 1 units of 2**-10, refused
+        # from 2**52 units on, and so at 2**53, where a sum could round
+        unit = 2.0 ** -10
+        for units, exact in ((2 ** 52 - 1, True), (2 ** 52, False), (2 ** 53, False)):
+            col = np.array([unit, (units - 1) * unit, 0.0])
+            assert float(np.abs(col).sum()) == units * unit
+            assert _exact_axes(np.stack([col] * 3, axis=1)) == [exact] * 3, units
+
+    def test_scale_outside_float_range_is_refused(self):
+        # multiples of 2**-1000, about 1e-300, would need 2**s past the
+        # largest float, where the same values times 2**50 need 2**986; 2**60
+        # with one denormal would scale down, flushing the denormal to 0.0
+        tiny = np.random.default_rng(3).integers(1, 1_000, size=(100, 3)) * 2.0 ** -1000
+        huge = np.array([[2.0 ** 60] * 3, [5e-324] * 3])
+        with np.errstate(all="raise"):
+            for pts in (tiny, huge):
+                assert _exact_axes(pts) == [False] * 3
+            assert _exact_axes(tiny * 2.0 ** 50) == [True] * 3
+        # an absolute sum that overflows to inf, as the squared distances of
+        # such points would
+        with np.errstate(over="ignore"):
+            assert _exact_axes(np.full((3, 3), 1e308)) == [False] * 3
 
 
 class TestKMeansMatchesReference:
@@ -310,6 +393,26 @@ class TestKMeansMatchesReference:
         res = kmeans(pts, cfg)
         assert res.inertia_history[-1] != res.inertia_history[-2]  # the last step moved
         assert res.iterations_run < kmeans(pts, replace(cfg, tol=0.0)).iterations_run
+        # which sums are dot products: every axis of integer points, two of
+        # the thin slab's, none of float64 normal samples at k = 3, and none
+        # past DOT_SUM_MAX_K
+        for pts, cfg in cases["duplicates_and_ties"]:
+            assert cfg.k <= DOT_SUM_MAX_K and _exact_axes(pts) == [True] * 3
+        for pts, cfg in cases["float32_inexact_axis"]:
+            assert cfg.k <= DOT_SUM_MAX_K and _exact_axes(pts) == [True, False, True]
+        pts, cfg = cases["tol_stop"][0]
+        assert cfg.k <= DOT_SUM_MAX_K and _exact_axes(pts) == [False] * 3
+        assert cases["k_above_256"][0][1].k > DOT_SUM_MAX_K
+        # the -0.0 points form a cluster, both before the last one and as it
+        last_ids = set()
+        for pts, cfg in cases["negative_zero_cluster"]:
+            assert cfg.k <= DOT_SUM_MAX_K and _exact_axes(pts) == [True] * 3
+            res = kmeans(pts, cfg)
+            (zero_id,) = set(res.assignments[:12].tolist())
+            assert zero_id not in res.assignments[12:]
+            assert res.centroids[zero_id].tobytes() == bytes(24)  # +0.0, not -0.0
+            last_ids.add(zero_id == res.k - 1)
+        assert last_ids == {True, False}
 
 
 def _tie_cases():
