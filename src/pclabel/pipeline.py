@@ -6,14 +6,13 @@ is written by the task that labeled it, and report rows follow frame order
 whatever the worker count.  The calling thread and ``workers - 1`` helper
 threads each take the next frame when they finish one, so at most
 ``workers`` frames are alive at once; beyond the matched manifests a run
-keeps for each frame of its sequence only its packed report and its
+keeps for each frame of its sequence only its report, packed, and its
 seconds (``FrameTable``).
 """
 
 from __future__ import annotations
 
 import logging
-import operator
 import os
 import re
 import threading
@@ -107,57 +106,30 @@ class FrameResult:
 
 
 class FrameTable(Sequence):
-    """A run's finished frames, in frame order, held packed: frame i's report
-    bytes (``FrameReport.packed``) lie in one buffer between its two
-    offsets, and its seconds in one float column, so a frame of three
-    classes holds about 130 bytes and no object.  Frames are stored by slot as they finish, in
-    any order.  Item i builds frame i's FrameResult, and ``reports`` reads
-    the same table as FrameReports."""
+    """A run's finished frames, in frame order: their reports packed in one
+    ``segment.ReportTable`` and their seconds in one float column, so a frame
+    of three classes holds about 130 bytes and no object.  Frames are stored
+    by slot as they finish, in any order.  Item i builds frame i's
+    FrameResult."""
 
-    __slots__ = ("out_dir", "_packed", "_bounds", "_seconds", "_lock")
+    __slots__ = ("out_dir", "reports", "_seconds", "_lock")
 
     def __init__(self, out_dir: Path, n: int) -> None:
         self.out_dir = out_dir
-        self._packed = bytearray()
-        self._bounds = array("q", bytes(16 * n))  # frame i's bytes: from _bounds[2i] to _bounds[2i + 1]
+        self.reports = segment.ReportTable(n)
         self._seconds = array("d", bytes(8 * n))
         self._lock = threading.Lock()
 
     def _store(self, i: int, report: segment.FrameReport, seconds: float) -> None:
         with self._lock:
-            self._bounds[2 * i] = len(self._packed)
-            self._packed += report.packed
-            self._bounds[2 * i + 1] = len(self._packed)
+            self.reports.put(i, report)
         self._seconds[i] = seconds
-
-    def _report(self, i: int) -> segment.FrameReport:
-        i = range(len(self))[operator.index(i)]
-        return segment.FrameReport.unpack(bytes(self._packed[self._bounds[2 * i]:self._bounds[2 * i + 1]]))
 
     def __len__(self) -> int:
         return len(self._seconds)
 
     def __getitem__(self, i: int) -> FrameResult:
-        return FrameResult(self.out_dir, self._report(i), self._seconds[i])
-
-    @property
-    def reports(self) -> Sequence[segment.FrameReport]:
-        return _TableReports(self)
-
-
-class _TableReports(Sequence):
-    """A FrameTable's reports, each built when read."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: FrameTable) -> None:
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __getitem__(self, i: int) -> segment.FrameReport:
-        return self._table._report(i)
+        return FrameResult(self.out_dir, self.reports[i], self._seconds[i])
 
 
 @dataclass(frozen=True)

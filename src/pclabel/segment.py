@@ -15,6 +15,7 @@ columns, whether or not they were denoised.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from array import array
 from dataclasses import dataclass, replace
@@ -308,67 +309,41 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     )
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, slots=True)
 class FrameReport:
     """Per-frame labeling and denoising counts; the drop count and rate derive from them.
 
-    A report is held packed, as int64 values in one bytes object: the
-    frame id, ``total_points``, ``labeled_before`` and ``kept_after``, then
-    one (class id, before, after) triple per class in id order, with -1
-    for a count that its dict lacks.  Each field is built when read, so a
-    run's reports hold no dict and no int per frame.
+    ``class_before`` holds the labeled points by class id, ``class_after``
+    the kept ones.  The counts must order as 0 <= kept_after <=
+    labeled_before <= total_points, each class dict must sum to its total,
+    and no class may keep more points than it labeled; the frame id,
+    ``total_points`` and the class ids must fit in 64 bits, so every count
+    does too.  A run holds its reports packed (``ReportTable``).
     """
 
-    packed: bytes
+    frame_id: int
+    total_points: int
+    labeled_before: int
+    kept_after: int
+    class_before: Mapping[int, int]
+    class_after: Mapping[int, int]
 
-    def __init__(
-        self, frame_id: int, total_points: int, labeled_before: int, kept_after: int,
-        class_before: Mapping[int, int], class_after: Mapping[int, int],
-    ) -> None:
-        if not 0 <= kept_after <= labeled_before <= total_points:
+    def __post_init__(self) -> None:
+        if not 0 <= self.kept_after <= self.labeled_before <= self.total_points:
             raise ValueError(
-                f"counts break 0 <= kept_after ({kept_after}) <= labeled_before "
-                f"({labeled_before}) <= total_points ({total_points})"
+                f"counts break 0 <= kept_after ({self.kept_after}) <= labeled_before "
+                f"({self.labeled_before}) <= total_points ({self.total_points})"
             )
-        for counts, total in ((class_before, labeled_before), (class_after, kept_after)):
+        before, after = self.class_before, self.class_after
+        for counts, total in ((before, self.labeled_before), (after, self.kept_after)):
             if min(counts.values(), default=0) < 0 or sum(counts.values()) != total:
                 raise ValueError(f"class counts {counts} must be >= 0 and sum to {total}")
-        values = [frame_id, total_points, labeled_before, kept_after]
-        for c in sorted({*class_before, *class_after}):
-            values += [c, class_before.get(c, -1), class_after.get(c, -1)]
-        try:
-            packed = array("q", values).tobytes()
-        except OverflowError:
-            raise ValueError(f"frame id, class ids and counts must fit in 64 bits, got {values}") from None
-        object.__setattr__(self, "packed", packed)
-
-    @classmethod
-    def unpack(cls, packed: bytes) -> FrameReport:
-        """The report whose ``packed`` is ``packed``, another report's."""
-        report = object.__new__(cls)
-        object.__setattr__(report, "packed", packed)
-        return report
-
-    def _values(self) -> list[int]:
-        return memoryview(self.packed).cast("q").tolist()
-
-    def _classes(self, column: int) -> dict[int, int]:
-        values = self._values()
-        return {c: n for c, n in zip(values[4::3], values[4 + column::3]) if n >= 0}
-
-    frame_id = property(lambda self: self._values()[0])
-    total_points = property(lambda self: self._values()[1])
-    labeled_before = property(lambda self: self._values()[2])
-    kept_after = property(lambda self: self._values()[3])
-    class_before = property(lambda self: self._classes(1), doc="Labeled points by class id.")
-    class_after = property(lambda self: self._classes(2), doc="Kept points by class id.")
-
-    def __repr__(self) -> str:
-        return (
-            f"FrameReport(frame_id={self.frame_id}, total_points={self.total_points}, "
-            f"labeled_before={self.labeled_before}, kept_after={self.kept_after}, "
-            f"class_before={self.class_before}, class_after={self.class_after})"
-        )
+        for c, kept in after.items():
+            if kept > before.get(c, 0):
+                raise ValueError(f"class {c}: {kept} kept of {before.get(c, 0)} labeled")
+        ids = (self.frame_id, self.total_points, *before, *after)
+        if min(ids) < -(1 << 63) or max(ids) >= 1 << 63:
+            raise ValueError(f"frame id, class ids and counts must fit in 64 bits, got {self}")
 
     @property
     def dropped(self) -> int:
@@ -381,6 +356,53 @@ class FrameReport:
     @property
     def is_empty(self) -> bool:
         return self.labeled_before == 0
+
+
+class ReportTable(Sequence[FrameReport]):
+    """Frame reports held packed, in slots: int64 values back to back in one
+    array, slot i's between its two offsets.  A report is its frame id,
+    ``total_points``, ``labeled_before`` and ``kept_after``, then one (class
+    id, before, after) triple per class in id order, with -1 for a count its
+    dict lacks, so a report of three classes takes 104 bytes and no object.
+
+    ``ReportTable(n)`` sets up n empty slots.  ``put(i, report)`` fills slot
+    i, in any order, and adds a slot at the end when i is ``len(self)``; it
+    is not thread-safe.  Item i builds its FrameReport when read.
+    """
+
+    __slots__ = ("_values", "_bounds")
+
+    def __init__(self, n: int = 0) -> None:
+        self._values = array("q")
+        self._bounds = array("q", bytes(16 * n))  # slot i: from _bounds[2i] to _bounds[2i + 1]
+
+    def __len__(self) -> int:
+        return len(self._bounds) // 2
+
+    def put(self, i: int, report: FrameReport) -> None:
+        if operator.index(i) == len(self):
+            self._bounds.extend((0, 0))
+        i = range(len(self))[i]
+        start = len(self._values)
+        before, after = report.class_before, report.class_after
+        values = [report.frame_id, report.total_points, report.labeled_before, report.kept_after]
+        for c in sorted({*before, *after}):
+            values += [c, before.get(c, -1), after.get(c, -1)]
+        self._values.extend(values)
+        self._bounds[2 * i], self._bounds[2 * i + 1] = start, len(self._values)
+
+    def __getitem__(self, i: int) -> FrameReport:
+        i = range(len(self))[operator.index(i)]
+        start, end = self._bounds[2 * i], self._bounds[2 * i + 1]
+        if start == end:
+            raise ValueError(f"report slot {i} is empty")
+        values = self._values[start:end].tolist()
+        ids = values[4::3]
+        return FrameReport(
+            *values[:4],
+            {c: n for c, n in zip(ids, values[5::3]) if n >= 0},
+            {c: n for c, n in zip(ids, values[6::3]) if n >= 0},
+        )
 
 
 def _class_counts(class_ids: np.ndarray) -> dict[int, int]:
@@ -577,8 +599,8 @@ def write_report_csv(path: str | Path, reports: Sequence[FrameReport]) -> None:
             fh.write(",".join(map(str, row)) + "\r\n")
 
 
-def read_report_csv(path: str | Path) -> list[FrameReport]:
-    """Read a report written by ``write_report_csv``.
+def read_report_csv(path: str | Path) -> ReportTable:
+    """Read a report written by ``write_report_csv``, in row order.
 
     A repeated header column raises ValueError naming ``path``.  A row with
     the wrong cell count, a cell that is not an ASCII number without '_' (a
@@ -599,7 +621,8 @@ def read_report_csv(path: str | Path) -> list[FrameReport]:
         if (int(m.group(1)), m.group(2)) in class_cols:
             raise ValueError(f"{path}: repeated CSV column '{name}'")
         class_cols[int(m.group(1)), m.group(2)] = col
-    reports: dict[int, FrameReport] = {}
+    reports = ReportTable()
+    seen: set[int] = set()
     for lineno, row, _ in rows:
         where = f"{path}:{lineno}"
         if len(row) != len(header):
@@ -621,7 +644,8 @@ def read_report_csv(path: str | Path) -> list[FrameReport]:
                 raise ValueError(f"drop_rate_percent is {row[5]}, the counts give {rate}")
         except ValueError as e:
             raise ValueError(f"{where}: {e}") from None
-        if r.frame_id in reports:
+        if r.frame_id in seen:
             raise ValueError(f"{where}: repeated frame id {r.frame_id}")
-        reports[r.frame_id] = r
-    return list(reports.values())
+        seen.add(r.frame_id)
+        reports.put(len(reports), r)
+    return reports

@@ -23,7 +23,7 @@ from pclabel import (
     write_report_csv,
 )
 from pclabel.rng import SplitMix64, derive_seed
-from pclabel.segment import DOT_SUM_MAX_K, _exact_axis
+from pclabel.segment import DOT_SUM_MAX_K, ReportTable, _exact_axis
 
 from helpers import (
     criterion7_frame,
@@ -918,7 +918,7 @@ class TestReportCsv:
         path = tmp_path / "report.csv"
         write_report_csv(path, reports)
         back = read_report_csv(path)
-        assert back == reports
+        assert list(back) == reports
 
     def test_header_row_present(self, tmp_path):
         path = tmp_path / "report.csv"
@@ -966,11 +966,27 @@ class TestReportCsv:
         ("1,100,50,40,10,20.000000,49,40", "class counts {2: 49} must be >= 0 and sum to 50"),
         ("1,100,50,40,10,20.000000,50,41", "class counts {2: 41} must be >= 0 and sum to 40"),
         ("0,100,50,40,10,20.000000,50,40", "repeated frame id 0"),
+        ("9223372036854775808,100,50,40,10,20.000000,50,40",
+         "frame id, class ids and counts must fit in 64 bits"),
     ])
     def test_contradicting_row_names_file_and_line(self, tmp_path, bad, message):
         path = tmp_path / "report.csv"
         path.write_text(f"{self._HEADER}0,100,50,40,10,20.000000,50,40\n{bad}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+            read_report_csv(path)
+
+    @pytest.mark.parametrize("classes, row, message", [
+        # each class sum holds, but class 2 keeps 40 points of none labeled
+        ((0, 2), "0,100,50,40,10,20.000000,50,0,0,40", "class 2: 40 kept of 0 labeled"),
+        ((2**63,), "0,100,50,40,10,20.000000,50,40", "frame id, class ids and counts must fit in 64 bits"),
+    ])
+    def test_contradicting_classes_name_file_and_line(self, tmp_path, classes, row, message):
+        header = "frame_id,total_points,labeled_before,kept_after,dropped,drop_rate_percent"
+        for cid in classes:
+            header += f",class_{cid}_before,class_{cid}_after"
+        path = tmp_path / "report.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             read_report_csv(path)
 
     def test_cells_must_be_ascii_without_underscores(self, tmp_path):
@@ -1001,6 +1017,42 @@ class TestReportCsv:
         path.write_text(f"{self._HEADER.strip()},{repeat}\n0,100,50,40,10,20.000000,50,40,3\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: repeated CSV column '{repeat}'")):
             read_report_csv(path)
+
+
+class TestReportTable:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), reports=_frame_reports())
+    def test_slots_filled_in_any_order_read_back(self, data, reports):
+        table = ReportTable(len(reports))
+        for i in data.draw(st.permutations(range(len(reports)))):
+            table.put(i, reports[i])
+        assert list(table) == reports
+
+    @settings(max_examples=100, deadline=None)
+    @given(reports=_frame_reports())
+    def test_appended_slots_read_back(self, reports):
+        table = ReportTable()
+        for r in reports:
+            table.put(len(table), r)
+        assert len(table) == len(reports)
+        assert list(table) == reports
+        # negative indexes read from the end
+        assert [table[i - len(reports)] for i in range(len(reports))] == reports
+
+    def test_explicit_zero_counts_survive(self):
+        report = FrameReport(0, 10, 5, 0, {2: 5, 3: 0}, {2: 0})
+        table = ReportTable(1)
+        table.put(-1, report)
+        assert table[-1] == report
+
+    def test_bad_indexes(self):
+        table = ReportTable(1)
+        with pytest.raises(ValueError, match="report slot 0 is empty"):
+            table[0]
+        with pytest.raises(IndexError):
+            table.put(2, FrameReport(0, 0, 0, 0, {}, {}))
+        with pytest.raises(IndexError):
+            table[1]
 
 
 class TestFrameReportHelper:
