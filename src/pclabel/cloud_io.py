@@ -139,10 +139,13 @@ def _field_layout(header: dict[str, list[str]]) -> np.dtype:
             raise PcdError(f"unsupported field type {typ}{size} for '{name}'")
         if count < 1:
             raise PcdError(f"field '{name}' must have COUNT >= 1, got {count}")
-    return np.dtype([
-        (name, _TYPE_MAP[(typ, size)], (count,))
-        for name, typ, size, count in zip(names, types, sizes, counts)
-    ])
+    try:
+        return np.dtype([
+            (name, _TYPE_MAP[(typ, size)], (count,))
+            for name, typ, size, count in zip(names, types, sizes, counts)
+        ])
+    except ValueError as e:  # numpy's bounds on a field's COUNT and a row's bytes
+        raise PcdError(f"a row of these fields is too large: {e}") from e
 
 
 def _declared_points(header: dict[str, list[str]]) -> int:

@@ -77,9 +77,10 @@ class LabeledCloud:
         return int(np.count_nonzero(self.labeled_mask))
 
 
-def _inside(u: np.ndarray, v: np.ndarray, box: BBox) -> np.ndarray:
-    """The membership rule: half-open [x_min, x_max) x [y_min, y_max); NaN is outside."""
-    return (u >= box.x_min) & (u < box.x_max) & (v >= box.y_min) & (v < box.y_max)
+def _inside(u: np.ndarray, v: np.ndarray, bounds: tuple[float, float, float, float]) -> np.ndarray:
+    """The membership rule: half-open [x_lo, x_hi) x [y_lo, y_hi); NaN is outside."""
+    x_lo, x_hi, y_lo, y_hi = bounds
+    return (u >= x_lo) & (u < x_hi) & (v >= y_lo) & (v < y_hi)
 
 
 # the cull's rounding allowances, in multiples of a value's scale (see _reachable)
@@ -212,26 +213,27 @@ def label_frame(
         if not dets:
             continue
         cam = rig_by_id[cam_id]
-        image = BBox(0, 0, cam.intrinsics.width, cam.intrinsics.height)
-        reachable = _reachable(cam, [det.box for det in dets], distortion_mode)
+        boxes = [det.box for det in dets]
+        reachable = _reachable(cam, boxes, distortion_mode)
+        # each box clipped to the image once: a pixel lies in both when it lies
+        # in the clipped box, which is empty for a box wholly outside the image
+        w, h = cam.intrinsics.width, cam.intrinsics.height
+        bounds = [(max(b.x_min, 0), min(b.x_max, w), max(b.y_min, 0), min(b.y_max, h)) for b in boxes]
         hits = [[np.empty(0, dtype=np.intp)] for _ in dets]  # each box's hits, block by block
         for lo in range(0, len(frame), block):
             xyz = frame.xyz[lo:lo + block]
             rows = reachable(xyz)
             if not len(rows):
                 continue
-            # the transpose of project_points' pixels is contiguous, so the image
-            # test and the gathers read contiguous u and v rows
+            # the transpose of project_points' pixels is contiguous, so each
+            # box's test reads contiguous u and v rows
             u, v = project_points(cam, np.take(xyz, rows, axis=0), use_distortion=distortion_mode)[0].T
+            rows += lo
             # a point at or behind the camera plane has a NaN pixel, which is never inside
-            visible = np.flatnonzero(_inside(u, v, image))
-            u, v = u[visible], v[visible]
-            visible = rows[visible]
-            visible += lo
-            for det, box_hits in zip(dets, hits):
-                box_hits.append(visible[_inside(u, v, det.box)])
+            for box, box_hits in zip(bounds, hits):
+                box_hits.append(rows[_inside(u, v, box)])
             # box_hits too: it would keep the last box's pieces alive past `del hits`
-            del u, v, rows, visible, box_hits
+            del u, v, rows, box_hits
         candidates += [
             (det.box.area, cam_id, det_idx, det.class_id, np.concatenate(box_hits))
             for det_idx, (det, box_hits) in enumerate(zip(dets, hits))

@@ -19,8 +19,9 @@ import operator
 import re
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,14 +35,12 @@ from .rng import SplitMix64, derive_seed
 KEEP_MIN_POINTS = 10
 KEEP_MIN_PERCENT = 5
 
-# Up to this k, the axes whose sums are exact (``_exact_axis``) take their
-# per-cluster sums as dot products with a 0/1 mask, k - 1 passes over the
-# points against bincount's one.  kmeans time, bincount loop over dot path,
-# summed over per-call minima of 7 interleaved runs on scan-ordered
-# detections (2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31):
-#   - perfbench c7_dense's 40 detections of 7,812-10,584 points (seed 1):
-#     1.52x at k = 1, 1.95x at 2, 1.47x at 3, 1.26x at 4, 1.11x at 5, 1.01x at 6;
-#   - scene_long's 1,286-point ones: 1.06x, 1.02x, 0.97-1.03x and 0.89-0.94x at k = 1-4.
+# Up to this k, the axes whose sums are exact (``_exact_axis``) take every
+# cluster's sum from one product of the (3, n) points with the 0/1 masks of
+# clusters 0 .. k-2, and the last cluster's as the totals less the others.
+# The bound is structural: the masks are written into ``d2`` and
+# ``scratch``, the only two float64 rows free during the sums, since ``best``
+# must survive a step that moves no centroid, for ``cluster_inertia``.
 DOT_SUM_MAX_K = 3
 
 
@@ -96,43 +95,40 @@ class Clustering:
 
 
 def _assign(
-    cols: np.ndarray, centroids: list[list[float]], assign: np.ndarray, best: np.ndarray,
-    d2: np.ndarray, scratch: np.ndarray, nearest: np.ndarray, closer: np.ndarray,
+    axes: Sequence[np.ndarray], centroids: list[list[float]], best: np.ndarray, d2: np.ndarray,
+    scratch: np.ndarray, nearest: np.ndarray, closer: np.ndarray,
+    near_flags: np.ndarray, closer_flags: np.ndarray,
 ) -> float:
-    """Nearest centroid of every point into ``assign`` (ties to the lowest id),
-    the squared distance to it into ``best``, and the inertia returned.
+    """Nearest centroid of every point into ``nearest`` (ties to the lowest
+    id), the squared distance to it into ``best``, and the inertia returned.
 
-    ``cols`` is (3, n) and ``centroids`` k rows of three Python floats.  The
-    squared terms are added as (dx*dx + dz*dz) + dy*dy, the order in which
-    numpy's AVX2/AVX-512 einsum reduced them in earlier releases, so
-    assignments and inertia stay bit-identical with those.  Centroid 0's
-    distances are built in ``best``, every later one's in ``d2``: dx*dx in
-    place, then dz*dz and dy*dy each through the one float64 row ``scratch``.
-    ``assign`` is an intp view of that row's bytes, so it is written from
-    ``nearest`` only after the last use of ``scratch``.
+    ``axes`` are the three n-long rows of the points and ``centroids`` k rows
+    of three Python floats.  The squared terms are added as (dx*dx + dz*dz)
+    + dy*dy, the order in which numpy's AVX2/AVX-512 einsum reduced them in
+    earlier releases, so assignments and inertia stay bit-identical with
+    those.  Centroid 0's distances are built in ``best``, every later one's
+    in ``d2``: dx*dx in place, then dz*dz and dy*dy each through the one
+    float64 row ``scratch``.
 
     Ids rise through the loop, so a centroid strictly closer than every
     earlier one has a larger id than the running one: the running id is the
     maximum of itself and c times the "strictly closer" flag, with no masked
-    store.  ``nearest`` and ``closer`` are scratch buffers of the narrowest
-    unsigned type that holds every id.  One-byte ids take the flags through
-    a bool view, which numpy writes without casting through a buffer; wider
-    ones, past k = 256, take numpy's cast.
+    store.  ``nearest`` and ``closer`` are rows of the narrowest unsigned
+    type that holds every id, and at k = 1 ``nearest`` must hold zeros.
+    ``near_flags`` and ``closer_flags`` are bool views of them for one-byte
+    ids, which numpy writes without casting through a buffer, and the rows
+    themselves for wider ones, past k = 256, which take numpy's cast.
     """
-    if len(centroids) == 1:
-        nearest.fill(0)
-    near_flags, closer_flags = (
-        ids.view(np.bool_) if ids.itemsize == 1 else ids for ids in (nearest, closer)
-    )
+    x, y, z = axes
     for c, (cx, cy, cz) in enumerate(centroids):
         out = best if c == 0 else d2
         # one axis at a time, less a Python float: below about 8k points a
         # broadcast subtraction from the (3, n) points allocates a hidden
         # buffer of that size
-        np.subtract(cols[0], cx, out=out)
+        np.subtract(x, cx, out=out)
         np.multiply(out, out, out=out)
-        for axis, coord in ((2, cz), (1, cy)):
-            np.subtract(cols[axis], coord, out=scratch)
+        for axis, coord in ((z, cz), (y, cy)):
+            np.subtract(axis, coord, out=scratch)
             np.multiply(scratch, scratch, out=scratch)
             out += scratch
         if c == 0:
@@ -144,7 +140,6 @@ def _assign(
             np.multiply(closer, c, out=closer)
             np.maximum(nearest, closer, out=nearest)
         np.minimum(best, d2, out=best)
-    np.copyto(assign, nearest)
     return float(best.sum())
 
 
@@ -172,35 +167,6 @@ def _exact_axis(col: np.ndarray, scaled: np.ndarray, rounded: np.ndarray, flags:
     np.rint(scaled, out=rounded)
     np.equal(scaled, rounded, out=flags)
     return bool(flags.all())
-
-
-def _masked_sums(
-    cols: np.ndarray, totals: np.ndarray, inexact: list[int], assign: np.ndarray,
-    nearest: np.ndarray, flags: np.ndarray, mask: np.ndarray, k: int,
-) -> tuple[list[int], list[list[float]]]:
-    """Each cluster's point count and its sum on each axis, as bincount gives them.
-
-    Clusters 0 .. k-2 are summed as one matrix-vector product of the (3, n)
-    points with a 0/1 float64 ``mask``, and the last as ``totals``, the axes'
-    sums, less the others.  On an axis whose sums ``_exact_axis`` found
-    exact every partial sum is exact, so the order BLAS adds in does not
-    show; adding 0.0 makes a zero sum +0.0, as bincount's is.  The axes in
-    ``inexact`` take their weighted bincount instead, which adds in point
-    order.  The counts come from the ``flags`` (bool, n long) that each mask
-    is cast from, the last one as n less the others.
-    """
-    counts, rows = [], []
-    for c in range(k - 1):
-        np.equal(nearest, c, out=flags)
-        counts.append(int(np.count_nonzero(flags)))
-        np.copyto(mask, flags)
-        rows.append(np.dot(cols, mask))
-    counts.append(len(mask) - sum(counts))
-    rows.append(totals - sum(rows))
-    sums = (np.stack(rows, axis=1) + 0.0).tolist()
-    for axis in inexact:
-        sums[axis] = np.bincount(assign, weights=cols[axis], minlength=k).tolist()
-    return counts, sums
 
 
 def _farthest(cols: np.ndarray, centroid: list[float], d2: np.ndarray) -> int:
@@ -234,10 +200,12 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
     ValueError naming the first such row.
 
     Past the float64 copy of the points, a call holds three n-long float64
-    rows and two n-long id rows: the intp assignments are a view of
-    ``_assign``'s scratch row, a dot product's 0/1 mask is written into the
-    distance row, its flags into an id row, and the k x 3 centroids, counts
-    and sums are Python floats and ints.
+    rows and two n-long id rows.  The rows are ``best`` and a (2, n) block of
+    ``_assign``'s ``d2`` and ``scratch``: a step that takes its sums as a
+    product writes its 0/1 masks into the block and their flags into an id
+    row, and one that takes a bincount first copies the ids into the intp
+    view of ``scratch``.  The k x 3 centroids, counts and sums are Python
+    floats and ints.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -249,56 +217,71 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
         row = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
         raise ValueError(f"point {row} is not finite: {pts[row]}")
     cols = np.ascontiguousarray(pts.T, dtype=np.float64)  # one contiguous row per axis
+    axes = tuple(cols)
     k = min(cfg.k, n)
     rng = SplitMix64(cfg.seed)
     centroids = cols[:, rng.sample_distinct(n, k)].T.tolist()
 
-    best, d2, scratch = np.empty(n), np.empty(n), np.empty(n)
+    best, block = np.empty(n), np.empty((2, n))
+    d2, scratch = block
     assign = scratch.view(np.intp)[:n]  # [:n]: intp is 4 bytes on 32-bit hosts
     id_type = np.min_scalar_type(k - 1)
-    nearest, closer = np.empty(n, dtype=id_type), np.empty(n, dtype=id_type)
+    nearest, closer = np.zeros(n, dtype=id_type), np.empty(n, dtype=id_type)
+    ids = nearest, closer, *(row.view(np.bool_) if row.itemsize == 1 else row for row in (nearest, closer))
+    flags = ids[3]
     # Each cluster's sum must have bincount's bits, which add in point order.
     # An axis whose values are multiples of 2**-s with an absolute sum below
-    # 2**(52-s) sums exactly in any order, so up to DOT_SUM_MAX_K its sums are
-    # dot products (``_masked_sums``); the test runs once, in rows the first
-    # assignment overwrites.  On float32 LIDAR points it holds on all three
-    # axes of 90-95 % of c7_dense's calls and 99.7-100 % of scene_long's, and
-    # on two axes of the rest (seeds 1, 2, 3 and 7).  An axis that fails it,
-    # and every axis past DOT_SUM_MAX_K, keeps its bincount
+    # 2**(52-s) sums exactly in any order, so up to DOT_SUM_MAX_K its sums
+    # come from one product with the masks; the test runs once, in rows the
+    # first assignment overwrites.  On float32 LIDAR points it holds on all
+    # three axes of 90-95 % of c7_dense's calls and 99.7-100 % of
+    # scene_long's, and on two axes of the rest (seeds 1, 2, 3 and 7).  An
+    # axis that fails it, and every axis past DOT_SUM_MAX_K, keeps its bincount
     inexact = [0, 1, 2]
     if k <= DOT_SUM_MAX_K:
-        flags = closer.view(np.bool_)  # ids of one byte
-        inexact = [axis for axis, col in enumerate(cols) if not _exact_axis(col, best, d2, flags)]
-        totals = cols.sum(axis=1)
-    history = [_assign(cols, centroids, assign, best, d2, scratch, nearest, closer)]
+        inexact = [axis for axis, col in enumerate(axes) if not _exact_axis(col, best, d2, flags)]
+        totals = cols.sum(axis=1).tolist()
+        masks = block[:k - 1]
+    history = [_assign(axes, centroids, best, d2, scratch, *ids)]
     for _ in range(cfg.max_iter):
-        if len(inexact) == 3:
-            # exact integer counts; each sum is a bincount, so it adds in point order
-            counts = np.bincount(assign, minlength=k).tolist()
-            sums = [np.bincount(assign, weights=col, minlength=k).tolist() for col in cols]
-        else:  # each mask goes into d2
-            counts, sums = _masked_sums(cols, totals, inexact, assign, nearest, flags, d2, k)
+        if inexact:  # bincount adds in point order; the ids are copied before a mask overwrites them
+            np.copyto(assign, nearest)
+            binned = {axis: np.bincount(assign, weights=axes[axis], minlength=k).tolist() for axis in inexact}
+        if len(inexact) == 3:  # exact integer counts
+            counts, sums = np.bincount(assign, minlength=k).tolist(), list(binned.values())
+        else:
+            counts = []
+            for c, mask in enumerate(masks):
+                np.equal(nearest, c, out=flags)
+                counts.append(int(np.count_nonzero(flags)))
+                np.copyto(mask, flags)
+            counts.append(n - sum(counts))
+            # exact sums, so the product's order gives bincount's bits, and the
+            # last cluster's the totals less the others; adding 0.0 makes a
+            # zero sum +0.0, as bincount's is
+            sums = [
+                binned[axis] if axis in inexact else [s + 0.0 for s in row] + [total - sum(row) + 0.0]
+                for axis, (row, total) in enumerate(zip(np.dot(cols, masks.T).tolist(), totals))
+            ]
         # an emptied cluster is re-seeded; d2 is free until the next assignment
         new_centroids = [
             [axis[c] / count for axis in sums] if count
             else cols[:, _farthest(cols, centroids[c], d2)].tolist()
             for c, count in enumerate(counts)
         ]
-        movement = max(
-            abs(new - old) for row, old_row in zip(new_centroids, centroids)
-            for new, old in zip(row, old_row)
-        )
+        movement = max(map(abs, map(operator.sub, chain(*new_centroids), chain(*centroids))))
         centroids = new_centroids
         if movement == 0.0:  # the assignment held is already nearest for these centroids
             history.append(history[-1])
             break
-        history.append(_assign(cols, centroids, assign, best, d2, scratch, nearest, closer))
+        history.append(_assign(axes, centroids, best, d2, scratch, *ids))
         if movement < cfg.tol:
             break
 
     # best holds each point's squared distance to its centroid, so this adds in point order
+    np.copyto(assign, nearest)
     cluster_inertia = np.bincount(assign, weights=best, minlength=k)
-    del best, d2, nearest, closer  # before the int32 copy of the assignments
+    del best, nearest, closer, ids, flags  # before the int32 copy of the assignments
     assign = assign.astype(np.int32)
     centroids = np.array(centroids)
     for array in (centroids, assign, cluster_inertia):
@@ -549,27 +532,29 @@ def aggregate_reports(reports: Iterable[FrameReport]) -> SequenceSummary:
     """Summarize per-frame reports: every rate, the extremes, and the mean.
 
     Frames without labeled points are flagged and excluded from the mean
-    and the extremes.  A sequence is kept as it is, and read a report at a
-    time, so summarizing holds no report of its own per frame.
+    and the extremes.  The mean adds the rates in frame order, and the first
+    frame wins a tie.  A sequence is kept as it is and walked once, a report
+    at a time, so summarizing holds no report of its own per frame.
     """
     if not isinstance(reports, Sequence):
         reports = tuple(reports)
-
-    def active() -> Iterator[FrameReport]:
-        return (r for r in reports if not r.is_empty)
-
-    # the first frame wins a tie
-    hi = max(active(), key=lambda r: r.drop_rate_percent, default=None)
-    lo = min(active(), key=lambda r: r.drop_rate_percent, default=None)
-    n_active = sum(1 for _ in active())
+    empty_frames, total, n_active = [], 0.0, 0
+    hi = lo = (None, None)  # (rate, frame id)
+    for r in reports:
+        if r.is_empty:
+            empty_frames.append(r.frame_id)
+            continue
+        rate = r.drop_rate_percent
+        total += rate
+        n_active += 1
+        if n_active == 1 or rate > hi[0]:
+            hi = rate, r.frame_id
+        if n_active == 1 or rate < lo[0]:
+            lo = rate, r.frame_id
     return SequenceSummary(
-        reports=reports,
-        empty_frames=tuple(r.frame_id for r in reports if r.is_empty),
-        mean_drop_rate=sum(r.drop_rate_percent for r in active()) / n_active if n_active else 0.0,
-        max_frame=None if hi is None else hi.frame_id,
-        max_rate=None if hi is None else hi.drop_rate_percent,
-        min_frame=None if lo is None else lo.frame_id,
-        min_rate=None if lo is None else lo.drop_rate_percent,
+        reports=reports, empty_frames=tuple(empty_frames),
+        mean_drop_rate=total / n_active if n_active else 0.0,
+        max_frame=hi[1], max_rate=hi[0], min_frame=lo[1], min_rate=lo[0],
     )
 
 

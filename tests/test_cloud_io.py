@@ -248,6 +248,10 @@ class TestReadPcd:
     @pytest.mark.parametrize("size, count, message", [
         ("3", "1", "unsupported field type F3 for 'w'"),
         ("4", "0", "field 'w' must have COUNT >= 1, got 0"),
+        # past what numpy holds: a 2 GiB row, a COUNT past a C int, one past int64
+        ("4", str(2 ** 29), "a row of these fields is too large"),
+        ("4", str(2 ** 31), "a row of these fields is too large"),
+        ("4", "9" * 25, "a row of these fields is too large"),
     ])
     def test_unknown_field_checks_name_file(self, tmp_path, size, count, message):
         path = tmp_path / "a.pcd"

@@ -587,3 +587,24 @@ class TestLabelFrameMatchesReference:
         assert any(label != (-1, -1, -1) for label in expected)
         got = list(zip(lc.class_id.tolist(), lc.camera_id.tolist(), lc.det_index.tolist()))
         assert got == expected
+
+    def test_boxes_clipped_at_the_image_edges(self):
+        # a unit camera puts the point (u, v, 1) on pixel (u, v) exactly; on a
+        # 100 x 80 image, boxes cross the right, top and bottom edges, one lies
+        # wholly right of the image and one, smaller, overlaps the first past
+        # the right edge, and the points sit on a half-pixel grid that takes
+        # in every edge
+        cam = simple_camera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=100, height=80)
+        boxes = [(90, 20, 130, 40), (20, -30, 40, 10), (50, 70, 60, 120), (120, 10, 150, 30), (95, 30, 125, 35)]
+        detections = {0: [detection(0, box, class_id=c) for c, box in enumerate(boxes)]}
+        grid = np.arange(-40, 160, 0.5)
+        xyz = np.array([(u, v, 1.0) for u in grid for v in grid], dtype=np.float32)
+        lc = label_frame(_frame(xyz), [cam], detections)
+        got = list(zip(lc.class_id.tolist(), lc.camera_id.tolist(), lc.det_index.tolist()))
+        assert got == reference_labels(xyz, [cam], detections, False)
+        # each box labels only its part inside the image; the one outside it, none
+        u, v = xyz[:, 0], xyz[:, 1]
+        for c, (x_min, y_min, x_max, y_max) in enumerate(boxes):
+            inside = (u >= max(x_min, 0)) & (u < min(x_max, 100)) & (v >= max(y_min, 0)) & (v < min(y_max, 80))
+            assert np.array_equal(lc.class_id == c, inside & ~((c == 0) & (lc.class_id == 4)))
+        assert not (lc.class_id == 3).any() and (lc.class_id == 4).any()

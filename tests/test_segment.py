@@ -234,6 +234,11 @@ def _thin_slab_blobs():
     return pts.astype(np.float32)
 
 
+def _origin_and_ten():
+    """40 points at the origin, then 10 integer points around it."""
+    return np.concatenate([np.zeros((40, 3)), np.random.default_rng(5).integers(-5, 6, size=(10, 3))])
+
+
 def _reference_cases():
     rng = np.random.default_rng(31)
     line = np.array([[0, 0, 0]] * 4 + [[2, 0, 0]] * 4 + [[1, 0, 0]] * 3, dtype=float)
@@ -247,12 +252,18 @@ def _reference_cases():
         "empty_cluster_reseeded": [
             (np.array([[0, 0, 0], [0, 0, 0], [5, 0, 0]], dtype=float), KMeansConfig(k=2, seed=0)),
             (np.concatenate([np.zeros((40, 3)), rng.normal(size=(10, 3))]), KMeansConfig(k=4, seed=1)),
+            # integer points, so the sums are products and d2 holds a mask
+            # when _farthest re-seeds through it: seed 1 starts two centroids
+            # on the duplicated origin, seed 0 all three
+            *[(_origin_and_ten(), KMeansConfig(k=3, seed=s)) for s in (0, 1)],
         ],
         "max_iter_hit": [(noisy, KMeansConfig(k=5, seed=2, max_iter=2))],
         "tol_zero": [(noisy, KMeansConfig(k=4, seed=5, tol=0.0))],
         # stops on tol while the centroids still move
         "tol_stop": [(noisy, KMeansConfig(k=3, seed=1, tol=0.1))],
         "float32": [(noisy.astype(np.float32), KMeansConfig(k=3, seed=9))],
+        # sums as one product with 0, 1 and 2 mask rows
+        "mask_rows": [(blobs.astype(np.float32), KMeansConfig(k=k, seed=3)) for k in (1, 2, 3)],
         # the inertia of a few points shows the last bit of each squared
         # distance, so these pin the order in which the three terms are added
         "few_points": [
@@ -398,8 +409,21 @@ class TestKMeansMatchesReference:
         # past DOT_SUM_MAX_K
         for pts, cfg in cases["duplicates_and_ties"]:
             assert cfg.k <= DOT_SUM_MAX_K and _exact_axes(pts) == [True] * 3
+        # one inexact axis at k = 2 and at k = 3, whose bincount reads the ids
+        # before the masks overwrite them at k = 3
+        assert sorted(cfg.k for _, cfg in cases["float32_inexact_axis"]) == [2, 2, 2, 3, 3, 3]
         for pts, cfg in cases["float32_inexact_axis"]:
             assert cfg.k <= DOT_SUM_MAX_K and _exact_axes(pts) == [True, False, True]
+        # products with 0, 1 and 2 mask rows, over several steps
+        assert [cfg.k for _, cfg in cases["mask_rows"]] == list(range(1, DOT_SUM_MAX_K + 1))
+        for pts, cfg in cases["mask_rows"]:
+            res = kmeans(pts, cfg)
+            assert _exact_axes(pts) == [True] * 3 and res.k == cfg.k and res.iterations_run > 1
+        # a cluster empties on a product step: two or three initial centroids
+        # share the origin, and ties go to the lowest id
+        for (pts, cfg), shared in zip(cases["empty_cluster_reseeded"][2:], (3, 2)):
+            assert cfg.k <= DOT_SUM_MAX_K and _exact_axes(pts) == [True] * 3
+            assert sum(i < 40 for i in SplitMix64(cfg.seed).sample_distinct(len(pts), cfg.k)) == shared
         pts, cfg = cases["tol_stop"][0]
         assert cfg.k <= DOT_SUM_MAX_K and _exact_axes(pts) == [False] * 3
         assert cases["k_above_256"][0][1].k > DOT_SUM_MAX_K
@@ -853,6 +877,45 @@ class TestAggregateReports:
         text = s.render()
         assert "max drop rate: 90.00% at frame 3" in text
         assert "min drop rate: 10.00% at frame 0" in text
+
+    @staticmethod
+    def _five_walks(reports):
+        """The summary as five walks of ``reports`` define it: the extremes
+        by ``max`` and ``min``, which keep the first of equal rates, the
+        active count, the empty frames, and the mean added in frame order."""
+        active = [r for r in reports if not r.is_empty]
+        hi = max(active, key=lambda r: r.drop_rate_percent, default=None)
+        lo = min(active, key=lambda r: r.drop_rate_percent, default=None)
+        total = 0.0
+        for r in active:
+            total += r.drop_rate_percent
+        return (
+            tuple(r.frame_id for r in reports if r.is_empty),
+            total / len(active) if active else 0.0,
+            None if hi is None else (hi.frame_id, hi.drop_rate_percent),
+            None if lo is None else (lo.frame_id, lo.drop_rate_percent),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12), st.booleans())
+    def test_one_walk_matches_five(self, frames, as_table):
+        # up to 4 labeled points a frame gives few rates, so ties are common,
+        # and 0 labeled points an empty frame
+        reports = [
+            self._report(f, before, min(dropped, before), total=10) for f, (before, dropped) in enumerate(frames)
+        ]
+        source = iter(reports)  # not a sequence: aggregate_reports keeps a tuple of it
+        if as_table:  # the packed table a run holds, read a report at a time
+            source = ReportTable()
+            for r in reports:
+                source.put(len(source), r)
+        s = aggregate_reports(source)
+        want_empty, want_mean, want_hi, want_lo = self._five_walks(reports)
+        assert s.empty_frames == want_empty
+        assert s.mean_drop_rate == want_mean
+        assert (s.max_frame, s.max_rate) == (want_hi or (None, None))
+        assert (s.min_frame, s.min_rate) == (want_lo or (None, None))
+        assert list(s.reports) == list(reports)
 
 
 def _csv_module_report(path, reports):
