@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="skip clustering")
     run.add_argument("--distortion", action="store_true", default=None,
                      help="apply lens distortion when projecting (raw-image boxes)")
-    run.add_argument("--workers", type=_number(int), help="worker thread count")
+    run.add_argument("--workers", type=_number(int), help="worker process count")
 
     gen = sub.add_parser("gen-scene", help="generate a synthetic scene with ground truth")
     gen.add_argument("--out", required=True, help="output directory")

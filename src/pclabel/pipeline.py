@@ -2,26 +2,27 @@
 
 The pipeline is deterministic for a fixed configuration: every k-means
 stream is derived from (seed, frame, camera, detection), each frame's PCD
-is written by the task that labeled it, and report rows follow frame order
-whatever the worker count.  The calling thread and ``workers - 1`` helper
-threads each take the next frame when they finish one, so at most
-``workers`` frames are alive at once; beyond the matched manifests a run
-keeps for each frame of its sequence only its report, packed, and its
+is written by the process that labeled it, and report rows follow frame
+order whatever the worker count.  One worker runs the frames in order in
+the calling process; N >= 2 run them in N forked processes, whose results
+the calling process reads in frame order.  Beyond the matched manifests a
+run keeps for each frame of its sequence only its report, packed, and its
 seconds (``FrameTable``).
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import re
-import threading
 import time
 from array import array
+from collections import deque
 from collections.abc import Sequence, Set
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from . import calib, cloud_io, detect_ingest, fusion, segment
 
@@ -108,22 +109,19 @@ class FrameResult:
 class FrameTable(Sequence):
     """A run's finished frames, in frame order: their reports packed in one
     ``segment.ReportTable`` and their seconds in one float column, so a frame
-    of three classes holds about 130 bytes and no object.  Frames are stored
-    by slot as they finish, in any order.  Item i builds frame i's
-    FrameResult."""
+    of three classes holds about 120 bytes and no object.  Item i builds
+    frame i's FrameResult."""
 
-    __slots__ = ("out_dir", "reports", "_seconds", "_lock")
+    __slots__ = ("out_dir", "reports", "_seconds")
 
-    def __init__(self, out_dir: Path, n: int) -> None:
+    def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
-        self.reports = segment.ReportTable(n)
-        self._seconds = array("d", bytes(8 * n))
-        self._lock = threading.Lock()
+        self.reports = segment.ReportTable()
+        self._seconds = array("d")
 
-    def _store(self, i: int, report: segment.FrameReport, seconds: float) -> None:
-        with self._lock:
-            self.reports.put(i, report)
-        self._seconds[i] = seconds
+    def append(self, report: segment.FrameReport, seconds: float) -> None:
+        self.reports.append(report)
+        self._seconds.append(seconds)
 
     def __len__(self) -> int:
         return len(self._seconds)
@@ -227,44 +225,20 @@ def _process_bundle(
     return report, seconds
 
 
-def _run_frames(task: Callable[[int], object], n: int, workers: int) -> None:
-    """``task(i)`` for each i in range(n), claimed in order.  The calling
-    thread and ``min(workers, n) - 1`` helper threads each claim the next
-    frame under one lock.  After a failure no thread starts a frame; the
-    running ones finish, and the earliest failed frame's error is raised."""
-    failures: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    claimed = 0  # frames below it are taken; n once nothing may start
+_RUN: tuple | None = None  # in a worker process, its run's (matches, rig, cfg)
 
-    def work() -> None:
-        nonlocal claimed
-        while True:
-            with lock:
-                i = claimed
-                if i == n:
-                    return
-                claimed += 1
-            try:
-                task(i)
-            except BaseException as e:  # raised below, once every thread has stopped
-                with lock:
-                    failures[i] = e
-                    claimed = n
 
-    threads = []
-    try:
-        for _ in range(min(workers, n) - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            threads.append(thread)
-        work()
-    finally:
-        with lock:  # an interrupt between frames: no thread starts another
-            claimed = n
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[min(failures)]
+def _init_worker(matches: cloud_io.FrameMatches, rig: list[calib.CameraModel], cfg: PipelineConfig) -> None:
+    """Start a forked worker process: keep the run it was forked for."""
+    global _RUN
+    _RUN = matches, rig, cfg
+
+
+def _process_frame(i: int) -> tuple[segment.FrameReport, float]:
+    """``_process_bundle`` of frame i of the run a worker process keeps, so
+    the parent sends a worker one int a frame."""
+    matches, rig, cfg = _RUN
+    return _process_bundle(matches[i], rig, cfg)
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -272,10 +246,17 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     Outputs are byte-identical across reruns and across worker counts.
     Both manifests are checked in full before frame 0 starts, and held as
-    columns until the last frame is written.  A frame's bundle is built
-    when a thread claims the frame, and at most ``cfg.workers`` frames,
-    with their bundles, are alive at once.  Raises PipelineError naming the
-    frame or file on any stage failure.
+    columns until the last frame is written.  With one worker, or one
+    frame, the frames run one after another in this process.  With N >= 2
+    workers they run in min(N, frames) processes forked for the run, and
+    their results are read in frame order; frame i + 2N is handed out only
+    once frame i's result is read.  A frame's bundle is built when the
+    frame starts.  Raises PipelineError naming the frame or file on any
+    stage failure.  With N workers the first failed result read is the
+    earliest failed frame's, since every earlier one has been read.  No
+    frame is handed out after that read, but frames handed out before it
+    may still start; the run waits for them, and no worker process
+    outlives it.
     """
     t0 = time.perf_counter()
     rig = calib.load_rig(cfg.calibration)
@@ -289,9 +270,27 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as e:  # a name the file system's encoding lacks is a ValueError
         raise PipelineError(f"output directory {cfg.out_dir}: {e}") from e
-    frames = FrameTable(cfg.out_dir, len(matches))
-    # frame i's bundle is built only when a thread claims the frame
-    _run_frames(lambda i: frames._store(i, *_process_bundle(matches[i], rig, cfg)), len(matches), cfg.workers)
+    frames = FrameTable(cfg.out_dir)
+    workers = min(cfg.workers, len(matches))
+    # a frame's bundle, matches[i], is built only when the frame starts
+    if workers < 2:
+        for bundle in matches:
+            frames.append(*_process_bundle(bundle, rig, cfg))
+    else:
+        # fork: a worker starts in milliseconds with pclabel imported, and
+        # inherits the run's inputs unpickled
+        fork = multiprocessing.get_context("fork")
+        pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_init_worker, initargs=(matches, rig, cfg))
+        try:
+            pending = deque()
+            for i in range(len(matches)):
+                pending.append(pool.submit(_process_frame, i))
+                if len(pending) == 2 * workers:
+                    frames.append(*pending.popleft().result())
+            while pending:
+                frames.append(*pending.popleft().result())
+        finally:  # after a failure nothing waiting starts; the running frames finish
+            pool.shutdown(cancel_futures=True)
     del matches
 
     report_csv = cfg.out_dir / "report.csv"

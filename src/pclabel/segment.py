@@ -169,13 +169,12 @@ def _exact_axis(col: np.ndarray, scaled: np.ndarray, rounded: np.ndarray, flags:
     return bool(flags.all())
 
 
-def _farthest(cols: np.ndarray, centroid: list[float], d2: np.ndarray) -> int:
+def _farthest(cols: np.ndarray, centroid: list[float], d2: np.ndarray, square: np.ndarray) -> int:
     """The index of the first point farthest from ``centroid``: the squared
-    distances are added in ``d2`` as (dx*dx + dy*dy) + dz*dz, through one
-    n-long temporary."""
+    distances are added in ``d2`` as (dx*dx + dy*dy) + dz*dz, each square
+    but the first taken in the free row ``square``."""
     np.subtract(cols[0], centroid[0], out=d2)
     d2 *= d2
-    square = np.empty_like(d2)
     for axis in (1, 2):
         np.subtract(cols[axis], centroid[axis], out=square)
         square *= square
@@ -263,10 +262,11 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
                 binned[axis] if axis in inexact else [s + 0.0 for s in row] + [total - sum(row) + 0.0]
                 for axis, (row, total) in enumerate(zip(np.dot(cols, masks.T).tolist(), totals))
             ]
-        # an emptied cluster is re-seeded; d2 is free until the next assignment
+        # an emptied cluster is re-seeded; d2 and scratch, whose masks and ids
+        # are read, are free until the next assignment
         new_centroids = [
             [axis[c] / count for axis in sums] if count
-            else cols[:, _farthest(cols, centroids[c], d2)].tolist()
+            else cols[:, _farthest(cols, centroids[c], d2, scratch)].tolist()
             for c, count in enumerate(counts)
         ]
         movement = max(map(abs, map(operator.sub, chain(*new_centroids), chain(*centroids))))
@@ -342,44 +342,35 @@ class FrameReport:
 
 
 class ReportTable(Sequence[FrameReport]):
-    """Frame reports held packed, in slots: int64 values back to back in one
-    array, slot i's between its two offsets.  A report is its frame id,
-    ``total_points``, ``labeled_before`` and ``kept_after``, then one (class
-    id, before, after) triple per class in id order, with -1 for a count its
-    dict lacks, so a report of three classes takes 104 bytes and no object.
-
-    ``ReportTable(n)`` sets up n empty slots.  ``put(i, report)`` fills slot
-    i, in any order, and adds a slot at the end when i is ``len(self)``; it
-    is not thread-safe.  Item i builds its FrameReport when read.
+    """Frame reports held packed: int64 values back to back in one array,
+    report i's from ``_offsets[i]`` to ``_offsets[i + 1]``.  A report is its
+    frame id, ``total_points``, ``labeled_before`` and ``kept_after``, then
+    one (class id, before, after) triple per class in id order, with -1 for
+    a count its dict lacks, so a report of three classes takes 104 bytes and
+    no object.  Reports are appended; item i builds its FrameReport when
+    read.
     """
 
-    __slots__ = ("_values", "_bounds")
+    __slots__ = ("_values", "_offsets")
 
-    def __init__(self, n: int = 0) -> None:
+    def __init__(self) -> None:
         self._values = array("q")
-        self._bounds = array("q", bytes(16 * n))  # slot i: from _bounds[2i] to _bounds[2i + 1]
+        self._offsets = array("q", [0])
 
     def __len__(self) -> int:
-        return len(self._bounds) // 2
+        return len(self._offsets) - 1
 
-    def put(self, i: int, report: FrameReport) -> None:
-        if operator.index(i) == len(self):
-            self._bounds.extend((0, 0))
-        i = range(len(self))[i]
-        start = len(self._values)
+    def append(self, report: FrameReport) -> None:
         before, after = report.class_before, report.class_after
         values = [report.frame_id, report.total_points, report.labeled_before, report.kept_after]
         for c in sorted({*before, *after}):
             values += [c, before.get(c, -1), after.get(c, -1)]
         self._values.extend(values)
-        self._bounds[2 * i], self._bounds[2 * i + 1] = start, len(self._values)
+        self._offsets.append(len(self._values))
 
     def __getitem__(self, i: int) -> FrameReport:
         i = range(len(self))[operator.index(i)]
-        start, end = self._bounds[2 * i], self._bounds[2 * i + 1]
-        if start == end:
-            raise ValueError(f"report slot {i} is empty")
-        values = self._values[start:end].tolist()
+        values = self._values[self._offsets[i]:self._offsets[i + 1]].tolist()
         ids = values[4::3]
         return FrameReport(
             *values[:4],
@@ -632,5 +623,5 @@ def read_report_csv(path: str | Path) -> ReportTable:
         if r.frame_id in seen:
             raise ValueError(f"{where}: repeated frame id {r.frame_id}")
         seen.add(r.frame_id)
-        reports.put(len(reports), r)
+        reports.append(r)
     return reports
