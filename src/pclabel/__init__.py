@@ -41,6 +41,7 @@ from .detect_ingest import (
     filter_oversized,
     load_detections,
     restrict_classes,
+    write_detections,
 )
 from .fusion import LabeledCloud, label_frame
 from .pipeline import PipelineConfig, PipelineError, PipelineResult, run_pipeline

@@ -147,11 +147,7 @@ def _run_command(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    try:
-        result = run_pipeline(cfg)
-    except (PipelineError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    result = run_pipeline(cfg)
     print(result.summary.render())
     if result.frames:
         times = [f.seconds for f in result.frames]
@@ -164,20 +160,15 @@ def _run_command(args) -> int:
 
 
 def _gen_scene_command(args) -> int:
-    try:
-        rig = scene.default_rig(args.cameras)
-        paths = scene.gen_scene(
-            args.out,
-            frames=args.frames,
-            objects=args.objects,
-            noise_fraction=args.noise,
-            seed=args.seed,
-            rig=rig,
-            points_per_object=args.points_per_object,
-        )
-    except (scene.SceneError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    paths = scene.gen_scene(
+        args.out,
+        frames=args.frames,
+        objects=args.objects,
+        noise_fraction=args.noise,
+        seed=args.seed,
+        rig=scene.default_rig(args.cameras),
+        points_per_object=args.points_per_object,
+    )
     print(f"scene written to {paths.out_dir}")
     print(f"  calibration:        {paths.calibration}")
     print(f"  cloud manifest:     {paths.cloud_manifest}")
@@ -188,12 +179,8 @@ def _gen_scene_command(args) -> int:
 
 
 def _stats_command(args) -> int:
-    try:
-        reports = segment.read_report_csv(args.csv)
-        other = segment.read_report_csv(args.compare) if args.compare else None
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    reports = segment.read_report_csv(args.csv)
+    other = segment.read_report_csv(args.compare) if args.compare else None
     summary = segment.aggregate_reports(reports)
     print(summary.render())
     if other is not None:
@@ -228,6 +215,12 @@ def main(argv=None) -> int:
         # point stdout at /dev/null so that the flush at exit fails no more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (PipelineError, ValueError, OSError) as e:  # a failed run, scene or report: one line
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:  # Ctrl-C: one line, and the shell's code for SIGINT
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return code
 
 

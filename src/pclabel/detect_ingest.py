@@ -1,4 +1,4 @@
-"""Ingest 2D detector output: parse record files, validate, and filter.
+"""2D detector output: parse, validate, filter and write record files.
 
 Detection files carry one record per line:
 
@@ -55,16 +55,8 @@ class BBox:
             raise ValueError(f"y_min must be < y_max, got {self.y_min} >= {self.y_max}")
 
     @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
     def area(self) -> float:
-        return self.width * self.height
+        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
 
 @dataclass(frozen=True)
@@ -121,6 +113,19 @@ def load_detections(path: str | Path) -> tuple[list[Detection], list[RejectedRec
         except ValueError as e:
             rejected.append(RejectedRecord(line_no, raw, str(e)))
     return detections, rejected
+
+
+def write_detections(path: str | Path, detections: Iterable[Detection], comment: str = "") -> None:
+    """Write ``detections`` for ``load_detections``, under a ``# comment`` line if one is
+    given: confidences to 2 decimals and corners to 3, so each reads back as its rounding.
+    A box that rounds to an empty one raises ValueError before the file is opened."""
+    lines = [f"# {comment}\n"] if comment else []
+    for d in detections:
+        corners = [f"{c:.3f}" for c in (d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max)]
+        BBox(*map(float, corners))  # the box as it reads back
+        lines.append(f"{d.camera_id} {d.frame_id} {d.class_id} {d.confidence:.2f} {' '.join(corners)}\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def filter_oversized(

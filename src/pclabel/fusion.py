@@ -18,7 +18,7 @@ import numpy as np
 from . import cloud_io
 from .calib import MAX_CAMERAS, CameraModel, project_points
 from .cloud_io import PointCloudFrame
-from .detect_ingest import COCO_CLASSES, BBox, Detection
+from .detect_ingest import COCO_CLASSES, Detection
 
 
 # the most detections label_frame takes from one camera of a frame, so
@@ -90,18 +90,18 @@ _CULL_F64 = 32 * 2.0 ** -53
 _CULL_MAX_MARGIN = 2.0 ** 96
 
 
-def _reachable(cam: CameraModel, boxes: Sequence[BBox], distortion: bool):
+def _reachable(cam: CameraModel, bounds: Sequence[tuple[float, float, float, float]], distortion: bool):
     """A function from a float32 (n, 3) block of LIDAR rows to the indices
-    of the rows whose pixel in ``cam`` may land in one of ``boxes``.
+    of the rows whose pixel in ``cam`` may land in one of ``bounds``, the
+    boxes clipped to the image as (x_lo, x_hi, y_lo, y_hi).
 
     With (x, y, z) = R p + t the camera-frame point, the pixel u = fx x / z
-    + cx lies in [u_lo, u_hi), the union of the boxes' x-ranges clipped to
-    the image, only if z > 0 and p is on the inner side of two planes
-    through the camera centre: (r0 - a r2) . p + (t0 - a t2) >= 0 and
-    (b r2 - r0) . p + (b t2 - t0) >= 0, with a = (u_lo - cx) / fx and
-    b = (u_hi - cx) / fx.  With distortion the undistorted edges do not
-    bound the distorted pixel, so the planes shrink to the front half-space
-    r2 . p + t2 >= 0.
+    + cx lies in [u_lo, u_hi), the union of the bounds' x-ranges, only if
+    z > 0 and p is on the inner side of two planes through the camera
+    centre: (r0 - a r2) . p + (t0 - a t2) >= 0 and (b r2 - r0) . p +
+    (b t2 - t0) >= 0, with a = (u_lo - cx) / fx and b = (u_hi - cx) / fx.
+    With distortion the undistorted edges do not bound the distorted pixel,
+    so the planes shrink to the front half-space r2 . p + t2 >= 0.
 
     Each block takes one float32 matrix-vector product per plane (two of
     them measured faster than one product with both planes), and a row is
@@ -123,8 +123,8 @@ def _reachable(cam: CameraModel, boxes: Sequence[BBox], distortion: bool):
     """
     intr = cam.intrinsics
     (r0, _, r2), t = cam.pose.rotation.tolist(), cam.pose.translation.tolist()
-    u_lo = max(0.0, min(box.x_min for box in boxes))
-    u_hi = min(float(intr.width), max(box.x_max for box in boxes))
+    u_lo = min(b[0] for b in bounds)
+    u_hi = max(b[1] for b in bounds)
     a, b = (u_lo - intr.cx) / intr.fx, (u_hi - intr.cx) / intr.fx
     # each plane as (w, c): the row p is on its inner side when w . p + c >= 0
     if distortion:
@@ -213,12 +213,12 @@ def label_frame(
         if not dets:
             continue
         cam = rig_by_id[cam_id]
-        boxes = [det.box for det in dets]
-        reachable = _reachable(cam, boxes, distortion_mode)
         # each box clipped to the image once: a pixel lies in both when it lies
         # in the clipped box, which is empty for a box wholly outside the image
         w, h = cam.intrinsics.width, cam.intrinsics.height
+        boxes = [det.box for det in dets]
         bounds = [(max(b.x_min, 0), min(b.x_max, w), max(b.y_min, 0), min(b.y_max, h)) for b in boxes]
+        reachable = _reachable(cam, bounds, distortion_mode)
         hits = [[np.empty(0, dtype=np.intp)] for _ in dets]  # each box's hits, block by block
         for lo in range(0, len(frame), block):
             xyz = frame.xyz[lo:lo + block]

@@ -28,6 +28,7 @@ from . import calib, cloud_io, detect_ingest, fusion, segment
 
 log = logging.getLogger(__name__)
 
+_REPORTS = ("report.csv", "summary.txt")  # paths built when used: none held through the frames
 _CAMERA_STREAM = re.compile(r"^cam(0|[1-9][0-9]*)$")
 
 
@@ -185,7 +186,8 @@ def load_bundle_detections(
     for cam_id, entry in sorted(bundle.cameras.items()):
         dets, rejected = detect_ingest.load_detections(entry.path)
         if rejected:
-            log.warning("%s: rejected %d malformed detection records", entry.path, len(rejected))
+            log.warning("%s: rejected %d malformed detection records; the first, %s:%d: %s",
+                        entry.path, len(rejected), entry.path, rejected[0].line_no, rejected[0].reason)
         foreign = sorted({d.camera_id for d in dets} - {cam_id})
         if foreign:
             raise PipelineError(
@@ -256,7 +258,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     earliest failed frame's, since every earlier one has been read.  No
     frame is handed out after that read, but frames handed out before it
     may still start; the run waits for them, and no worker process
-    outlives it.
+    outlives it.  Before frame 0 the run removes ``report.csv`` and
+    ``summary.txt``, and nothing else, so a failed run leaves no report;
+    each is written at the end through a temp file and a rename.
     """
     t0 = time.perf_counter()
     rig = calib.load_rig(cfg.calibration)
@@ -268,6 +272,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        for name in _REPORTS:  # so a failed rerun leaves no report of the last run
+            (cfg.out_dir / name).unlink(missing_ok=True)
     except (OSError, ValueError) as e:  # a name the file system's encoding lacks is a ValueError
         raise PipelineError(f"output directory {cfg.out_dir}: {e}") from e
     frames = FrameTable(cfg.out_dir)
@@ -293,11 +299,12 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             pool.shutdown(cancel_futures=True)
     del matches
 
-    report_csv = cfg.out_dir / "report.csv"
-    segment.write_report_csv(report_csv, frames.reports)
+    # each written to a temp file and renamed, so a reader sees the whole file or none
+    temps = [cfg.out_dir / f".{name}.tmp" for name in _REPORTS]
+    segment.write_report_csv(temps[0], frames.reports)
     summary = segment.aggregate_reports(frames.reports)
-    summary_path = cfg.out_dir / "summary.txt"
-    summary_path.write_text(summary.render() + "\n")
+    temps[1].write_text(summary.render() + "\n")
+    report_csv, summary_path = [temp.replace(cfg.out_dir / name) for temp, name in zip(temps, _REPORTS)]
     total = time.perf_counter() - t0
     log.info("processed %d frames in %.3f s", len(frames), total)
     return PipelineResult(

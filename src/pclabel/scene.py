@@ -23,6 +23,7 @@ from .calib import (
 from .cloud_io import (
     PointCloudFrame, check_count, check_number, parse_rows, read_lines, write_manifest, write_pcd,
 )
+from .detect_ingest import BBox, Detection, filter_oversized, write_detections
 
 # The classes the detector sees most in road scenes.
 _OBJECT_CLASSES = (2, 0, 7)  # car, person, truck
@@ -160,16 +161,19 @@ def gen_scene(
     Each planted object is an ellipsoidal blob placed in front of one rig
     camera; its detection box is the padded extent of the blob's actual
     projections, so every object point is guaranteed to fall inside its
-    box.  ``noise_fraction`` of each box's labeled points is uniform
-    frustum noise spread over a long depth range, planted by sampling a
-    pixel inside the box and a depth, then unprojecting.
+    box.  Object j's record (``detect_ingest.write_detections``) holds that
+    box to 3 decimals and a confidence of 0.95 - 0.02 (j mod 48), from 0.95
+    down to 0.01.  ``noise_fraction`` of each box's labeled points is
+    uniform frustum noise spread over a long depth range, planted by
+    sampling a pixel inside the box and a depth, then unprojecting.
 
     Ground truth lines are "frame_id point_index object_id" with -1 for
     noise points.  Before anything is written, a count below its minimum
     (``frames``, ``points_per_object`` >= 1; ``objects``, ``seed`` >= 0) or
     of another type, a ``noise_fraction`` outside [0, 1) or an empty rig
     raise ValueError naming the parameter.  Raises SceneError if an object
-    cannot be placed fully inside its camera's view.
+    cannot be placed fully inside its camera's view, or if its record's box
+    covers more than a quarter of the image (``filter_oversized``).
     """
     for name, value, minimum in (
         ("frames", frames, 1), ("objects", objects, 0),
@@ -215,7 +219,7 @@ def gen_scene(
         det_t = cloud_t + _CAMERA_OFFSET
         blocks: list[np.ndarray] = [np.zeros((0, 3))]  # concatenates even with no objects
         noise_blocks: list[np.ndarray] = []
-        dets_by_cam: dict[int, list[str]] = {cam.id: [] for cam in rig}
+        dets_by_cam: dict[int, list[Detection]] = {cam.id: [] for cam in rig}
         for j, obj in enumerate(planted):
             cam = obj.camera
             intr = cam.intrinsics
@@ -235,13 +239,14 @@ def gen_scene(
                     f"object {j} does not fit inside camera {cam.id} "
                     f"(box {x_min:.0f},{y_min:.0f},{x_max:.0f},{y_max:.0f})"
                 )
-            if (x_max - x_min) * (y_max - y_min) > intr.width * intr.height / 4.0:
+            det = Detection(
+                cam.id, f, obj.class_id, round(0.95 - 0.02 * (j % 48), 2),
+                BBox(*(round(c, 3) for c in (x_min, y_min, x_max, y_max))),
+            )
+            if filter_oversized([det], cam)[1]:
                 raise SceneError(f"object {j} box exceeds a quarter of camera {cam.id} image")
             blocks.append(pts)
-            dets_by_cam[cam.id].append(
-                f"{cam.id} {f} {obj.class_id} {0.95 - 0.02 * j:.2f} "
-                f"{x_min:.3f} {y_min:.3f} {x_max:.3f} {y_max:.3f}"
-            )
+            dets_by_cam[cam.id].append(det)
             if noise_fraction > 0.0:
                 n_noise = int(round(points_per_object * noise_fraction / (1.0 - noise_fraction)))
                 nu = rng.uniform(x_min + 0.5, x_max - 0.5, size=n_noise)
@@ -271,10 +276,7 @@ def gen_scene(
         cloud_rows.append(("cloud", f, cloud_t, cloud_rel))
         for cam in rig:
             det_rel = f"dets/frame_{f:06d}_cam{cam.id}.txt"
-            with open(os.path.join(out, det_rel), "w") as fh:
-                fh.write(f"# camera {cam.id}, frame {f}\n")
-                for line in dets_by_cam[cam.id]:
-                    fh.write(line + "\n")
+            write_detections(os.path.join(out, det_rel), dets_by_cam[cam.id], f"camera {cam.id}, frame {f}")
             det_rows.append((f"cam{cam.id}", f, det_t, det_rel))
         gt_blocks.append(np.rec.fromarrays(
             [np.full(len(objid), f), np.arange(len(objid)), objid], dtype=_GROUND_TRUTH_ROW

@@ -94,6 +94,26 @@ class Clustering:
         return len(self.inertia_history) - 1
 
 
+def _squared_distances(
+    axes: Sequence[np.ndarray], centroid: list[float], out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Every point's squared distance to ``centroid`` (three Python floats)
+    into ``out``, returned, with dz*dz and dy*dy taken in the float64 row
+    ``scratch``.  The terms add as (dx*dx + dz*dz) + dy*dy, the order of
+    numpy's AVX2/AVX-512 einsum in earlier releases, so assignments and
+    inertia stay bit-identical with those.  Each of the points' n-long
+    ``axes`` is taken less a Python float: below about 8k points a broadcast
+    subtraction from the (3, n) points allocates a hidden buffer of that size."""
+    (x, y, z), (cx, cy, cz) = axes, centroid
+    np.subtract(x, cx, out=out)
+    np.multiply(out, out, out=out)
+    for axis, coord in ((z, cz), (y, cy)):
+        np.subtract(axis, coord, out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        out += scratch
+    return out
+
+
 def _assign(
     axes: Sequence[np.ndarray], centroids: list[list[float]], best: np.ndarray, d2: np.ndarray,
     scratch: np.ndarray, nearest: np.ndarray, closer: np.ndarray,
@@ -102,13 +122,8 @@ def _assign(
     """Nearest centroid of every point into ``nearest`` (ties to the lowest
     id), the squared distance to it into ``best``, and the inertia returned.
 
-    ``axes`` are the three n-long rows of the points and ``centroids`` k rows
-    of three Python floats.  The squared terms are added as (dx*dx + dz*dz)
-    + dy*dy, the order in which numpy's AVX2/AVX-512 einsum reduced them in
-    earlier releases, so assignments and inertia stay bit-identical with
-    those.  Centroid 0's distances are built in ``best``, every later one's
-    in ``d2``: dx*dx in place, then dz*dz and dy*dy each through the one
-    float64 row ``scratch``.
+    ``centroids`` are k rows of three Python floats.  Centroid 0's distances
+    (``_squared_distances``) go to ``best``, every later one's to ``d2``.
 
     Ids rise through the loop, so a centroid strictly closer than every
     earlier one has a larger id than the running one: the running id is the
@@ -119,20 +134,9 @@ def _assign(
     ids, which numpy writes without casting through a buffer, and the rows
     themselves for wider ones, past k = 256, which take numpy's cast.
     """
-    x, y, z = axes
-    for c, (cx, cy, cz) in enumerate(centroids):
-        out = best if c == 0 else d2
-        # one axis at a time, less a Python float: below about 8k points a
-        # broadcast subtraction from the (3, n) points allocates a hidden
-        # buffer of that size
-        np.subtract(x, cx, out=out)
-        np.multiply(out, out, out=out)
-        for axis, coord in ((z, cz), (y, cy)):
-            np.subtract(axis, coord, out=scratch)
-            np.multiply(scratch, scratch, out=scratch)
-            out += scratch
-        if c == 0:
-            continue
+    _squared_distances(axes, centroids[0], best, scratch)
+    for c, centroid in enumerate(centroids[1:], start=1):
+        _squared_distances(axes, centroid, d2, scratch)
         if c == 1:
             np.less(d2, best, out=near_flags)  # the flag is the running id
         else:
@@ -169,30 +173,18 @@ def _exact_axis(col: np.ndarray, scaled: np.ndarray, rounded: np.ndarray, flags:
     return bool(flags.all())
 
 
-def _farthest(cols: np.ndarray, centroid: list[float], d2: np.ndarray, square: np.ndarray) -> int:
-    """The index of the first point farthest from ``centroid``: the squared
-    distances are added in ``d2`` as (dx*dx + dy*dy) + dz*dz, each square
-    but the first taken in the free row ``square``."""
-    np.subtract(cols[0], centroid[0], out=d2)
-    d2 *= d2
-    for axis in (1, 2):
-        np.subtract(cols[axis], centroid[axis], out=square)
-        square *= square
-        d2 += square
-    return int(np.argmax(d2))
-
-
 def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) -> Clustering:
     """Lloyd's algorithm with seeded initialization.
 
     Initialization picks k distinct input points uniformly at random from
     the splitmix64 stream seeded by ``cfg.seed``.  Assignment uses squared
     Euclidean distance with ties to the lowest cluster id; an emptied
-    cluster is re-seeded to the point farthest from its former centroid.
-    Each step moves the centroids, then re-assigns unless none moved, so
-    the reported assignments are nearest-centroid for the reported
-    centroids.  Iteration stops when the max-norm centroid movement drops
-    below ``cfg.tol`` (or reaches an exact fixed point, or ``cfg.max_iter``).
+    cluster is re-seeded to the first point farthest from its former
+    centroid by the assignment's distances (``_squared_distances``).  Each
+    step moves the centroids, then re-assigns unless none moved, so the
+    reported assignments are nearest-centroid for the reported centroids.
+    Iteration stops when the max-norm centroid movement drops below
+    ``cfg.tol`` (or reaches an exact fixed point, or ``cfg.max_iter``).
 
     If fewer points than k are given, k is lowered to the point count for
     the call (visible as ``result.k``).  A point that is not finite raises
@@ -266,7 +258,7 @@ def kmeans(points: np.ndarray | Sequence[Sequence[float]], cfg: KMeansConfig) ->
         # are read, are free until the next assignment
         new_centroids = [
             [axis[c] / count for axis in sums] if count
-            else cols[:, _farthest(cols, centroids[c], d2, scratch)].tolist()
+            else cols[:, np.argmax(_squared_distances(axes, centroids[c], d2, scratch))].tolist()
             for c, count in enumerate(counts)
         ]
         movement = max(map(abs, map(operator.sub, chain(*new_centroids), chain(*centroids))))

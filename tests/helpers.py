@@ -216,7 +216,8 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
     Earlier releases summed the squared terms with
     ``np.einsum("nkd,nkd->nk")``, whose order depends on the SIMD width
     numpy picks; on AVX2 and AVX-512 hosts it is (dx*dx + dz*dz) + dy*dy,
-    written out here so the reference is the same on every host.
+    written out here so the reference is the same on every host.  An
+    emptied cluster is re-seeded by the same distances.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
@@ -239,7 +240,7 @@ def reference_kmeans(points, k: int, max_iter: int, seed: int, tol: float) -> Cl
             with np.errstate(invalid="ignore"):
                 new_centroids[:, dim] = sums / counts
         for c in np.flatnonzero(counts == 0):
-            far = int(np.argmax(((pts - centroids[c]) ** 2).sum(axis=1)))
+            far = int(np.argmax(squared_distances(centroids[c:c + 1])[:, 0]))
             new_centroids[c] = pts[far]
         movement = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pclabel
+from pclabel import cli
 from pclabel.cli import main
 from pclabel import FrameReport, read_report_csv, write_report_csv
 
@@ -148,6 +149,22 @@ def test_run_failure_returns_one(tmp_path, capsys):
         "--clouds", "c", "--dets", "d", "--out", str(tmp_path / "o"),
     ]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_an_interrupted_run_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
+    scene = _gen(tmp_path)
+
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_pipeline", interrupted)
+    capsys.readouterr()
+    try:
+        code = main(_run_args(scene, tmp_path / "out"))
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt reached main's caller")
+    assert code == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
 
 
 @pytest.mark.parametrize("victim", ["clouds.manifest", "dets/frame_000001_cam1.txt"])

@@ -9,6 +9,7 @@ from pclabel import (
     filter_oversized,
     load_detections,
     restrict_classes,
+    write_detections,
 )
 from helpers import box_hits, detection, simple_camera
 
@@ -129,6 +130,43 @@ class TestLoadDetections:
         dets, rejected = load_detections(path)
         assert [d.class_name for d in dets] == ["car", "person"]
         assert len(rejected) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        records=st.lists(
+            st.tuples(
+                st.integers(0, 4), st.integers(0, 10**6), st.integers(0, len(COCO_CLASSES) - 1),
+                st.floats(0.0, 1.0), st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+                st.floats(0.002, 1e4), st.floats(0.002, 1e4),
+            ),
+            max_size=5,
+        ),
+    )
+    def test_written_records_read_back_as_their_rounding(self, tmp_path_factory, records):
+        # the writer rounds the confidence to 2 decimals and the corners to
+        # 3; a box at least 0.002 px wide and high never rounds to an empty one
+        dets = [
+            Detection(cam, frame, cls, conf, BBox(x, y, x + w, y + h))
+            for cam, frame, cls, conf, x, y, w, h in records
+        ]
+        path = tmp_path_factory.mktemp("dets") / "dets.txt"
+        write_detections(path, dets, comment="camera 0, frame 0")
+        got, rejected = load_detections(path)
+        assert rejected == []
+        assert path.read_text().startswith("# camera 0, frame 0\n")
+        assert [(d.camera_id, d.frame_id, d.class_id) for d in got] == [
+            (d.camera_id, d.frame_id, d.class_id) for d in dets
+        ]
+        for det, back in zip(dets, got):
+            b = det.box
+            assert back.confidence == round(det.confidence, 2)
+            assert back.box == BBox(*(round(c, 3) for c in (b.x_min, b.y_min, b.x_max, b.y_max)))
+
+    def test_a_box_that_rounds_to_an_empty_one_is_not_written(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        with pytest.raises(ValueError, match="x_min must be < x_max"):
+            write_detections(path, [Detection(0, 0, 2, 0.9, BBox(10.0001, 10, 10.0004, 20))])
+        assert not path.exists()
 
 
 class TestFilterOversized:

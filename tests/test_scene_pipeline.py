@@ -28,6 +28,7 @@ from pclabel import (
     frame_report,
     gen_scene,
     label_frame,
+    load_detections,
     load_rig,
     match_frames,
     read_ground_truth,
@@ -125,6 +126,33 @@ class TestGenScene:
             labeled += int(mask.sum())
             noise += int((mask & (gt[bundle.cloud.frame_id] < 0)).sum())
         assert noise / labeled == pytest.approx(0.3, abs=0.02)
+
+    def test_every_object_of_49_is_a_record_the_reader_keeps(self, tmp_path):
+        # object j's confidence was 0.95 - 0.02 j, which is -0.01 for j = 48:
+        # load_detections rejected that record, so object 48 was in the ground
+        # truth but never labeled
+        scene = gen_scene(tmp_path / "scene", frames=1, objects=49, noise_fraction=0.0, points_per_object=20)
+        records = []
+        for path in sorted((scene.out_dir / "dets").iterdir()):
+            dets, rejected = load_detections(path)
+            assert rejected == [], f"{path}: {rejected[0]}"
+            records += dets
+        assert len(records) == 49
+        assert all(0.0 < d.confidence <= 0.95 for d in records)
+
+    def test_record_lines_of_the_first_48_objects_keep_their_bytes(self, tmp_path):
+        # object j's line as gen_scene wrote it before it built the records as
+        # Detections: "cam frame class confidence x_min y_min x_max y_max",
+        # the confidence to 2 decimals and the corners to 3
+        scene = gen_scene(tmp_path / "scene", frames=1, objects=48, noise_fraction=0.0, points_per_object=20)
+        lines = []
+        for path in sorted((scene.out_dir / "dets").iterdir()):
+            text = path.read_text()
+            assert text.startswith(f"# camera {path.stem[-1]}, frame 0\n")
+            lines += text.splitlines()[1:]
+        confidences = sorted((line.split()[3] for line in lines), key=float, reverse=True)
+        assert confidences == [f"{0.95 - 0.02 * j:.2f}" for j in range(48)]
+        assert all(re.fullmatch(r"[0-4] 0 [027] \d\.\d\d( \d+\.\d{3}){4}", line) for line in lines)
 
     def test_zero_objects(self, tmp_path):
         scene = gen_scene(tmp_path / "empty", frames=2, objects=0, noise_fraction=0.3, seed=0)
@@ -344,6 +372,28 @@ class TestRunPipeline:
             assert p.pcd_path.read_bytes() == blobs[p.pcd_path.name]
         assert second.report_csv.read_bytes() == csv_bytes
 
+    def test_a_failed_rerun_leaves_no_report(self, tmp_path):
+        # a rerun into the outputs of a finished run fails at frame 10: the
+        # report and summary of the first run must not pass for the rerun's
+        scene = gen_scene(tmp_path / "scene", frames=20, objects=3, points_per_object=100, seed=0)
+        cfg = _pipeline_cfg(scene, tmp_path / "out")
+        run_pipeline(cfg)
+        first = sorted(p.name for p in cfg.out_dir.iterdir())
+        victim = scene.out_dir / "clouds" / "frame_000010.pcd"
+        victim.write_bytes(victim.read_bytes()[:500])
+        with pytest.raises(PipelineError, match="frame 10"):
+            run_pipeline(cfg)
+        left = sorted(p.name for p in cfg.out_dir.iterdir())
+        assert left == [name for name in first if name not in ("report.csv", "summary.txt")]
+        with pytest.raises(FileNotFoundError):
+            read_report_csv(cfg.out_dir / "report.csv")
+
+    def test_a_run_leaves_only_its_outputs(self, small_scene, tmp_path):
+        # report.csv and summary.txt go through a temporary file each
+        result = run_pipeline(_pipeline_cfg(small_scene, tmp_path / "out"))
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == sorted([fr.pcd_path.name for fr in result.frames] + ["report.csv", "summary.txt"])
+
     def test_absolute_entry_paths_read_the_same_files(self, small_scene, tmp_path):
         # manifests in another directory whose entries are absolute: each
         # entry replaces that directory, so the run reads the scene's files
@@ -445,6 +495,18 @@ class TestRunPipeline:
             got = load_bundle_detections(bundle, rig)[cam_id]
         assert got == load_bundle_detections(bundles[0], rig)[cam_id]
         assert f"{dets}: rejected 2 malformed detection records" in caplog.text
+
+    def test_the_warning_names_the_first_rejected_record(self, small_scene, tmp_path, caplog):
+        rig, bundles = _bundles(small_scene)
+        cam_id, entry = min(bundles[0].cameras.items())
+        text = Path(entry.path).read_text()
+        dets = tmp_path / "dets.txt"
+        bundle = _with_detection_file(bundles[0], cam_id, dets, text + f"{cam_id} 0 2 1.5 50 50 60 60\nnot a record\n")
+        with caplog.at_level("WARNING"):
+            load_bundle_detections(bundle, rig)
+        line = len(text.splitlines()) + 1
+        assert f"{dets}: rejected 2 malformed detection records; the first, " in caplog.text
+        assert f"{dets}:{line}: confidence must be in [0, 1], got 1.5" in caplog.text
 
     # int() reads "cam01" as camera 1, a second stream beside "cam1", and
     # the Arabic-Indic "cam١" as camera 1 too

@@ -179,6 +179,19 @@ class TestKMeans:
         assert res.assignments.tolist() == [0, 0, 1]
         assert res.inertia == 0.0
 
+    def test_reseed_takes_the_assignments_distances(self):
+        # p = (1e-8, 1, 1e-8) and q = (1e-8, 1e-8, 1) lie 1 from the origin;
+        # added as (dx*dx + dz*dz) + dy*dy, as the assignment adds them, p's
+        # squared distance rounds to 1 + 2^-52 and q's to 1, and added as
+        # (dx*dx + dy*dy) + dz*dz the other way round.  Seed 2 starts both
+        # centroids on the origin, so cluster 1 empties and is re-seeded to p
+        pts = np.array([[0, 0, 0]] * 3 + [[1e-8, 1.0, 1e-8], [1e-8, 1e-8, 1.0]])
+        cfg = KMeansConfig(k=2, seed=2)
+        res = kmeans(pts, cfg)
+        assert res.assignments.tolist() == [0, 0, 0, 1, 0]
+        assert res.centroids[1].tolist() == [1e-8, 1.0, 1e-8]
+        _assert_matches_reference(res, pts, cfg)
+
     def test_inertia_history_non_increasing(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
@@ -253,7 +266,7 @@ def _reference_cases():
             (np.array([[0, 0, 0], [0, 0, 0], [5, 0, 0]], dtype=float), KMeansConfig(k=2, seed=0)),
             (np.concatenate([np.zeros((40, 3)), rng.normal(size=(10, 3))]), KMeansConfig(k=4, seed=1)),
             # integer points, so the sums are products and d2 holds a mask
-            # when _farthest re-seeds through it: seed 1 starts two centroids
+            # when the re-seed runs through it: seed 1 starts two centroids
             # on the duplicated origin, seed 0 all three
             *[(_origin_and_ten(), KMeansConfig(k=3, seed=s)) for s in (0, 1)],
         ],
